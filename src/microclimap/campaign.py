@@ -12,14 +12,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from datetime import date, datetime, time, timedelta, timezone, tzinfo
+from datetime import date, datetime, time, timedelta, tzinfo
 from enum import Enum
 
 from . import thermal
 from .errors import (DayRejectedError, DomainError, MatchError, SchemaError,
                      ValidityError)
-from .series import (DriftReport, DriftThresholds, StationSeries, WeatherSample,
-                     drift_diagnostic, nearest_sample, offset_series)
+from .series import (DriftReport, DriftThresholds, LoadReport, StationSeries,
+                     WeatherSample, drift_diagnostic, nearest_sample, offset_series,
+                     parse_row)
 from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset,
                       heat_stress_category, utci, utci_offset, vapor_pressure,
                       wind_to_10m)
@@ -116,6 +117,14 @@ class MobileSample:
 
     point_id: str
     sample: WeatherSample
+
+
+class MobileLog(list):
+    """Time-ordered mobile samples, plus the load report of the file they came from."""
+
+    def __init__(self, samples=(), load_report: LoadReport | None = None):
+        super().__init__(samples)
+        self.load_report = load_report
 
 
 @dataclass
@@ -292,8 +301,17 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
     )
 
 
-def parse_mobile_csv(source) -> list[MobileSample]:
-    """Parse a point-tagged mobile log (timestamp, point_id, drivers)."""
+MOBILE_REQUIRED = ("t_air", "t_globe", "wind")
+
+
+def parse_mobile_csv(source) -> MobileLog:
+    """Parse a point-tagged mobile log (timestamp, point_id, drivers).
+
+    Rows go through the station parser's row validation (UTC offset,
+    finite numbers, sample domain checks); t_air, t_globe and wind must be
+    present, rh may be blank. Bad rows are dropped and counted in the log's
+    load report; a SchemaError is raised when no row survives.
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             return parse_mobile_csv(fh)
@@ -304,26 +322,26 @@ def parse_mobile_csv(source) -> list[MobileSample]:
     missing = required - set(reader.fieldnames)
     if missing:
         raise SchemaError(f"mobile log missing columns: {', '.join(sorted(missing))}")
+    colmap = {name: name for name in required}
+    report = LoadReport()
     out = []
-    for row in reader:
-        ts = datetime.fromisoformat(row["timestamp"].strip())
-        if ts.tzinfo is None:
-            raise SchemaError(f"mobile log timestamp lacks a UTC offset: {row['timestamp']}")
-        rh_raw = (row["rh"] or "").strip()
-        out.append(MobileSample(
-            point_id=row["point_id"].strip(),
-            sample=WeatherSample(
-                timestamp=ts.astimezone(timezone.utc),
-                t_air=float(row["t_air"]),
-                rh=float(rh_raw) if rh_raw else None,
-                t_globe=float(row["t_globe"]),
-                wind=float(row["wind"]),
-            ),
-        ))
-    if not out:
+    for lineno, row in enumerate(reader, start=2):
+        report.rows_read += 1
+        try:
+            point_id = (row["point_id"] or "").strip()
+            if not point_id:
+                raise ValueError("missing point_id")
+            out.append(MobileSample(point_id, parse_row(row, colmap, MOBILE_REQUIRED)))
+        except (ValueError, DomainError) as exc:
+            report.dropped_rows += 1
+            report.drop_reasons.append(f"line {lineno}: {exc}")
+    if not report.rows_read:
         raise SchemaError("mobile log contains no rows")
+    if not out:
+        raise SchemaError(f"no valid rows in mobile log ({report.drop_reasons[0]})")
+    report.rows_kept = len(out)
     out.sort(key=lambda m: m.sample.timestamp)
-    return out
+    return MobileLog(out, report)
 
 
 def segment_stops(log: list[MobileSample], plan: CampaignPlan) -> list[StopSegment]:
@@ -478,7 +496,8 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
     Per-point failures are collected and reported; the campaign only fails
     outright when no point is usable. When an on-site fixed station is
     supplied, its UTCI offset against the control is drift-checked over the
-    traverse span.
+    traverse span; when the check cannot run, the reason is reported as a
+    `__drift__` failure.
     """
     filter_result = day_filter(day_summary) if day_summary is not None else None
     overridden = False
@@ -514,12 +533,13 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
 
     drift = None
     if onsite is not None and log:
-        span_lo = log[0].sample.timestamp
-        span_hi = log[-1].sample.timestamp
-        offsets = offset_series(onsite, control, "utci", globe=globe, z0=z0)
+        span = (log[0].sample.timestamp, log[-1].sample.timestamp)
         try:
-            drift = drift_diagnostic(offsets, (span_lo, span_hi), drift_thresholds)
-        except DomainError as exc:
+            # only the traverse span is differenced; the control stays whole
+            offsets = offset_series(onsite.window(*span), control, "utci",
+                                    globe=globe, z0=z0)
+            drift = drift_diagnostic(offsets, span, drift_thresholds)
+        except (DomainError, ValidityError, MatchError) as exc:
             failures.append(("__drift__", f"drift check skipped: {exc}"))
 
     report = CampaignReport(

@@ -25,7 +25,7 @@ import click
 from . import analysis, campaign as campaign_mod, raster as raster_mod, series as series_mod
 from .config import RunConfig, load_config, load_plan, _parse_tz
 from .errors import (ConfigError, DayRejectedError, DomainError, GridError,
-                     MatchError, MicroclimapError, SchemaError)
+                     MatchError, MicroclimapError, SchemaError, ValidityError)
 from .series import DriftVerdict, StationRole
 
 EXIT_OK = 0
@@ -212,6 +212,10 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
     except (ConfigError, SchemaError, MatchError, DomainError) as exc:
         log(f"cannot process campaign: {exc}")
         sys.exit(EXIT_MISSING)
+    mobile_report = log_samples.load_report
+    if mobile_report.dropped_rows:
+        log(f"mobile log: dropped {mobile_report.dropped_rows} of "
+            f"{mobile_report.rows_read} rows (first: {mobile_report.drop_reasons[0]})")
 
     try:
         results, report = campaign_mod.process_campaign(
@@ -264,6 +268,18 @@ def _match_points(before_rows, after_rows, after_plan):
     return matched, unmatched
 
 
+def day_offsets(cfg: RunConfig, case, control, plan) -> series_mod.OffsetSeries:
+    """Case-minus-control offsets over the plan's local day.
+
+    Only that day of the case record is differenced; the control stays
+    whole, so matches at the day's edges are those of the whole record.
+    """
+    start = datetime.combine(plan.day, time(0, 0), plan.tz)
+    end = datetime.combine(plan.day, time(23, 59, 59), plan.tz)
+    return series_mod.offset_series(case.window(start, end), control, cfg.baci_parameter,
+                                    globe=cfg.globe, z0=cfg.z0)
+
+
 @main.command("compare")
 @click.argument("before_id")
 @click.argument("after_id")
@@ -306,22 +322,12 @@ def compare(cfg: RunConfig, before_id, after_id):
     try:
         case = load_station(cfg, "case")
         control = load_station(cfg, "control")
-        offsets = series_mod.offset_series(case, control, cfg.baci_parameter,
-                                           globe=cfg.globe, z0=cfg.z0)
-        split = {"before": before_plan, "after": after_plan}
-        periods = {}
-        for label, plan in split.items():
-            start = datetime.combine(plan.day, time(0, 0), plan.tz)
-            end = datetime.combine(plan.day, time(23, 59, 59), plan.tz)
-            idx = [i for i, t in enumerate(offsets.times) if start <= t <= end]
-            periods[label] = series_mod.OffsetSeries(
-                offsets.parameter, offsets.case_id, offsets.control_id,
-                [offsets.times[i] for i in idx], [offsets.values[i] for i in idx])
         estimate = analysis.baci_effect(
-            analysis.BaciDataset(before=periods["before"], after=periods["after"]),
+            analysis.BaciDataset(before=day_offsets(cfg, case, control, before_plan),
+                                 after=day_offsets(cfg, case, control, after_plan)),
             seed=cfg.seed)
         report_lines.append(estimate.summary())
-    except (ConfigError, DomainError, MatchError, SchemaError) as exc:
+    except (ConfigError, DomainError, MatchError, SchemaError, ValidityError) as exc:
         report_lines.append(f"BACI effect unavailable: {exc}")
 
     # Figure-5 style association against the configured UCP raster

@@ -3,14 +3,31 @@
 Stations log one multi-parameter sample per minute. Series are kept
 immutable after parsing; gaps are annotated, never interpolated, and all
 timestamps are normalized to UTC internally.
+
+Columns: besides its samples, a `StationSeries` holds numpy columns built
+once at construction. `t_us` has the timestamps as int64 microseconds
+since the Unix epoch, which is exact for every `datetime`, and `columns`
+maps each field in `FIELDS` to a float64 array with NaN where the value
+is missing. Derived parameters (`parameter_values`) and case-minus-control
+differencing (`offset_series`) run on these columns, one array pass per
+series instead of one call per sample.
+
+Matching: `match_indices` pairs every query time with its nearest sample
+in one `np.searchsorted`. The earlier sample wins an exact tie, and a pair
+needs |dt| <= tolerance (inclusive). `nearest_sample` is the one-element
+case.
+
+Windowing: a verdict differences only the samples it reads.
+`StationSeries.window` cuts a series to an inclusive time span before it
+is differenced; the series it is matched against stays whole, so the
+matches at the window edges are the same as for the whole record.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 
@@ -23,15 +40,23 @@ from .thermal import GlobeSpec
 REQUIRED_COLUMNS = ("timestamp", "t_air", "rh")
 OPTIONAL_COLUMNS = ("t_globe", "wind", "net_radiation")
 
+#: Sample fields held as float64 columns, NaN where missing.
+FIELDS = ("t_air", "rh", "t_globe", "wind", "net_radiation")
+
 #: Parameters that can be extracted or derived from a series.
-PARAMETERS = (
-    "t_air", "rh", "t_globe", "wind", "net_radiation",
-    "vapor_pressure", "t_mrt", "utci",
-)
+PARAMETERS = FIELDS + ("vapor_pressure", "t_mrt", "utci")
 
 DEFAULT_SENSOR_HEIGHTS = {
     "t_air": 1.5, "rh": 1.5, "t_globe": 1.5, "wind": 4.0, "net_radiation": 4.0,
 }
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def epoch_us(when: datetime) -> int:
+    """Microseconds since the Unix epoch, exact for a timezone-aware datetime."""
+    return (when - _EPOCH) // _MICROSECOND
 
 
 class StationRole(Enum):
@@ -93,7 +118,11 @@ class LoadReport:
 
 @dataclass
 class StationSeries:
-    """Sorted, gap-annotated time series for one station."""
+    """Sorted, gap-annotated time series for one station.
+
+    `t_us` and `columns` are built from `samples` at construction; the
+    series is not meant to be mutated afterwards.
+    """
 
     station_id: str
     role: StationRole
@@ -103,25 +132,43 @@ class StationSeries:
     sensor_heights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SENSOR_HEIGHTS))
     gaps: list[Gap] = field(default_factory=list)
     load_report: LoadReport | None = None
+    t_us: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    @property
-    def times(self) -> list[datetime]:
-        return [s.timestamp for s in self.samples]
+    def __post_init__(self):
+        self.t_us = np.array([epoch_us(s.timestamp) for s in self.samples], dtype=np.int64)
+        # None becomes NaN under dtype=float
+        self.columns = {name: np.array([getattr(s, name) for s in self.samples], dtype=float)
+                        for name in FIELDS}
 
     def span(self) -> tuple[datetime, datetime]:
         return self.samples[0].timestamp, self.samples[-1].timestamp
 
+    def window(self, start: datetime, end: datetime) -> StationSeries:
+        """The samples with start <= timestamp <= end, as a series of their own."""
+        lo = int(np.searchsorted(self.t_us, epoch_us(start), side="left"))
+        hi = int(np.searchsorted(self.t_us, epoch_us(end), side="right"))
+        return replace(self, samples=self.samples[lo:hi],
+                       gaps=[g for g in self.gaps if start <= g.start and g.end <= end])
 
-def _parse_row(row: dict, colmap: dict[str, str]) -> WeatherSample:
-    ts = datetime.fromisoformat(row[colmap["timestamp"]].strip())
+
+def parse_row(row: dict, colmap: dict[str, str],
+              required: tuple[str, ...] = ("t_air", "rh")) -> WeatherSample:
+    """Validate one CSV row into a sample; ValueError or DomainError if it is bad.
+
+    The timestamp needs a UTC offset; `required` fields must be present,
+    and every present value must be a finite number passing the sample's
+    domain checks. `colmap` maps canonical names to the file's headers.
+    """
+    ts = datetime.fromisoformat((row.get(colmap["timestamp"]) or "").strip())
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
 
-    def num(name, required):
+    def num(name):
         raw = row.get(colmap.get(name, name), "")
         raw = (raw or "").strip()
         if raw == "":
-            if required:
+            if name in required:
                 raise ValueError(f"missing value for {name}")
             return None
         value = float(raw)
@@ -131,11 +178,11 @@ def _parse_row(row: dict, colmap: dict[str, str]) -> WeatherSample:
 
     return WeatherSample(
         timestamp=ts.astimezone(timezone.utc),
-        t_air=num("t_air", True),
-        rh=num("rh", True),
-        t_globe=num("t_globe", False),
-        wind=num("wind", False),
-        net_radiation=num("net_radiation", False),
+        t_air=num("t_air"),
+        rh=num("rh"),
+        t_globe=num("t_globe"),
+        wind=num("wind"),
+        net_radiation=num("net_radiation"),
     )
 
 
@@ -171,7 +218,7 @@ def parse_station_csv(source, station_id: str, role: StationRole = StationRole.C
     for lineno, row in enumerate(reader, start=2):
         report.rows_read += 1
         try:
-            samples.append(_parse_row(row, colmap))
+            samples.append(parse_row(row, colmap))
         except (ValueError, DomainError) as exc:
             report.dropped_rows += 1
             report.drop_reasons.append(f"line {lineno}: {exc}")
@@ -236,42 +283,48 @@ def write_station_csv(series: StationSeries, sink) -> None:
         ])
 
 
-def sample_parameter(sample: WeatherSample, parameter: str,
-                     sensor_heights: dict[str, float] | None = None,
-                     globe: GlobeSpec = GlobeSpec(), z0: float = 0.01) -> float | None:
-    """Extract or derive one parameter value from a sample.
+def parameter_values(series: StationSeries, parameter: str, rows=None,
+                     globe: GlobeSpec = GlobeSpec(), z0: float = 0.01) -> np.ndarray:
+    """One parameter of a series as a float64 array, NaN where it is undefined.
 
-    Returns None when the sample lacks a needed field. For station-level
-    UTCI, missing globe readings fall back to MRT = air temperature and
-    missing wind to the 0.5 m/s sheltered floor.
+    `rows` (an index or mask array) selects samples; all by default. A
+    derived value is undefined, and nothing is evaluated for that row,
+    when the sample lacks a field it needs; validity errors are raised only
+    for the rows that are evaluated. For station-level UTCI, missing globe
+    readings fall back to MRT = air temperature and missing wind to the
+    0.5 m/s sheltered floor.
     """
-    heights = sensor_heights or DEFAULT_SENSOR_HEIGHTS
-    if parameter in ("t_air", "rh", "t_globe", "wind", "net_radiation"):
-        return getattr(sample, parameter)
-    if parameter == "vapor_pressure":
-        if sample.rh is None:
-            return None
-        return thermal.vapor_pressure(sample.t_air, sample.rh)
+    if parameter not in PARAMETERS:
+        raise DomainError(f"unknown parameter {parameter!r}")
+    col = {name: (c if rows is None else c[rows]) for name, c in series.columns.items()}
+    if parameter in FIELDS:
+        return col[parameter]
+    t_air, rh, t_globe, wind = col["t_air"], col["rh"], col["t_globe"], col["wind"]
+    out = np.full(len(t_air), np.nan)
     if parameter == "t_mrt":
-        if sample.t_globe is None or sample.wind is None:
-            return None
-        return thermal.mrt_from_globe(sample.t_globe, sample.t_air, sample.wind, globe)
-    if parameter == "utci":
-        if sample.rh is None:
-            return None
-        if sample.t_globe is not None and sample.wind is not None:
-            t_mrt = thermal.mrt_from_globe(sample.t_globe, sample.t_air, sample.wind, globe)
-        else:
-            t_mrt = sample.t_air
-        if sample.wind is not None:
-            wind_10m = thermal.wind_to_10m(sample.wind, heights.get("wind", 4.0), z0)
-        else:
-            wind_10m = 0.5
-        return thermal.utci(thermal.UtciInput(
-            t_air=sample.t_air, t_mrt=t_mrt, wind_10m=wind_10m,
-            vapor_pressure=thermal.vapor_pressure(sample.t_air, sample.rh),
-        ))
-    raise DomainError(f"unknown parameter {parameter!r}")
+        ok = ~np.isnan(t_globe) & ~np.isnan(wind)
+        if ok.any():
+            out[ok] = thermal.mrt_from_globe(t_globe[ok], t_air[ok], wind[ok], globe)
+        return out
+    ok = ~np.isnan(rh)
+    if not ok.any():
+        return out
+    t_air, rh, t_globe, wind = t_air[ok], rh[ok], t_globe[ok], wind[ok]
+    if parameter == "vapor_pressure":
+        out[ok] = thermal.vapor_pressure(t_air, rh)
+        return out
+    t_mrt = t_air.copy()
+    has_globe = ~np.isnan(t_globe) & ~np.isnan(wind)
+    if has_globe.any():
+        t_mrt[has_globe] = thermal.mrt_from_globe(
+            t_globe[has_globe], t_air[has_globe], wind[has_globe], globe)
+    wind_10m = np.full(len(t_air), 0.5)
+    has_wind = ~np.isnan(wind)
+    if has_wind.any():
+        heights = series.sensor_heights or DEFAULT_SENSOR_HEIGHTS
+        wind_10m[has_wind] = thermal.wind_to_10m(wind[has_wind], heights.get("wind", 4.0), z0)
+    out[ok] = thermal.utci_values(t_air, t_mrt, wind_10m, thermal.vapor_pressure(t_air, rh))
+    return out
 
 
 def _gap_between(gaps: list[Gap], t1: datetime, t2: datetime) -> bool:
@@ -314,13 +367,10 @@ def smooth(series: StationSeries, parameter: str,
         raise DomainError(
             f"window {window_seconds}s is below the series cadence {series.cadence}s"
         )
-    pairs = [(s.timestamp, sample_parameter(s, parameter, series.sensor_heights,
-                                            **derive_kwargs))
-             for s in series.samples]
-    pairs = [(t, v) for t, v in pairs if v is not None]
-    times = [t for t, _ in pairs]
-    values = [v for _, v in pairs]
-    smoothed = _smooth_values(times, values, window_seconds, series.gaps)
+    values = parameter_values(series, parameter, **derive_kwargs)
+    keep = np.flatnonzero(~np.isnan(values))
+    times = [series.samples[i].timestamp for i in keep]
+    smoothed = _smooth_values(times, values[keep].tolist(), window_seconds, series.gaps)
     return list(zip(times, smoothed))
 
 
@@ -335,22 +385,36 @@ class OffsetSeries:
     values: list[float]
 
 
+def match_indices(times_us: np.ndarray, query_us: np.ndarray,
+                  tolerance_s: float = 60.0) -> np.ndarray:
+    """Index of the nearest sample for each query time, or -1 if none is in tolerance.
+
+    `times_us` must be sorted. The earlier sample wins an exact tie, and a
+    match needs |dt| <= tolerance_s; dt is compared in float seconds, as
+    `timedelta.total_seconds()` gives it.
+    """
+    n = len(times_us)
+    if n == 0:
+        return np.full(len(query_us), -1, dtype=np.intp)
+    after = np.searchsorted(times_us, query_us, side="left")
+    before = after - 1
+    dt_before = np.where(before >= 0,
+                         (query_us - times_us[np.maximum(before, 0)]) / 1e6, np.inf)
+    dt_after = np.where(after < n,
+                        (times_us[np.minimum(after, n - 1)] - query_us) / 1e6, np.inf)
+    nearest = np.where(dt_after < dt_before, after, before)
+    return np.where(np.minimum(dt_before, dt_after) <= tolerance_s, nearest, -1)
+
+
 def nearest_sample(series: StationSeries, when: datetime,
                    tolerance_s: float = 60.0) -> WeatherSample:
     """Nearest sample within the tolerance, or a MatchError."""
-    times = series.times
-    i = bisect_left(times, when)
-    best = None
-    for j in (i - 1, i):
-        if 0 <= j < len(times):
-            dt = abs((times[j] - when).total_seconds())
-            if best is None or dt < best[0]:
-                best = (dt, series.samples[j])
-    if best is None or best[0] > tolerance_s:
+    (i,) = match_indices(series.t_us, np.array([epoch_us(when)]), tolerance_s)
+    if i < 0:
         raise MatchError(
             f"no {series.station_id} sample within {tolerance_s}s of {when.isoformat()}"
         )
-    return best[1]
+    return series.samples[i]
 
 
 def offset_series(case: StationSeries, control: StationSeries, parameter: str,
@@ -359,31 +423,29 @@ def offset_series(case: StationSeries, control: StationSeries, parameter: str,
     """Case-minus-control differences at case timestamps.
 
     Each case sample is paired with the nearest control sample within the
-    tolerance; unmatched samples are skipped. Derived parameters are
-    computed on each side before differencing.
+    tolerance; unmatched samples are skipped, and so are pairs where either
+    side lacks a field the parameter needs. Derived parameters are computed
+    on each side before differencing. An empty case series (say, a window
+    without samples) gives an empty offset series.
     """
     if parameter not in PARAMETERS:
         raise DomainError(f"unknown parameter {parameter!r}")
+    if not case.samples:
+        return OffsetSeries(parameter, case.station_id, control.station_id, [], [])
     c0, c1 = case.span()
     k0, k1 = control.span()
     if c1 < k0 or k1 < c0:
         raise MatchError(
             f"series {case.station_id} and {control.station_id} do not overlap in time"
         )
-    times: list[datetime] = []
-    values: list[float] = []
-    for s in case.samples:
-        try:
-            ctrl = nearest_sample(control, s.timestamp, tolerance_s)
-        except MatchError:
-            continue
-        v_case = sample_parameter(s, parameter, case.sensor_heights, globe, z0)
-        v_ctrl = sample_parameter(ctrl, parameter, control.sensor_heights, globe, z0)
-        if v_case is None or v_ctrl is None:
-            continue
-        times.append(s.timestamp)
-        values.append(v_case - v_ctrl)
-    return OffsetSeries(parameter, case.station_id, control.station_id, times, values)
+    matched = match_indices(control.t_us, case.t_us, tolerance_s)
+    rows = np.flatnonzero(matched >= 0)
+    diff = (parameter_values(case, parameter, rows, globe, z0)
+            - parameter_values(control, parameter, matched[rows], globe, z0))
+    defined = ~np.isnan(diff)
+    return OffsetSeries(parameter, case.station_id, control.station_id,
+                        [case.samples[i].timestamp for i in rows[defined]],
+                        diff[defined].tolist())
 
 
 @dataclass(frozen=True)

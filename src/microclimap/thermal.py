@@ -7,6 +7,10 @@ polynomial approximation), its assessment scale, and the offset of a
 measured point against a shaded/sheltered virtual reference.
 
 All functions are pure; identical inputs give bit-identical outputs.
+`vapor_pressure`, `mrt_from_globe`, `wind_to_10m` and `utci_values` take
+Python floats or equally shaped numpy arrays through one implementation;
+float inputs keep the scalar `math` path, so their results do not depend
+on numpy's vectorised kernels.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+
+import numpy as np
 
 from ._utci_coeffs import UTCI_POLYNOMIAL_TERMS
 from .errors import DomainError, ValidityError
@@ -164,53 +170,107 @@ class UtciOffset:
             raise DomainError(f"UTCI offset must be finite, got {self.value}")
 
 
-def vapor_pressure(t_air: float, rh: float) -> float:
+def _require(ok, error, message, *values):
+    """Raise `error` unless `ok` holds, naming the first failing element.
+
+    `ok` is a bool for scalar inputs or a boolean array for array inputs;
+    `message` is a format string filled with `values`, each taken at the
+    first failing element when it is an array. NaN fails every check.
+    """
+    if isinstance(ok, np.ndarray):
+        bad = np.flatnonzero(~ok)
+        if not bad.size:
+            return
+        values = [v[bad[0]] if isinstance(v, np.ndarray) else v for v in values]
+    elif ok:
+        return
+    raise error(message.format(*values))
+
+
+def _finite(x):
+    return np.isfinite(x) if isinstance(x, np.ndarray) else math.isfinite(x)
+
+
+def vapor_pressure(t_air, rh):
     """Partial water vapor pressure (hPa) from air temperature and humidity.
 
     Uses the Magnus saturation form es(T) = 6.1078 * exp(17.27*T / (T+237.3)).
+    Accepts floats or equally shaped arrays.
     """
-    if not (math.isfinite(t_air) and math.isfinite(rh)):
-        raise DomainError(f"non-finite input: t_air={t_air}, rh={rh}")
-    if not (0 <= rh <= 100):
-        raise DomainError(f"relative humidity must be in [0, 100], got {rh}")
-    if not (-60 < t_air < 60):
-        raise DomainError(f"air temperature must be in (-60, 60) degC, got {t_air}")
-    es = MAGNUS_ES0 * math.exp(MAGNUS_A * t_air / (t_air + MAGNUS_B))
+    _require(_finite(t_air) & _finite(rh), DomainError,
+             "non-finite input: t_air={}, rh={}", t_air, rh)
+    _require((0 <= rh) & (rh <= 100), DomainError,
+             "relative humidity must be in [0, 100], got {}", rh)
+    _require((-60 < t_air) & (t_air < 60), DomainError,
+             "air temperature must be in (-60, 60) degC, got {}", t_air)
+    exp = np.exp if isinstance(t_air, np.ndarray) else math.exp
+    es = MAGNUS_ES0 * exp(MAGNUS_A * t_air / (t_air + MAGNUS_B))
     return rh / 100.0 * es
 
 
-def mrt_from_globe(t_globe: float, t_air: float, wind: float,
-                   spec: GlobeSpec = GlobeSpec()) -> float:
+def mrt_from_globe(t_globe, t_air, wind, spec: GlobeSpec = GlobeSpec()):
     """Mean radiant temperature (degC) from a black-globe reading.
 
     The ASHRAE variant assumes the 150 mm standard globe; the ISO 7726
     forced-convection variant uses the sensor diameter and emissivity from
-    `spec`. `wind` is the speed at the globe's height.
+    `spec`. `wind` is the speed at the globe's height. Accepts floats or
+    equally shaped arrays.
     """
-    if wind < 0:
-        raise DomainError(f"wind speed must be >= 0, got {wind}")
+    _require(wind >= 0, DomainError, "wind speed must be >= 0, got {}", wind)
     if spec.formula_variant is GlobeFormula.ASHRAE_STANDARD_GLOBE:
         h = ASHRAE_GLOBE_COEFF * wind ** 0.5
     else:
         h = ISO7726_GLOBE_COEFF * wind ** 0.6 / (spec.emissivity * spec.diameter ** 0.4)
     radicand = (t_globe + 273.0) ** 4 + h * (t_globe - t_air)
-    if radicand < 0:
-        raise DomainError(
-            f"no physical MRT for t_globe={t_globe}, t_air={t_air}, wind={wind}: "
-            "radiative balance is negative"
-        )
+    _require(radicand >= 0, DomainError,
+             "no physical MRT for t_globe={}, t_air={}, wind={}: "
+             "radiative balance is negative", t_globe, t_air, wind)
     return radicand ** 0.25 - 273.0
 
 
-def clamp_wind(wind_10m: float) -> float:
+def clamp_wind(wind_10m):
     """Apply the polynomial's wind convention: clamp low speeds up to 0.5 m/s."""
-    if wind_10m > UTCI_WIND_MAX:
-        raise ValidityError(
-            f"wind_10m={wind_10m} m/s exceeds the {UTCI_WIND_MAX} m/s validity bound"
-        )
-    if wind_10m < 0:
-        raise DomainError(f"wind speed must be >= 0, got {wind_10m}")
+    _require(wind_10m <= UTCI_WIND_MAX, ValidityError,
+             f"wind_10m={{}} m/s exceeds the {UTCI_WIND_MAX} m/s validity bound",
+             wind_10m)
+    _require(wind_10m >= 0, DomainError, "wind speed must be >= 0, got {}", wind_10m)
+    if isinstance(wind_10m, np.ndarray):
+        return np.maximum(wind_10m, UTCI_WIND_MIN)
     return max(wind_10m, UTCI_WIND_MIN)
+
+
+def _utci_polynomial(ta, vel, d_tr, pa):
+    """t_air plus every table term, over powers 0..6 of each driver.
+
+    The powers are computed once as ``x ** n``, so for Python floats every
+    term is bit-identical to evaluating the powers inside the term; for
+    arrays the loop runs element-wise.
+    """
+    p_ta, p_vel, p_dtr, p_pa = ([x ** n for n in range(7)] for x in (ta, vel, d_tr, pa))
+    result = ta
+    for i, j, k, l, coeff in UTCI_POLYNOMIAL_TERMS:
+        result = result + coeff * p_ta[i] * p_vel[j] * p_dtr[k] * p_pa[l]
+    return result
+
+
+def utci_values(t_air, t_mrt, wind_10m, vp):
+    """UTCI (degC) of floats or of equally shaped arrays, element-wise.
+
+    `vp` is the vapor pressure in hPa. Wind below 0.5 m/s is clamped up to
+    0.5; every other validity bound is enforced on every element as an
+    error naming the violated bound.
+    """
+    _require((UTCI_T_AIR_MIN <= t_air) & (t_air <= UTCI_T_AIR_MAX), ValidityError,
+             f"t_air={{}} outside validity range [{UTCI_T_AIR_MIN}, {UTCI_T_AIR_MAX}] degC",
+             t_air)
+    vel = clamp_wind(wind_10m)
+    d_tr = t_mrt - t_air
+    _require((UTCI_DTR_MIN <= d_tr) & (d_tr <= UTCI_DTR_MAX), ValidityError,
+             "t_mrt - t_air = {} outside validity range "
+             f"[{UTCI_DTR_MIN}, {UTCI_DTR_MAX}] degC", d_tr)
+    _require((0 <= vp) & (vp <= UTCI_VP_MAX), ValidityError,
+             f"vapor_pressure={{}} outside validity range [0, {UTCI_VP_MAX}] hPa", vp)
+    return _utci_polynomial(t_air, vel, d_tr, vp / 10.0)  # vapor pressure in kPa
 
 
 def utci(inp: UtciInput) -> float:
@@ -219,28 +279,7 @@ def utci(inp: UtciInput) -> float:
     Wind below 0.5 m/s is clamped up to 0.5; every other validity bound is
     enforced as an error naming the violated bound.
     """
-    ta = inp.t_air
-    if not (UTCI_T_AIR_MIN <= ta <= UTCI_T_AIR_MAX):
-        raise ValidityError(
-            f"t_air={ta} outside validity range [{UTCI_T_AIR_MIN}, {UTCI_T_AIR_MAX}] degC"
-        )
-    vel = clamp_wind(inp.wind_10m)
-    d_tr = inp.t_mrt - ta
-    if not (UTCI_DTR_MIN <= d_tr <= UTCI_DTR_MAX):
-        raise ValidityError(
-            f"t_mrt - t_air = {d_tr} outside validity range "
-            f"[{UTCI_DTR_MIN}, {UTCI_DTR_MAX}] degC"
-        )
-    if not (0 <= inp.vapor_pressure <= UTCI_VP_MAX):
-        raise ValidityError(
-            f"vapor_pressure={inp.vapor_pressure} outside validity range "
-            f"[0, {UTCI_VP_MAX}] hPa"
-        )
-    pa = inp.vapor_pressure / 10.0  # kPa
-    result = ta
-    for i, j, k, l, coeff in UTCI_POLYNOMIAL_TERMS:
-        result += coeff * ta ** i * vel ** j * d_tr ** k * pa ** l
-    return result
+    return utci_values(inp.t_air, inp.t_mrt, inp.wind_10m, inp.vapor_pressure)
 
 
 def utci_offset(mobile: UtciInput, ref: ReferenceConditions,
@@ -280,13 +319,13 @@ def heat_stress_category(utci_value: float) -> HeatStressCategory:
     return HeatStressCategory.EXTREME_COLD_STRESS
 
 
-def wind_to_10m(wind: float, height: float, z0: float = 0.01) -> float:
+def wind_to_10m(wind, height: float, z0: float = 0.01):
     """Convert a wind speed to 10 m height with a neutral log profile.
 
-    z0 is the aerodynamic roughness length in meters.
+    z0 is the aerodynamic roughness length in meters. Accepts a float or an
+    array of speeds.
     """
-    if wind < 0:
-        raise DomainError(f"wind speed must be >= 0, got {wind}")
+    _require(wind >= 0, DomainError, "wind speed must be >= 0, got {}", wind)
     if not (0 < z0 < height):
         raise DomainError(f"need 0 < z0 < height, got z0={z0}, height={height}")
     if height == 10.0:

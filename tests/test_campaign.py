@@ -181,6 +181,36 @@ class TestParseMobileCsv:
         with pytest.raises(SchemaError, match="no rows"):
             parse_mobile_csv(io.StringIO(self.HEADER))
 
+    GOOD_ROW = "2019-07-25T12:00:00+00:00,P1,30.0,40,45.0,0.8\n"
+
+    def test_non_numeric_row_dropped_and_counted(self):
+        src = io.StringIO(self.HEADER + self.GOOD_ROW
+                          + "2019-07-25T12:00:15+00:00,P1,warm,40,45.0,0.8\n")
+        log = parse_mobile_csv(src)
+        assert len(log) == 1
+        assert log.load_report.rows_read == 2
+        assert log.load_report.dropped_rows == 1
+        assert log.load_report.drop_reasons[0].startswith("line 3:")
+
+    @pytest.mark.parametrize("row", [
+        "2019-07-25T12:00:15+00:00,P1,30.0,40,nan,0.8\n",
+        "2019-07-25T12:00:15+00:00,P1,30.0,40,45.0,inf\n",
+        "2019-07-25T12:00:15+00:00,P1,30.0,40,,0.8\n",
+        "2019-07-25T12:00:15+00:00,P1,30.0,130,45.0,0.8\n",
+        "2019-07-25T12:00:15+00:00,P1,30.0,40,45.0,-0.5\n",
+        "2019-07-25T12:00:15+00:00,,30.0,40,45.0,0.8\n",
+    ])
+    def test_invalid_value_row_dropped(self, row):
+        log = parse_mobile_csv(io.StringIO(self.HEADER + self.GOOD_ROW + row))
+        assert [m.sample.t_globe for m in log] == [45.0]
+        assert log.load_report.dropped_rows == 1
+
+    def test_no_surviving_row_is_schema_error(self):
+        src = io.StringIO(self.HEADER
+                          + "2019-07-25T12:00:00+00:00,P1,30.0,40,nan,0.8\n")
+        with pytest.raises(SchemaError, match="non-finite value for t_globe"):
+            parse_mobile_csv(src)
+
 
 BASE_FIELDS = {"t_air": 30.0, "rh": 40.0, "t_globe": 45.0, "wind": 0.8}
 
@@ -452,6 +482,65 @@ class TestProcessCampaign:
         assert report.drift is not None
         assert report.drift.verdict.value == "stable"
         assert len(results) == 2
+
+    def onsite_series(self, hot_minute=None, minutes=80):
+        values = [{"t_air": 30.0 + 0.02 * i, "t_globe": 33.0 + 0.05 * i, "wind": 1.0}
+                  for i in range(minutes)]
+        if hot_minute is not None:
+            values[hot_minute]["t_air"] = 55.0
+        return make_series(values, start=T0 - timedelta(minutes=10), rh=40.0,
+                           station_id="onsite", role=StationRole.ONSITE_FIXED)
+
+    def test_drift_over_window_equals_whole_record(self):
+        from microclimap.series import drift_diagnostic, offset_series
+        plan, log, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
+        onsite = self.onsite_series()
+        _, report = process_campaign(plan, log, control,
+                                     day_summary=good_day(), onsite=onsite)
+        span = (log[0].sample.timestamp, log[-1].sample.timestamp)
+        whole = drift_diagnostic(offset_series(onsite, control, "utci"), span)
+        assert report.drift.n_samples == whole.n_samples
+        assert report.drift.amplitude == pytest.approx(whole.amplitude, abs=1e-9)
+        assert report.drift.trend_slope == pytest.approx(whole.trend_slope, abs=1e-9)
+        assert report.drift.verdict is whole.verdict
+
+    def test_out_of_range_onsite_row_skips_drift_check(self):
+        plan, log, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
+        onsite = self.onsite_series(hot_minute=20)  # inside the traverse span
+        results, report = process_campaign(plan, log, control,
+                                           day_summary=good_day(), onsite=onsite)
+        assert len(results) == 2
+        assert report.drift is None
+        (reason,) = [why for pid, why in report.failures if pid == "__drift__"]
+        assert reason.startswith("drift check skipped:") and "t_air=55.0" in reason
+
+    def test_out_of_range_row_outside_span_is_not_evaluated(self):
+        plan, log, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
+        onsite = self.onsite_series(hot_minute=2)  # before the traverse starts
+        _, report = process_campaign(plan, log, control,
+                                     day_summary=good_day(), onsite=onsite)
+        assert report.drift is not None
+
+    def test_onsite_without_control_overlap_skips_drift_check(self):
+        plan, log, _ = synthetic_campaign({"P1": 1.0})
+        # the control starts after the on-site logger's last sample
+        control = make_series([30.0] * 20, start=T0 + timedelta(minutes=5), rh=40.0,
+                              station_id="ctrl", role=StationRole.CONTROL)
+        onsite = make_series([30.0] * 3, rh=40.0, station_id="onsite",
+                             role=StationRole.ONSITE_FIXED)
+        results, report = process_campaign(plan, log, control,
+                                           day_summary=good_day(), onsite=onsite)
+        assert len(results) == 1
+        assert ("__drift__", "drift check skipped: series onsite and ctrl do not "
+                "overlap in time") in report.failures
+
+    def test_onsite_without_samples_in_span_skips_drift_check(self):
+        plan, log, control = synthetic_campaign({"P1": 1.0})
+        onsite = make_series([30.0] * 10, start=T0 + timedelta(days=3), rh=40.0,
+                             station_id="onsite", role=StationRole.ONSITE_FIXED)
+        _, report = process_campaign(plan, log, control, day_summary=good_day(),
+                                     onsite=onsite)
+        assert ("__drift__", "drift check skipped: empty offset series") in report.failures
 
     def test_without_day_summary_filter_is_skipped(self):
         plan, log, control = synthetic_campaign({"P1": 0.0})

@@ -272,3 +272,69 @@ class TestConfigErrors:
         result = CliRunner().invoke(main, ["-c", str(bad), "ucp"])
         assert result.exit_code == 2
         assert "does not exist" in result.output
+
+
+class TestRobustInputs:
+    def test_out_of_range_onsite_row_skips_drift_check(self, site):
+        hot = datetime.combine(BEFORE_DAY, time(10, 20), UTC)  # inside the traverse
+        write_station(site / "onsite.csv",
+                      lambda day, t: 55.0 if t == hot else 30.0)
+        result = run(site, "process", "before")
+        assert result.exit_code == 0, result.output
+        reason = "drift check skipped: t_air=55.0 outside validity range"
+        assert reason in (site / "out" / "before" / "report.txt").read_text()
+        assert reason in result.stderr
+
+    def test_non_numeric_and_nan_mobile_values_dropped(self, site):
+        path = site / "before_mobile.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[5][2] = "warm"  # t_air
+        rows[9][4] = "nan"   # t_globe
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        result = run(site, "process", "before")
+        assert result.exit_code == 0, result.output
+        assert "mobile log: dropped 2 of 147 rows (first: line 6:" in result.stderr
+
+    def test_out_of_range_case_row_reported_by_compare(self, site):
+        hot = datetime.combine(BEFORE_DAY, time(11, 0), UTC)
+        write_station(site / "case.csv", lambda day, t: 55.0 if t == hot else 30.0)
+        run(site, "process", "before")
+        run(site, "process", "after")
+        result = run(site, "compare", "before", "after")
+        assert result.exit_code == 0, result.output
+        report = (site / "out" / "compare_before_after" / "report.txt").read_text()
+        assert "BACI effect unavailable: t_air=55.0 outside validity range" in report
+
+    def test_unreadable_mobile_log_exits_two(self, site):
+        (site / "before_mobile.csv").write_text(
+            MOBILE_HEADER + "2019-07-25T10:10:00+00:00,P1,30.0,40.0,nan,0.5\n")
+        result = run(site, "process", "before")
+        assert result.exit_code == 2
+        assert "no valid rows in mobile log" in result.stderr
+
+
+class TestBaciWindow:
+    def test_windowed_estimate_equals_whole_record(self, site):
+        from microclimap import analysis
+        from microclimap.cli import day_offsets, load_station
+        from microclimap.config import load_config, load_plan
+        from microclimap.series import OffsetSeries, offset_series
+
+        cfg = load_config(site / "run.yaml")
+        case, control = load_station(cfg, "case"), load_station(cfg, "control")
+        whole = offset_series(case, control, cfg.baci_parameter)
+        windowed, reference = [], []
+        for name in ("before", "after"):
+            plan = load_plan(cfg.campaigns[name].plan_path)
+            start = datetime.combine(plan.day, time(0, 0), plan.tz)
+            end = datetime.combine(plan.day, time(23, 59, 59), plan.tz)
+            kept = [(t, v) for t, v in zip(whole.times, whole.values) if start <= t <= end]
+            reference.append(OffsetSeries(whole.parameter, "case", "control",
+                                          [t for t, _ in kept], [v for _, v in kept]))
+            windowed.append(day_offsets(cfg, case, control, plan))
+            assert windowed[-1].times == reference[-1].times
+        got = analysis.baci_effect(analysis.BaciDataset(*windowed), seed=cfg.seed)
+        ref = analysis.baci_effect(analysis.BaciDataset(*reference), seed=cfg.seed)
+        for field in ("effect", "ci_low", "ci_high"):
+            assert getattr(got, field) == pytest.approx(getattr(ref, field), abs=1e-9)
+        assert (got.n_before, got.n_after) == (ref.n_before, ref.n_after)

@@ -2,8 +2,11 @@ import io
 import math
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from conftest import T0, make_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microclimap.errors import DomainError, MatchError, SchemaError
 from microclimap.series import (DriftVerdict, StationRole, drift_diagnostic,
@@ -240,3 +243,128 @@ class TestDriftDiagnostic:
         offsets = offset_from_values([1.0] * 5)
         with pytest.raises(DomainError, match="10 samples"):
             drift_diagnostic(offsets, (T0, T0 + timedelta(minutes=4)))
+
+
+class TestColumns:
+    def test_columns_built_at_construction(self):
+        series = make_series([{"t_air": 25.0, "wind": 1.5},
+                              {"t_air": 26.0, "t_globe": 31.0}])
+        from microclimap.series import epoch_us
+        assert series.t_us.dtype == np.int64
+        assert series.t_us.tolist() == [epoch_us(T0), epoch_us(T0) + 60_000_000]
+        assert series.columns["t_air"].tolist() == [25.0, 26.0]
+        assert series.columns["wind"][0] == 1.5 and math.isnan(series.columns["wind"][1])
+        assert math.isnan(series.columns["t_globe"][0])
+        assert series.columns["t_globe"][1] == 31.0
+
+    def test_epoch_microseconds_exact(self):
+        from microclimap.series import epoch_us
+        when = T0 + timedelta(microseconds=123_457)
+        assert epoch_us(when) - epoch_us(T0) == 123_457
+
+    def test_window_is_inclusive_and_keeps_inner_gaps(self):
+        values = [{"t_air": 20.0 + i, "timestamp": T0 + timedelta(minutes=m)}
+                  for i, m in enumerate([0, 1, 2, 10, 11, 12])]
+        series = make_series(values)
+        cut = series.window(T0 + timedelta(minutes=1), T0 + timedelta(minutes=11))
+        assert [s.t_air for s in cut.samples] == [21.0, 22.0, 23.0, 24.0]
+        assert cut.columns["t_air"].tolist() == [21.0, 22.0, 23.0, 24.0]
+        assert len(cut.gaps) == 1
+        assert series.window(T0 + timedelta(hours=5), T0 + timedelta(hours=6)).samples == []
+
+
+class TestMatchIndices:
+    def test_exact_sixty_seconds_is_inclusive(self):
+        from microclimap.series import nearest_sample
+        control = make_series([25.0, 26.0], station_id="ctrl")
+        assert nearest_sample(control, T0 - timedelta(seconds=60)).t_air == 25.0
+        assert nearest_sample(control, T0 + timedelta(seconds=120)).t_air == 26.0
+        with pytest.raises(MatchError):
+            nearest_sample(control, T0 + timedelta(seconds=120, microseconds=1))
+
+    def test_equidistant_tie_takes_earlier_sample(self):
+        from microclimap.series import nearest_sample
+        control = make_series([25.0, 26.0], station_id="ctrl")
+        assert nearest_sample(control, T0 + timedelta(seconds=30)).t_air == 25.0
+
+    def test_empty_series_matches_nothing(self):
+        from microclimap.series import match_indices
+        out = match_indices(np.array([], dtype=np.int64), np.array([0, 5]))
+        assert out.tolist() == [-1, -1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 200), min_size=1, max_size=60),
+           st.lists(st.integers(-100, 6000), min_size=1, max_size=40),
+           st.sampled_from([0.0, 15.0, 30.0, 60.0]))
+    def test_matches_brute_force_nearest_rule(self, steps, queries, tolerance_s):
+        """Sorted sample times with random gaps (seconds), queries anywhere."""
+        from microclimap.series import match_indices
+        times = np.cumsum(steps).astype(np.int64) * 1_000_000
+        query = np.array(queries, dtype=np.int64) * 1_000_000 // 2
+        got = match_indices(times, query, tolerance_s)
+        for q, idx in zip(query.tolist(), got.tolist()):
+            dts = [abs(t - q) / 1e6 for t in times.tolist()]
+            best = min(dts)
+            expected = dts.index(best) if best <= tolerance_s else -1  # earliest on a tie
+            assert idx == expected
+
+
+def whole_record_offsets(case, control, start, end, parameter="utci"):
+    """Reference: difference the whole case record, then keep [start, end]."""
+    full = offset_series(case, control, parameter)
+    kept = [(t, v) for t, v in zip(full.times, full.values) if start <= t <= end]
+    return [t for t, _ in kept], [v for _, v in kept]
+
+
+class TestWindowedOffsets:
+    def station(self, station_id, n, phase):
+        return make_series(
+            [{"t_air": 28.0 + 2.0 * math.sin(i / 37.0 + phase),
+              "rh": 40.0 + 10.0 * math.cos(i / 23.0),
+              "t_globe": 33.0 + 3.0 * math.sin(i / 11.0 + phase),
+              "wind": 0.5 + abs(math.sin(i / 7.0))} for i in range(n)],
+            station_id=station_id)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 30), (17, 143), (150, 400), (-20, 5)])
+    def test_window_equals_filtered_whole_record(self, lo, hi):
+        case = self.station("case", 200, 0.0)
+        control = self.station("ctrl", 210, 1.0)
+        start, end = T0 + timedelta(minutes=lo), T0 + timedelta(minutes=hi)
+        windowed = offset_series(case.window(start, end), control, "utci")
+        times, values = whole_record_offsets(case, control, start, end)
+        assert windowed.times == times
+        assert np.allclose(windowed.values, values, rtol=0, atol=1e-9)
+
+    def test_empty_window_gives_empty_offsets(self):
+        case = self.station("case", 20, 0.0)
+        control = self.station("ctrl", 20, 1.0)
+        empty = case.window(T0 + timedelta(days=1), T0 + timedelta(days=2))
+        offsets = offset_series(empty, control, "utci")
+        assert offsets.times == [] and offsets.values == []
+
+    def test_array_utci_agrees_with_scalar_per_sample(self):
+        from microclimap.thermal import (UtciInput, mrt_from_globe, utci,
+                                         vapor_pressure, wind_to_10m)
+        case = self.station("case", 50, 0.0)
+        control = make_series([27.0] * 50, rh=45.0, station_id="ctrl")
+        offsets = offset_series(case, control, "utci")
+        ctrl_u = utci(UtciInput(27.0, 27.0, 0.5, vapor_pressure(27.0, 45.0)))
+        for s, value in zip(case.samples, offsets.values):
+            scalar = utci(UtciInput(
+                s.t_air, mrt_from_globe(s.t_globe, s.t_air, s.wind),
+                wind_to_10m(s.wind, 4.0), vapor_pressure(s.t_air, s.rh))) - ctrl_u
+            assert value == pytest.approx(scalar, abs=1e-9)
+
+    def test_validity_checked_only_on_evaluated_rows(self):
+        from microclimap.errors import ValidityError
+        case = make_series([30.0] * 12 + [55.0] + [30.0] * 8, station_id="case")
+        control = make_series([30.0] * 21, station_id="ctrl")
+        with pytest.raises(ValidityError, match="t_air=55.0"):
+            offset_series(case, control, "utci")
+        # the hot sample lies outside both windows, so it is never evaluated
+        early = case.window(T0, T0 + timedelta(minutes=9))
+        assert offset_series(early, control, "utci").values == [0.0] * 10
+        # an unmatched hot sample is not evaluated either: this control
+        # ends at minute 9, so case minutes 0-10 match and minute 12 does not
+        short = make_series([30.0] * 10, station_id="ctrl")
+        assert len(offset_series(case, short, "utci").values) == 11

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from microclimap.errors import DomainError, ValidityError
 from microclimap.thermal import (GlobeFormula, GlobeSpec, HeatStressCategory,
                                  ReferenceConditions, UtciInput, heat_stress_category,
-                                 mrt_from_globe, utci, utci_offset, vapor_pressure,
-                                 wind_to_10m)
+                                 mrt_from_globe, utci, utci_offset, utci_values,
+                                 vapor_pressure, wind_to_10m)
 from utci_reference import utci_reference
 
 ISO_SPEC = GlobeSpec(formula_variant=GlobeFormula.ISO7726_FORCED)
@@ -217,3 +218,78 @@ class TestWindProfile:
     def test_invalid_roughness(self):
         with pytest.raises(DomainError):
             wind_to_10m(1.0, 1.5, 2.0)
+
+
+def criterion_one_grid(n=1000):
+    """The 1000-point grid of acceptance criterion 1 (same seed and draws)."""
+    rng = np.random.default_rng(1)
+    ta = rng.uniform(-49.5, 49.5, n)
+    vel = rng.uniform(0.5, 16.9, n)
+    dtr = rng.uniform(-29.5, 69.5, n)
+    vp = rng.uniform(0.1, 45.0, n)
+    return ta, vel, dtr, vp
+
+
+class TestArrayForms:
+    def test_array_utci_matches_scalar_and_reference(self):
+        ta, vel, dtr, vp = criterion_one_grid()
+        values = utci_values(ta, ta + dtr, vel, vp)
+        assert isinstance(values, np.ndarray) and values.shape == ta.shape
+        for i in range(len(ta)):
+            scalar = utci(UtciInput(float(ta[i]), float(ta[i] + dtr[i]),
+                                    float(vel[i]), float(vp[i])))
+            assert abs(values[i] - scalar) <= 1e-9
+            ref = utci_reference(ta[i], vel[i], dtr[i], vp[i] / 10.0)
+            assert abs(values[i] - ref) < 0.01
+
+    @pytest.mark.parametrize("column,bad,fragment", [
+        ("t_air", 55.0, "t_air"),
+        ("wind", 18.0, "wind"),
+        ("t_mrt", 120.0, "t_mrt"),
+        ("vp", 55.0, "vapor_pressure"),
+    ])
+    def test_out_of_range_element_names_the_bound(self, column, bad, fragment):
+        cols = {"t_air": np.full(5, 25.0), "t_mrt": np.full(5, 30.0),
+                "wind": np.full(5, 1.0), "vp": np.full(5, 15.0)}
+        cols[column][3] = bad
+        with pytest.raises(ValidityError, match=fragment):
+            utci_values(cols["t_air"], cols["t_mrt"], cols["wind"], cols["vp"])
+
+    def test_low_wind_clamped_as_in_scalar_path(self):
+        ta, t_mrt, vp = np.full(3, 25.0), np.full(3, 30.0), np.full(3, 12.0)
+        low = utci_values(ta, t_mrt, np.array([0.0, 0.3, 0.5]), vp)
+        assert low[0] == low[1] == low[2]
+        assert low[1] == pytest.approx(utci(UtciInput(25.0, 30.0, 0.3, 12.0)), abs=1e-9)
+
+    def test_negative_wind_is_domain_error(self):
+        with pytest.raises(DomainError, match="wind"):
+            utci_values(np.full(2, 25.0), np.full(2, 25.0), np.array([1.0, -0.1]),
+                        np.full(2, 10.0))
+
+    def test_driver_arrays_match_scalars(self):
+        rng = np.random.default_rng(4)
+        t_air = rng.uniform(-20.0, 45.0, 200)
+        rh = rng.uniform(0.0, 100.0, 200)
+        t_globe = t_air + rng.uniform(-2.0, 25.0, 200)
+        wind = rng.uniform(0.0, 8.0, 200)
+        vp = vapor_pressure(t_air, rh)
+        mrt = {spec: mrt_from_globe(t_globe, t_air, wind, spec)
+               for spec in (ISO_SPEC, ASHRAE_SPEC)}
+        w10 = wind_to_10m(wind, 1.5)
+        for i in range(200):
+            assert vp[i] == pytest.approx(vapor_pressure(t_air[i], rh[i]), abs=1e-12)
+            assert w10[i] == pytest.approx(wind_to_10m(wind[i], 1.5), abs=1e-12)
+            for spec, values in mrt.items():
+                assert values[i] == pytest.approx(
+                    mrt_from_globe(t_globe[i], t_air[i], wind[i], spec), abs=1e-9)
+
+    def test_driver_array_domain_errors(self):
+        with pytest.raises(DomainError, match="relative humidity"):
+            vapor_pressure(np.array([20.0, 20.0]), np.array([50.0, 101.0]))
+        with pytest.raises(DomainError, match="non-finite"):
+            vapor_pressure(np.array([20.0, np.nan]), np.array([50.0, 50.0]))
+        with pytest.raises(DomainError, match="radiative balance"):
+            mrt_from_globe(np.array([30.0, -200.0]), np.array([30.0, 30.0]),
+                           np.array([1.0, 1.0]))
+        with pytest.raises(DomainError, match="wind"):
+            wind_to_10m(np.array([1.0, -1.0]), 1.5)
