@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError
 from .series import OffsetSeries
@@ -132,18 +131,37 @@ class CorrelationResult:
     n: int
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; each group of tied values shares the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(ordered)]
+    # a group holding sorted positions start..end-1 has ranks start+1..end
+    group_rank = 0.5 * (starts + 1 + ends)
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(group_rank, ends - starts)
+    return ranks
+
+
 def correlate_offset_ucp(pairs: list[tuple[float, float]]) -> CorrelationResult:
-    """Spearman (average-rank ties) and Pearson correlation of (offset, ucp) pairs."""
+    """Spearman (average-rank ties) and Pearson correlation of (offset, ucp) pairs.
+
+    Spearman's rho is the Pearson correlation of the average ranks, the
+    same computation as ``scipy.stats.spearmanr``.
+    """
     if len(pairs) < 3:
         raise DomainError(f"need at least 3 pairs, got {len(pairs)}")
     offsets = np.array([p[0] for p in pairs])
     ucp = np.array([p[1] for p in pairs])
+    if not (np.isfinite(offsets).all() and np.isfinite(ucp).all()):
+        raise DomainError("correlation undefined for non-finite input")
     if ucp.min() < 0 or ucp.max() > 1:
         raise DomainError("UCP values must lie in [0, 1]")
     if np.ptp(offsets) == 0 or np.ptp(ucp) == 0:
         raise DomainError("correlation undefined for constant input")
-    rho = float(stats.spearmanr(offsets, ucp).statistic)
-    r = float(stats.pearsonr(offsets, ucp).statistic)
+    rho = float(np.corrcoef(_average_ranks(offsets), _average_ranks(ucp))[1, 0])
+    r = float(np.corrcoef(offsets, ucp)[1, 0])
     return CorrelationResult(spearman_rho=rho, pearson_r=r, n=len(pairs))
 
 

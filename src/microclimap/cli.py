@@ -27,6 +27,7 @@ from .config import RunConfig, load_config, load_plan, _parse_tz
 from .errors import (ConfigError, DayRejectedError, DomainError, GridError,
                      MatchError, MicroclimapError, SchemaError, ValidityError)
 from .series import DriftVerdict, StationRole
+from .thermal import heat_stress_category
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -81,7 +82,6 @@ def point_results_csv(results, plan) -> str:
     writer.writerow(POINT_CSV_COLUMNS)
     for r in results:
         point = plan.point(r.point_id)
-        from .thermal import heat_stress_category
         writer.writerow([
             r.point_id,
             r.timestamp.isoformat(),
@@ -131,10 +131,6 @@ def main(ctx, config_path):
         ctx.exit(EXIT_MISSING)
 
 
-def _day_summary_for(cfg: RunConfig, control, day, tz, oktas):
-    return campaign_mod.derive_day_summary(control, day, oktas, tz, z0=cfg.z0)
-
-
 @main.command("check-day")
 @click.argument("day")
 @click.option("--oktas", type=float, default=None,
@@ -159,7 +155,7 @@ def check_day(cfg: RunConfig, day, oktas, tz_offset):
         if tz is None:
             tz = timezone.utc
         control = load_station(cfg, "control")
-        summary = _day_summary_for(cfg, control, day, tz, oktas)
+        summary = campaign_mod.derive_day_summary(control, day, oktas, tz, z0=cfg.z0)
     except (MatchError, SchemaError, ConfigError, ValueError) as exc:
         log(f"cannot evaluate day: {exc}")
         sys.exit(EXIT_MISSING)
@@ -207,8 +203,9 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
         onsite = (load_station(cfg, plan.onsite_station_id)
                   if plan.onsite_station_id else None)
         log_samples = campaign_mod.parse_mobile_csv(entry.mobile_log_path)
-        summary = _day_summary_for(cfg, control, plan.day, plan.tz,
-                                   entry.cloud_cover_oktas)
+        summary = campaign_mod.derive_day_summary(control, plan.day,
+                                                  entry.cloud_cover_oktas, plan.tz,
+                                                  z0=cfg.z0)
     except (ConfigError, SchemaError, MatchError, DomainError) as exc:
         log(f"cannot process campaign: {exc}")
         sys.exit(EXIT_MISSING)
@@ -291,6 +288,9 @@ def compare(cfg: RunConfig, before_id, after_id):
         after_plan = load_plan(cfg.campaigns[after_id].plan_path)
     except KeyError as exc:
         log(f"unknown campaign {exc}")
+        sys.exit(EXIT_MISSING)
+    except ConfigError as exc:
+        log(f"cannot compare campaigns: {exc}")
         sys.exit(EXIT_MISSING)
     before_csv = cfg.output_dir / before_id / "points.csv"
     after_csv = cfg.output_dir / after_id / "points.csv"

@@ -36,11 +36,34 @@ def _parse_tz(value) -> tzinfo:
         raise ConfigError(f"cannot parse timezone offset {value!r}") from exc
 
 
+# What reading fields of a hand-written mapping raises on a missing key or
+# a value of the wrong type or form.
+_FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _read_yaml(path: Path, kind: str):
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            problem = getattr(exc, "problem", None)
+            if mark is None or problem is None:
+                reason = " ".join(str(exc).split())
+            else:
+                reason = f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
+            raise ConfigError(f"malformed YAML in {kind} file {path}: {reason}") from exc
+
+
+def _invalid(kind: str, path: Path, exc: Exception) -> ConfigError:
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ConfigError(f"invalid {kind} file {path}: {reason}")
+
+
 def load_plan(path) -> CampaignPlan:
     """Load a campaign plan file."""
     path = Path(path)
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    raw = _read_yaml(path, "plan")
     if not isinstance(raw, dict):
         raise ConfigError(f"plan file {path} is not a mapping")
     try:
@@ -68,8 +91,8 @@ def load_plan(path) -> CampaignPlan:
             window_start=time.fromisoformat(window[0]),
             window_end=time.fromisoformat(window[1]),
         )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid plan file {path}: {exc}") from exc
+    except _FIELD_ERRORS as exc:
+        raise _invalid("plan", path, exc) from exc
 
 
 @dataclass
@@ -112,10 +135,18 @@ class RunConfig:
 def load_config(path) -> RunConfig:
     """Load and validate a run configuration file."""
     path = Path(path)
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    base = path.parent
+    raw = _read_yaml(path, "config") or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} is not a mapping")
+    try:
+        return _run_config(raw, path.parent)
+    except ConfigError:
+        raise
+    except _FIELD_ERRORS as exc:
+        raise _invalid("config", path, exc) from exc
 
+
+def _run_config(raw: dict, base: Path) -> RunConfig:
     def resolve(p) -> Path:
         resolved = (base / p).resolve()
         if not resolved.exists():

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -242,7 +243,7 @@ def parse_station_csv(source, station_id: str, role: StationRole = StationRole.C
     # so isolated dropped rows do not masquerade as a cadence change
     regular = [d for d in deltas if d <= 2 * cadence]
     if len(regular) >= 5:
-        median = float(np.median(regular))
+        median = float(statistics.median(regular))
         if abs(median - cadence) > 0.1 * cadence:
             raise SchemaError(
                 f"declared cadence {cadence}s does not match median sample "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microclimap.analysis import (BaciDataset, EffectEstimate, baci_effect,
+from microclimap.analysis import (BaciDataset, EffectEstimate, _average_ranks, baci_effect,
                                   correlate_offset_ucp, scatter_csv, scatter_svg)
 from microclimap.errors import DomainError
 from microclimap.series import OffsetSeries
@@ -169,6 +169,19 @@ class TestCorrelateOffsetUcp:
         warped = [(o * 8.0, u / 4.0) for o, u in pairs]
         again = correlate_offset_ucp(warped)
         assert again.spearman_rho == pytest.approx(base.spearman_rho, abs=1e-12)
+
+
+class TestAverageRanks:
+    def test_ties_share_their_mean_rank(self):
+        ranks = _average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0]))
+        assert ranks.tolist() == [5.0, 1.5, 5.0, 3.0, 1.5, 5.0]
+
+    def test_distinct_values_rank_by_order(self):
+        assert _average_ranks(np.array([0.3, -1.0, 7.5])).tolist() == [2.0, 1.0, 3.0]
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            correlate_offset_ucp([(1.0, 0.2), (math.nan, 0.4), (3.0, 0.6)])
 
 
 class TestScatterExport:

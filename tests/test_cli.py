@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import textwrap
 from datetime import date, datetime, time, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from conftest import UTC, V15_FOR_HALF, globe_for_offset
 
+import microclimap
 from microclimap.cli import main
 
 BEFORE_DAY = date(2019, 7, 25)
@@ -338,3 +343,76 @@ class TestBaciWindow:
         for field in ("effect", "ci_low", "ci_high"):
             assert getattr(got, field) == pytest.approx(getattr(ref, field), abs=1e-9)
         assert (got.n_before, got.n_after) == (ref.n_before, ref.n_after)
+
+
+class TestMalformedConfigExitsTwo:
+    """Each malformed config or plan exits 2 with a one-line reason."""
+
+    @staticmethod
+    def assert_one_line_exit_two(result, phrase):
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and phrase in lines[0], result.stderr
+
+    def test_malformed_config_yaml(self, site):
+        (site / "run.yaml").write_text("stations: [control: control.csv\n")
+        self.assert_one_line_exit_two(run(site, "ucp"), "malformed YAML in config file")
+
+    @pytest.mark.parametrize("args", [("check-day", BEFORE_DAY.isoformat()),
+                                      ("process", "before"),
+                                      ("compare", "before", "after")])
+    def test_malformed_plan_yaml(self, site, args):
+        (site / "before_plan.yaml").write_text("campaign_id: before\npoints: [{a: 1\n")
+        self.assert_one_line_exit_two(run(site, *args), "malformed YAML in plan file")
+
+    def test_plan_without_points_under_compare(self, site):
+        plan = site / "before_plan.yaml"
+        kept = plan.read_text().split("points:")[0]
+        plan.write_text(kept)
+        self.assert_one_line_exit_two(run(site, "compare", "before", "after"),
+                                      "missing key 'points'")
+
+    def test_station_mapping_without_path(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace(
+            "control: control.csv", "control: {column_map: {t_air: temp}}"))
+        self.assert_one_line_exit_two(run(site, "ucp"), "missing key 'path'")
+
+    def test_non_integer_seed(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("seed: 3", "seed: abc"))
+        self.assert_one_line_exit_two(run(site, "ucp"), "invalid literal for int()")
+
+    def test_section_that_is_not_a_mapping(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text() + "thresholds: [1.0, 2.0]\n")
+        self.assert_one_line_exit_two(run(site, "ucp"), "invalid config file")
+
+
+IMPORT_GUARD = """
+import sys
+from microclimap.cli import main
+
+config, day = sys.argv[1:]
+for args in (["check-day", day], ["ucp"], ["process", "before"],
+             ["process", "after"], ["compare", "before", "after"]):
+    try:
+        main(["-c", config, *args], standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0, (args, code)
+    assert "scipy" not in sys.modules, args
+"""
+
+
+def test_no_command_imports_scipy(site):
+    src = Path(microclimap.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(site / "run.yaml"),
+         BEFORE_DAY.isoformat()],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (site / "out" / "compare_before_after" / "scatter.csv").exists()
