@@ -6,13 +6,13 @@ an Urban Cooling Potential raster comparison.
 """
 
 from .thermal import (GlobeFormula, GlobeSpec, HeatStressCategory, ReferenceConditions,
-                      ThermalState, UtciInput, UtciOffset, heat_stress_category,
-                      mrt_from_globe, utci, utci_offset, vapor_pressure, wind_to_10m)
+                      UtciInput, UtciOffset, heat_stress_category, mrt_from_globe, utci,
+                      utci_offset, vapor_pressure, wind_to_10m)
 
 __all__ = [
     "GlobeFormula", "GlobeSpec", "HeatStressCategory", "ReferenceConditions",
-    "ThermalState", "UtciInput", "UtciOffset", "heat_stress_category",
-    "mrt_from_globe", "utci", "utci_offset", "vapor_pressure", "wind_to_10m",
+    "UtciInput", "UtciOffset", "heat_stress_category", "mrt_from_globe", "utci",
+    "utci_offset", "vapor_pressure", "wind_to_10m",
 ]
 
 __version__ = "0.1.0"

@@ -34,10 +34,6 @@ class BaciDataset:
             if b_hi >= a_lo and a_hi >= b_lo:
                 raise DomainError("before and after periods overlap in time")
 
-    @property
-    def parameter(self) -> str:
-        return self.before.parameter
-
 
 @dataclass(frozen=True)
 class EffectEstimate:

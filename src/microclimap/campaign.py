@@ -20,10 +20,9 @@ from .errors import (DayRejectedError, DomainError, MatchError, SchemaError,
                      ValidityError)
 from .series import (DriftReport, DriftThresholds, LoadReport, StationSeries,
                      WeatherSample, drift_diagnostic, nearest_sample, offset_series,
-                     parse_row)
-from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset,
-                      heat_stress_category, utci, utci_offset, vapor_pressure,
-                      wind_to_10m)
+                     opened, parse_row)
+from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset, utci_offset,
+                      vapor_pressure, wind_to_10m)
 
 MOBILE_CADENCE_S = 15.0
 SEGMENT_SPLIT_GAP_S = 60.0
@@ -165,9 +164,24 @@ class DayFilterThresholds:
 
 
 @dataclass(frozen=True)
+class DayCriterion:
+    label: str    # the condition a warm radiative day meets
+    passed: bool
+    reason: str   # why the day is rejected when the condition fails
+
+
+@dataclass(frozen=True)
 class DayFilterResult:
-    accepted: bool
-    reasons: list[str]  # empty when accepted
+    criteria: tuple[DayCriterion, ...]
+
+    @property
+    def accepted(self) -> bool:
+        return all(c.passed for c in self.criteria)
+
+    @property
+    def reasons(self) -> list[str]:
+        """Rejection reasons of the failed criteria; empty when accepted."""
+        return [c.reason for c in self.criteria if not c.passed]
 
 
 @dataclass(frozen=True)
@@ -189,16 +203,7 @@ class PointResult:
     point_id: str
     timestamp: datetime
     drivers: AggregatedDrivers
-    utci_mobile: float
-    utci_ref: float
     offset: UtciOffset
-
-    def __post_init__(self):
-        if self.offset.value != self.utci_mobile - self.utci_ref:
-            raise DomainError(
-                f"inconsistent offset for {self.point_id}: "
-                f"{self.offset.value} != {self.utci_mobile} - {self.utci_ref}"
-            )
 
 
 @dataclass
@@ -239,22 +244,22 @@ def day_filter(day: DaySummary,
                thresholds: DayFilterThresholds = DayFilterThresholds()) -> DayFilterResult:
     """Accept warm radiative days: hot, clear-sky, strongly unstable.
 
-    Every failed criterion is listed in the rejection reasons.
+    Every criterion is judged, so every failed one is listed in the
+    rejection reasons.
     """
-    reasons = []
-    if not day.t_max > thresholds.t_max_above:
-        reasons.append(
-            f"t_max {day.t_max} degC not above {thresholds.t_max_above} degC")
-    if not day.t_min > thresholds.t_min_above:
-        reasons.append(
-            f"t_min {day.t_min} degC not above {thresholds.t_min_above} degC")
-    if not day.cloud_cover_oktas <= thresholds.max_cloud_oktas:
-        reasons.append(
-            f"cloud cover {day.cloud_cover_oktas} oktas exceeds {thresholds.max_cloud_oktas}")
-    if day.stability_class not in (StabilityClass.A, StabilityClass.AB):
-        reasons.append(
-            f"stability class {day.stability_class.value} is not A or A-B")
-    return DayFilterResult(accepted=not reasons, reasons=reasons)
+    t = thresholds
+    return DayFilterResult((
+        DayCriterion(f"t_max > {t.t_max_above} degC", day.t_max > t.t_max_above,
+                     f"t_max {day.t_max} degC not above {t.t_max_above} degC"),
+        DayCriterion(f"t_min > {t.t_min_above} degC", day.t_min > t.t_min_above,
+                     f"t_min {day.t_min} degC not above {t.t_min_above} degC"),
+        DayCriterion(f"cloud cover <= {t.max_cloud_oktas} oktas",
+                     day.cloud_cover_oktas <= t.max_cloud_oktas,
+                     f"cloud cover {day.cloud_cover_oktas} oktas exceeds {t.max_cloud_oktas}"),
+        DayCriterion("stability class in {A, A-B}",
+                     day.stability_class in (StabilityClass.A, StabilityClass.AB),
+                     f"stability class {day.stability_class.value} is not A or A-B"),
+    ))
 
 
 def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: float,
@@ -273,7 +278,6 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
         raise MatchError(f"control series has no samples on {day.isoformat()}")
 
     t_values = [s.t_air for s in day_samples]
-    wind_height = control.sensor_heights.get("wind", 4.0)
 
     noon_lo = datetime.combine(day, time(12, 0), tz)
     noon_hi = datetime.combine(day, time(14, 0), tz)
@@ -287,7 +291,8 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
     winds = [s.wind for s in day_samples
              if s.wind is not None and win_lo <= s.timestamp < win_hi]
     if winds:
-        mean_wind_10m = wind_to_10m(sum(winds) / len(winds), wind_height, z0)
+        mean_wind_10m = wind_to_10m(sum(winds) / len(winds),
+                                    control.sensor_heights["wind"], z0)
     else:
         mean_wind_10m = 0.0
 
@@ -312,29 +317,27 @@ def parse_mobile_csv(source) -> MobileLog:
     present, rh may be blank. Bad rows are dropped and counted in the log's
     load report; a SchemaError is raised when no row survives.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="") as fh:
-            return parse_mobile_csv(fh)
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None or "point_id" not in reader.fieldnames:
-        raise SchemaError("mobile log must carry a point_id column")
-    required = {"timestamp", "t_air", "rh", "t_globe", "wind"}
-    missing = required - set(reader.fieldnames)
-    if missing:
-        raise SchemaError(f"mobile log missing columns: {', '.join(sorted(missing))}")
-    colmap = {name: name for name in required}
-    report = LoadReport()
-    out = []
-    for lineno, row in enumerate(reader, start=2):
-        report.rows_read += 1
-        try:
-            point_id = (row["point_id"] or "").strip()
-            if not point_id:
-                raise ValueError("missing point_id")
-            out.append(MobileSample(point_id, parse_row(row, colmap, MOBILE_REQUIRED)))
-        except (ValueError, DomainError) as exc:
-            report.dropped_rows += 1
-            report.drop_reasons.append(f"line {lineno}: {exc}")
+    with opened(source, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "point_id" not in reader.fieldnames:
+            raise SchemaError("mobile log must carry a point_id column")
+        required = {"timestamp", "t_air", "rh", "t_globe", "wind"}
+        missing = required - set(reader.fieldnames)
+        if missing:
+            raise SchemaError(f"mobile log missing columns: {', '.join(sorted(missing))}")
+        colmap = {name: name for name in required}
+        report = LoadReport()
+        out = []
+        for lineno, row in enumerate(reader, start=2):
+            report.rows_read += 1
+            try:
+                point_id = (row["point_id"] or "").strip()
+                if not point_id:
+                    raise ValueError("missing point_id")
+                out.append(MobileSample(point_id, parse_row(row, colmap, MOBILE_REQUIRED)))
+            except (ValueError, DomainError) as exc:
+                report.dropped_rows += 1
+                report.drop_reasons.append(f"line {lineno}: {exc}")
     if not report.rows_read:
         raise SchemaError("mobile log contains no rows")
     if not out:
@@ -452,35 +455,6 @@ def match_control(timestamp: datetime, control: StationSeries,
     return ReferenceConditions(t_air=s.t_air, rh=s.rh, matched_at=s.timestamp)
 
 
-def point_result_from_drivers(point_id: str, drivers: AggregatedDrivers,
-                              ref: ReferenceConditions) -> PointResult:
-    mobile_input = UtciInput(
-        t_air=drivers.t_air,
-        t_mrt=drivers.t_mrt,
-        wind_10m=drivers.wind_10m,
-        vapor_pressure=vapor_pressure(drivers.t_air, drivers.rh),
-    )
-    try:
-        utci_mobile = utci(mobile_input)
-    except (ValidityError, DomainError) as exc:
-        raise type(exc)(f"mobile side: {exc}") from exc
-    utci_ref = utci(ref.to_utci_input())
-    offset = UtciOffset(
-        value=utci_mobile - utci_ref,
-        point_id=point_id,
-        timestamp=drivers.timestamp,
-        control_matched_at=ref.matched_at,
-    )
-    return PointResult(
-        point_id=point_id,
-        timestamp=drivers.timestamp,
-        drivers=drivers,
-        utci_mobile=utci_mobile,
-        utci_ref=utci_ref,
-        offset=offset,
-    )
-
-
 def process_campaign(plan: CampaignPlan, log: list[MobileSample],
                      control: StationSeries,
                      day_summary: DaySummary | None = None,
@@ -494,7 +468,8 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
     """Run the full per-point pipeline for one campaign.
 
     Per-point failures are collected and reported; the campaign only fails
-    outright when no point is usable. When an on-site fixed station is
+    outright when no point is usable. A stop flagged too short is unusable
+    before its stabilization is tried. When an on-site fixed station is
     supplied, its UTCI offset against the control is drift-checked over the
     traverse span; when the check cannot run, the reason is reported as a
     `__drift__` failure.
@@ -512,12 +487,22 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
     seen: set[str] = set()
     for segment in segments:
         seen.add(segment.point_id)
+        if segment.too_short:
+            start, end = segment.span()
+            failures.append((segment.point_id,
+                             f"segment at {segment.point_id} lasts "
+                             f"{(end - start).total_seconds():g} s, under the "
+                             f"{MIN_SEGMENT_S:g} s minimum dwell; point is unusable"))
+            continue
         try:
             stabilized = detect_stabilization(segment, stabilization_delta_c)
             drivers = aggregate_point(stabilized, globe=globe, z0=z0)
             ref = match_control(drivers.timestamp, control, control_tolerance_s)
-            results[segment.point_id] = point_result_from_drivers(
-                segment.point_id, drivers, ref)
+            mobile = UtciInput(drivers.t_air, drivers.t_mrt, drivers.wind_10m,
+                               vapor_pressure(drivers.t_air, drivers.rh))
+            offset = utci_offset(mobile, ref, segment.point_id, drivers.timestamp)
+            results[segment.point_id] = PointResult(
+                segment.point_id, drivers.timestamp, drivers, offset)
         except (DomainError, ValidityError, MatchError) as exc:
             failures.append((segment.point_id, str(exc)))
     for p in plan.points:

@@ -25,20 +25,14 @@ import click
 from . import analysis, campaign as campaign_mod, raster as raster_mod, series as series_mod
 from .config import RunConfig, load_config, load_plan, _parse_tz
 from .errors import (ConfigError, DayRejectedError, DomainError, GridError,
-                     MatchError, MicroclimapError, SchemaError, ValidityError)
-from .series import DriftVerdict, StationRole
+                     MatchError, SchemaError, ValidityError)
+from .series import DriftVerdict
 from .thermal import heat_stress_category
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_MISSING = 2
 EXIT_DRIFT = 3
-
-_ROLE_BY_NAME = {
-    "control": StationRole.CONTROL,
-    "case": StationRole.CASE,
-    "onsite": StationRole.ONSITE_FIXED,
-}
 
 POINT_CSV_COLUMNS = (
     "point_id", "timestamp", "lon", "lat", "environment", "phase",
@@ -69,7 +63,6 @@ def load_station(cfg: RunConfig, name: str) -> series_mod.StationSeries:
     entry = cfg.station(name)
     return series_mod.parse_station_csv(
         entry.path, station_id=name,
-        role=_ROLE_BY_NAME.get(name, StationRole.CASE),
         column_map=entry.column_map,
         sensor_heights=entry.sensor_heights,
     )
@@ -89,8 +82,8 @@ def point_results_csv(results, plan) -> str:
             point.environment.value, plan.phase.value,
             repr(r.drivers.t_air), repr(r.drivers.rh),
             repr(r.drivers.t_mrt), repr(r.drivers.wind_10m),
-            repr(r.utci_mobile), repr(r.utci_ref), repr(r.offset.value),
-            heat_stress_category(r.utci_mobile).value,
+            repr(r.offset.utci_mobile), repr(r.offset.utci_ref), repr(r.offset.value),
+            heat_stress_category(r.offset.utci_mobile).value,
         ])
     return buf.getvalue()
 
@@ -143,18 +136,19 @@ def check_day(cfg: RunConfig, day, oktas, tz_offset):
     try:
         day = date_cls.fromisoformat(day)
         tz = _parse_tz(tz_offset) if tz_offset else None
-        if oktas is None or tz is None:
-            for entry in cfg.campaigns.values():
-                plan = load_plan(entry.plan_path)
-                if plan.day == day:
-                    oktas = entry.cloud_cover_oktas if oktas is None else oktas
-                    tz = plan.tz if tz is None else tz
-                    break
+        control_id = "control"
+        for entry in cfg.campaigns.values():
+            plan = load_plan(entry.plan_path)
+            if plan.day == day:
+                oktas = entry.cloud_cover_oktas if oktas is None else oktas
+                tz = plan.tz if tz is None else tz
+                control_id = plan.control_station_id
+                break
         if oktas is None:
             raise ConfigError(f"no campaign on {day}; pass --oktas explicitly")
         if tz is None:
             tz = timezone.utc
-        control = load_station(cfg, "control")
+        control = load_station(cfg, control_id)
         summary = campaign_mod.derive_day_summary(control, day, oktas, tz, z0=cfg.z0)
     except (MatchError, SchemaError, ConfigError, ValueError) as exc:
         log(f"cannot evaluate day: {exc}")
@@ -166,19 +160,8 @@ def check_day(cfg: RunConfig, day, oktas, tz_offset):
                f"cloud cover={summary.cloud_cover_oktas:g} oktas, "
                f"stability class={summary.stability_class.value}, "
                f"mean daytime wind={summary.mean_daytime_wind:.2f} m/s")
-    checks = [
-        (f"t_max > {cfg.day_thresholds.t_max_above} degC",
-         summary.t_max > cfg.day_thresholds.t_max_above),
-        (f"t_min > {cfg.day_thresholds.t_min_above} degC",
-         summary.t_min > cfg.day_thresholds.t_min_above),
-        (f"cloud cover <= {cfg.day_thresholds.max_cloud_oktas} oktas",
-         summary.cloud_cover_oktas <= cfg.day_thresholds.max_cloud_oktas),
-        ("stability class in {A, A-B}",
-         summary.stability_class in (campaign_mod.StabilityClass.A,
-                                     campaign_mod.StabilityClass.AB)),
-    ]
-    for label, ok in checks:
-        click.echo(f"  [{'pass' if ok else 'FAIL'}] {label}")
+    for criterion in result.criteria:
+        click.echo(f"  [{'pass' if criterion.passed else 'FAIL'}] {criterion.label}")
     click.echo("verdict: " + ("accepted" if result.accepted else "rejected"))
     sys.exit(EXIT_OK if result.accepted else EXIT_REJECTED)
 
@@ -199,7 +182,7 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
         sys.exit(EXIT_MISSING)
     try:
         plan = load_plan(entry.plan_path)
-        control = load_station(cfg, "control")
+        control = load_station(cfg, plan.control_station_id)
         onsite = (load_station(cfg, plan.onsite_station_id)
                   if plan.onsite_station_id else None)
         log_samples = campaign_mod.parse_mobile_csv(entry.mobile_log_path)

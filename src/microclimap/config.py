@@ -69,8 +69,7 @@ def load_plan(path) -> CampaignPlan:
     try:
         points = [
             TraversePoint(
-                point_id=str(p["point_id"]),
-                location=(float(p["lon"]), float(p["lat"])),
+                str(p["point_id"]), (float(p["lon"]), float(p["lat"])),
                 environment=Environment(p["environment"]),
                 displaced_from=p.get("displaced_from"),
             )

@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, GridError
+from .series import opened
 from .thermal import heat_stress_category
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
@@ -86,26 +87,24 @@ class RasterLayer:
 
 def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
     """Read an ESRI ASCII grid and validate it against the declared semantic."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            return parse_ascii_grid(fh, semantic)
     header: dict[str, float] = {}
     nodata = -9999.0
     tokens: list[str] = []
-    for line in source:
-        parts = line.split()
-        if not parts:
-            continue
-        key = parts[0].lower()
-        if not tokens and key in _HEADER_KEYS + ("nodata_value",):
-            if len(parts) != 2:
-                raise GridError(f"malformed header line: {line.strip()!r}")
-            if key == "nodata_value":
-                nodata = float(parts[1])
+    with opened(source) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            key = parts[0].lower()
+            if not tokens and key in _HEADER_KEYS + ("nodata_value",):
+                if len(parts) != 2:
+                    raise GridError(f"malformed header line: {line.strip()!r}")
+                if key == "nodata_value":
+                    nodata = float(parts[1])
+                else:
+                    header[key] = float(parts[1])
             else:
-                header[key] = float(parts[1])
-        else:
-            tokens.extend(parts)
+                tokens.extend(parts)
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise GridError(f"missing header keys: {', '.join(missing)}")
@@ -127,18 +126,15 @@ def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
 
 def write_ascii_grid(layer: RasterLayer, sink) -> None:
     """Write an ESRI ASCII grid; cell values round-trip bit-exactly."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w") as fh:
-            write_ascii_grid(layer, fh)
-            return
-    sink.write(f"ncols {layer.ncols}\n")
-    sink.write(f"nrows {layer.nrows}\n")
-    sink.write(f"xllcorner {layer.xllcorner!r}\n")
-    sink.write(f"yllcorner {layer.yllcorner!r}\n")
-    sink.write(f"cellsize {layer.cellsize!r}\n")
-    sink.write(f"NODATA_value {layer.nodata!r}\n")
-    for row in layer.values:
-        sink.write(" ".join(repr(v) for v in row.tolist()) + "\n")
+    with opened(sink, "w") as fh:
+        fh.write(f"ncols {layer.ncols}\n")
+        fh.write(f"nrows {layer.nrows}\n")
+        fh.write(f"xllcorner {layer.xllcorner!r}\n")
+        fh.write(f"yllcorner {layer.yllcorner!r}\n")
+        fh.write(f"cellsize {layer.cellsize!r}\n")
+        fh.write(f"NODATA_value {layer.nodata!r}\n")
+        for row in layer.values:
+            fh.write(" ".join(repr(v) for v in row.tolist()) + "\n")
 
 
 def normalize_irradiance(raw: RasterLayer, clear_sky_max: float) -> RasterLayer:
@@ -244,10 +240,10 @@ def export_heat_map(results, plan, ucp: RasterLayer | None = None) -> dict:
             "point_id": result.point_id,
             "phase": plan.phase.value,
             "environment": point.environment.value,
-            "utci_mobile": round(result.utci_mobile, 3),
-            "utci_ref": round(result.utci_ref, 3),
+            "utci_mobile": round(result.offset.utci_mobile, 3),
+            "utci_ref": round(result.offset.utci_ref, 3),
             "offset_c": round(result.offset.value, 3),
-            "stress_category": heat_stress_category(result.utci_mobile).value,
+            "stress_category": heat_stress_category(result.offset.utci_mobile).value,
         }
         if ucp is not None:
             value = sample_at(ucp, *point.location)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -60,10 +61,14 @@ def epoch_us(when: datetime) -> int:
     return (when - _EPOCH) // _MICROSECOND
 
 
-class StationRole(Enum):
-    CASE = "case"
-    CONTROL = "control"
-    ONSITE_FIXED = "onsite_fixed"
+@contextmanager
+def opened(source, mode: str = "r", newline: str | None = None):
+    """The open file `source` names when it is a path, else `source` itself."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, mode, newline=newline) as fh:
+            yield fh
+    else:
+        yield source
 
 
 class DriftVerdict(Enum):
@@ -107,36 +112,27 @@ class LoadReport:
     dropped_rows: int = 0
     drop_reasons: list[str] = field(default_factory=list)
 
-    def summary(self) -> str:
-        lines = [
-            f"rows read: {self.rows_read}",
-            f"rows kept: {self.rows_kept}",
-            f"rows dropped: {self.dropped_rows}",
-        ]
-        lines.extend(f"  - {r}" for r in self.drop_reasons)
-        return "\n".join(lines)
-
 
 @dataclass
 class StationSeries:
     """Sorted, gap-annotated time series for one station.
 
-    `t_us` and `columns` are built from `samples` at construction; the
-    series is not meant to be mutated afterwards.
+    `t_us` and `columns` are built from `samples` at construction, and
+    `sensor_heights` is completed from `DEFAULT_SENSOR_HEIGHTS`; the series
+    is not meant to be mutated afterwards.
     """
 
     station_id: str
-    role: StationRole
     samples: list[WeatherSample]
     cadence: float = 60.0  # seconds
-    location: tuple[float, float] | None = None  # (lon, lat)
-    sensor_heights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SENSOR_HEIGHTS))
+    sensor_heights: dict[str, float] | None = None
     gaps: list[Gap] = field(default_factory=list)
     load_report: LoadReport | None = None
     t_us: np.ndarray = field(init=False, repr=False, compare=False)
     columns: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.sensor_heights = {**DEFAULT_SENSOR_HEIGHTS, **(self.sensor_heights or {})}
         self.t_us = np.array([epoch_us(s.timestamp) for s in self.samples], dtype=np.int64)
         # None becomes NaN under dtype=float
         self.columns = {name: np.array([getattr(s, name) for s in self.samples], dtype=float)
@@ -187,9 +183,8 @@ def parse_row(row: dict, colmap: dict[str, str],
     )
 
 
-def parse_station_csv(source, station_id: str, role: StationRole = StationRole.CASE,
-                      cadence: float = 60.0, column_map: dict[str, str] | None = None,
-                      location: tuple[float, float] | None = None,
+def parse_station_csv(source, station_id: str, cadence: float = 60.0,
+                      column_map: dict[str, str] | None = None,
                       sensor_heights: dict[str, float] | None = None) -> StationSeries:
     """Parse a station log CSV into a validated series.
 
@@ -202,27 +197,23 @@ def parse_station_csv(source, station_id: str, role: StationRole = StationRole.C
     if column_map:
         colmap.update(column_map)
 
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="") as fh:
-            return parse_station_csv(fh, station_id, role, cadence, column_map,
-                                     location, sensor_heights)
+    with opened(source, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise SchemaError("missing header row")
+        missing = [colmap[c] for c in REQUIRED_COLUMNS if colmap[c] not in reader.fieldnames]
+        if missing:
+            raise SchemaError(f"missing mandatory columns: {', '.join(missing)}")
 
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise SchemaError("missing header row")
-    missing = [colmap[c] for c in REQUIRED_COLUMNS if colmap[c] not in reader.fieldnames]
-    if missing:
-        raise SchemaError(f"missing mandatory columns: {', '.join(missing)}")
-
-    report = LoadReport()
-    samples: list[WeatherSample] = []
-    for lineno, row in enumerate(reader, start=2):
-        report.rows_read += 1
-        try:
-            samples.append(parse_row(row, colmap))
-        except (ValueError, DomainError) as exc:
-            report.dropped_rows += 1
-            report.drop_reasons.append(f"line {lineno}: {exc}")
+        report = LoadReport()
+        samples: list[WeatherSample] = []
+        for lineno, row in enumerate(reader, start=2):
+            report.rows_read += 1
+            try:
+                samples.append(parse_row(row, colmap))
+            except (ValueError, DomainError) as exc:
+                report.dropped_rows += 1
+                report.drop_reasons.append(f"line {lineno}: {exc}")
     if not samples:
         raise SchemaError(f"no valid rows in station file for {station_id}")
 
@@ -256,11 +247,9 @@ def parse_station_csv(source, station_id: str, role: StationRole = StationRole.C
 
     return StationSeries(
         station_id=station_id,
-        role=role,
         samples=samples,
         cadence=cadence,
-        location=location,
-        sensor_heights=dict(sensor_heights or DEFAULT_SENSOR_HEIGHTS),
+        sensor_heights=sensor_heights,
         gaps=gaps,
         load_report=report,
     )
@@ -268,20 +257,17 @@ def parse_station_csv(source, station_id: str, role: StationRole = StationRole.C
 
 def write_station_csv(series: StationSeries, sink) -> None:
     """Serialize a series back to the canonical CSV schema (UTC timestamps)."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w", newline="") as fh:
-            write_station_csv(series, fh)
-            return
-    writer = csv.writer(sink)
-    writer.writerow(REQUIRED_COLUMNS + OPTIONAL_COLUMNS)
-    for s in series.samples:
-        writer.writerow([
-            s.timestamp.isoformat(),
-            repr(s.t_air), repr(s.rh),
-            "" if s.t_globe is None else repr(s.t_globe),
-            "" if s.wind is None else repr(s.wind),
-            "" if s.net_radiation is None else repr(s.net_radiation),
-        ])
+    with opened(sink, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REQUIRED_COLUMNS + OPTIONAL_COLUMNS)
+        for s in series.samples:
+            writer.writerow([
+                s.timestamp.isoformat(),
+                repr(s.t_air), repr(s.rh),
+                "" if s.t_globe is None else repr(s.t_globe),
+                "" if s.wind is None else repr(s.wind),
+                "" if s.net_radiation is None else repr(s.net_radiation),
+            ])
 
 
 def parameter_values(series: StationSeries, parameter: str, rows=None,
@@ -322,8 +308,8 @@ def parameter_values(series: StationSeries, parameter: str, rows=None,
     wind_10m = np.full(len(t_air), 0.5)
     has_wind = ~np.isnan(wind)
     if has_wind.any():
-        heights = series.sensor_heights or DEFAULT_SENSOR_HEIGHTS
-        wind_10m[has_wind] = thermal.wind_to_10m(wind[has_wind], heights.get("wind", 4.0), z0)
+        wind_10m[has_wind] = thermal.wind_to_10m(wind[has_wind],
+                                                 series.sensor_heights["wind"], z0)
     out[ok] = thermal.utci_values(t_air, t_mrt, wind_10m, thermal.vapor_pressure(t_air, rh))
     return out
 

@@ -97,26 +97,6 @@ class GlobeSpec:
 
 
 @dataclass(frozen=True)
-class ThermalState:
-    """One set of raw thermal drivers at a measurement height."""
-
-    t_air: float                     # degC
-    rh: float                        # %
-    wind: float                      # m/s at `height`
-    height: float = 1.5              # m above ground
-    t_globe: float | None = None     # degC
-    net_radiation: float | None = None  # W/m2
-
-    def __post_init__(self):
-        if not (0 <= self.rh <= 100):
-            raise DomainError(f"relative humidity must be in [0, 100], got {self.rh}")
-        if self.wind < 0:
-            raise DomainError(f"wind speed must be >= 0, got {self.wind}")
-        if not (self.height > 0):
-            raise DomainError(f"measurement height must be > 0, got {self.height}")
-
-
-@dataclass(frozen=True)
 class UtciInput:
     """Drivers of the UTCI polynomial, already at reference heights."""
 
@@ -139,14 +119,6 @@ class ReferenceConditions:
     rh: float      # %, control station at match time
     matched_at: datetime | None = None
 
-    @property
-    def t_mrt_ref(self) -> float:
-        return self.t_air
-
-    @property
-    def v_ref(self) -> float:
-        return 0.5
-
     def to_utci_input(self) -> UtciInput:
         return UtciInput(
             t_air=self.t_air,
@@ -160,7 +132,9 @@ class ReferenceConditions:
 class UtciOffset:
     """Signed departure of a measured point's UTCI from the reference UTCI."""
 
-    value: float                       # degC
+    value: float                       # degC, utci_mobile - utci_ref
+    utci_mobile: float                 # degC
+    utci_ref: float                    # degC
     point_id: str = ""
     timestamp: datetime | None = None
     control_matched_at: datetime | None = None
@@ -168,6 +142,11 @@ class UtciOffset:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise DomainError(f"UTCI offset must be finite, got {self.value}")
+        if self.value != self.utci_mobile - self.utci_ref:
+            raise DomainError(
+                f"inconsistent offset for {self.point_id}: "
+                f"{self.value} != {self.utci_mobile} - {self.utci_ref}"
+            )
 
 
 def _require(ok, error, message, *values):
@@ -299,6 +278,8 @@ def utci_offset(mobile: UtciInput, ref: ReferenceConditions,
         raise type(exc)(f"reference side: {exc}") from exc
     return UtciOffset(
         value=utci_mobile - utci_ref,
+        utci_mobile=utci_mobile,
+        utci_ref=utci_ref,
         point_id=point_id,
         timestamp=timestamp,
         control_matched_at=ref.matched_at,

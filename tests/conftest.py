@@ -6,14 +6,14 @@ import math
 from datetime import datetime, timedelta, timezone
 
 from microclimap.campaign import MobileSample
-from microclimap.series import Gap, StationRole, StationSeries, WeatherSample
+from microclimap.series import Gap, StationSeries, WeatherSample
 
 UTC = timezone.utc
 T0 = datetime(2019, 7, 25, 8, 0, tzinfo=UTC)
 
 
 def make_series(values, start=T0, cadence_s=60.0, station_id="case",
-                role=StationRole.CASE, rh=50.0, t_globe=None, wind=None,
+                rh=50.0, t_globe=None, wind=None,
                 net_radiation=None, sensor_heights=None):
     """Station series from a list of air temperatures (other fields constant).
 
@@ -32,9 +32,8 @@ def make_series(values, start=T0, cadence_s=60.0, station_id="case",
                 (b.timestamp - a.timestamp).total_seconds() - cadence_s)
             for a, b in zip(samples, samples[1:])
             if (b.timestamp - a.timestamp).total_seconds() > 2 * cadence_s]
-    kwargs = {"sensor_heights": sensor_heights} if sensor_heights else {}
-    return StationSeries(station_id=station_id, role=role, samples=samples,
-                         cadence=cadence_s, gaps=gaps, **kwargs)
+    return StationSeries(station_id=station_id, samples=samples,
+                         cadence=cadence_s, sensor_heights=sensor_heights, gaps=gaps)
 
 
 def make_mobile_log(point_blocks, start=T0, cadence_s=15.0):

@@ -6,17 +6,15 @@ import pytest
 from conftest import (T0, UTC, V15_FOR_HALF, globe_for_offset, make_mobile_log,
                       make_series)
 
-from microclimap.campaign import (CampaignPlan, DayFilterResult, DaySummary,
+from microclimap.campaign import (CampaignPlan, DaySummary,
                                   Environment, Insolation, Phase, StabilityClass,
                                   StopSegment, TraversePoint, aggregate_point,
                                   day_filter, derive_day_summary,
                                   detect_stabilization, match_control,
                                   parse_mobile_csv, pasquill_class,
-                                  point_result_from_drivers, process_campaign,
-                                  segment_stops)
+                                  process_campaign, segment_stops)
 from microclimap.errors import (DayRejectedError, DomainError, MatchError,
                                 SchemaError)
-from microclimap.series import StationRole
 
 
 def make_plan(point_ids=("P1", "P2", "P3"), campaign_id="c1",
@@ -59,7 +57,10 @@ class TestPasquillClass:
 class TestDayFilter:
     def test_warm_clear_unstable_day_accepted(self):
         result = day_filter(good_day(t_max=26.0, t_min=17.0, cloud_cover_oktas=2.0))
-        assert result == DayFilterResult(accepted=True, reasons=[])
+        assert result.accepted and result.reasons == []
+        assert [(c.label, c.passed) for c in result.criteria] == [
+            ("t_max > 25.0 degC", True), ("t_min > 16.0 degC", True),
+            ("cloud cover <= 3.0 oktas", True), ("stability class in {A, A-B}", True)]
 
     def test_cool_maximum_rejected(self):
         result = day_filter(good_day(t_max=24.5, t_min=17.0, cloud_cover_oktas=2.0))
@@ -118,7 +119,7 @@ class TestDeriveDaySummary:
                     "wind": 1.0 if 12 <= h < 16 else 3.0,
                     "net_radiation": 650.0 if 12 <= h < 14 else 200.0,
                 })
-        control = make_series(samples, station_id="ctrl", role=StationRole.CONTROL,
+        control = make_series(samples, station_id="ctrl",
                               cadence_s=1800)
         summary = derive_day_summary(control, day, cloud_cover_oktas=1.0, tz=UTC)
         assert summary.t_max == 29.5
@@ -369,13 +370,12 @@ class TestAggregatePoint:
 
 class TestMatchControl:
     def test_exact_timestamp(self):
-        control = make_series([25.0, 26.0, 27.0], station_id="ctrl",
-                              role=StationRole.CONTROL)
+        control = make_series([25.0, 26.0, 27.0], station_id="ctrl")
         ref = match_control(T0 + timedelta(seconds=60), control)
         assert ref.t_air == 26.0
         assert ref.matched_at == T0 + timedelta(seconds=60)
-        assert ref.t_mrt_ref == 26.0
-        assert ref.v_ref == 0.5
+        assert ref.to_utci_input().t_mrt == 26.0
+        assert ref.to_utci_input().wind_10m == 0.5
 
     def test_nearest_within_tolerance(self):
         control = make_series([25.0, 26.0], station_id="ctrl")
@@ -398,7 +398,7 @@ def synthetic_campaign(deltas, t_air=30.0, rh=40.0):
         blocks.append((pid, 49, fields))  # 12 min dwell per point
     log = make_mobile_log(blocks)
     control = make_series([t_air] * 80, start=T0 - timedelta(minutes=10),
-                          rh=rh, station_id="ctrl", role=StationRole.CONTROL)
+                          rh=rh, station_id="ctrl")
     return plan, log, control
 
 
@@ -412,6 +412,14 @@ class TestProcessCampaign:
             assert r.offset.value == pytest.approx(0.0, abs=1e-6)
         assert report.failures == []
 
+    def test_stop_shorter_than_five_minutes_is_unusable(self):
+        plan, log, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
+        log = log[:49 + 15]  # P2 keeps a steady 15-sample (210 s) dwell
+        results, report = process_campaign(plan, log, control, day_summary=good_day())
+        assert [r.point_id for r in results] == ["P1"]
+        assert report.failures == [("P2", "segment at P2 lasts 210 s, under the 300 s "
+                                          "minimum dwell; point is unusable")]
+
     def test_injected_offset_field_recovered(self):
         targets = {"P1": 5.0, "P2": 1.0, "P3": 0.0}
         plan, log, control = synthetic_campaign(targets)
@@ -424,7 +432,7 @@ class TestProcessCampaign:
         plan, log, control = synthetic_campaign({"P1": 3.0, "P2": -1.0})
         results, _ = process_campaign(plan, log, control, day_summary=good_day())
         for r in results:
-            assert r.offset.value == r.utci_mobile - r.utci_ref
+            assert r.offset.value == r.offset.utci_mobile - r.offset.utci_ref
 
     def test_rejected_day_refused_with_reasons(self):
         plan, log, control = synthetic_campaign({"P1": 0.0})
@@ -475,8 +483,7 @@ class TestProcessCampaign:
     def test_onsite_station_drift_checked(self):
         plan, log, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
         onsite = make_series([30.0] * 80, start=T0 - timedelta(minutes=10),
-                             rh=40.0, station_id="onsite",
-                             role=StationRole.ONSITE_FIXED)
+                             rh=40.0, station_id="onsite")
         results, report = process_campaign(plan, log, control,
                                            day_summary=good_day(), onsite=onsite)
         assert report.drift is not None
@@ -489,7 +496,7 @@ class TestProcessCampaign:
         if hot_minute is not None:
             values[hot_minute]["t_air"] = 55.0
         return make_series(values, start=T0 - timedelta(minutes=10), rh=40.0,
-                           station_id="onsite", role=StationRole.ONSITE_FIXED)
+                           station_id="onsite")
 
     def test_drift_over_window_equals_whole_record(self):
         from microclimap.series import drift_diagnostic, offset_series
@@ -525,9 +532,8 @@ class TestProcessCampaign:
         plan, log, _ = synthetic_campaign({"P1": 1.0})
         # the control starts after the on-site logger's last sample
         control = make_series([30.0] * 20, start=T0 + timedelta(minutes=5), rh=40.0,
-                              station_id="ctrl", role=StationRole.CONTROL)
-        onsite = make_series([30.0] * 3, rh=40.0, station_id="onsite",
-                             role=StationRole.ONSITE_FIXED)
+                              station_id="ctrl")
+        onsite = make_series([30.0] * 3, rh=40.0, station_id="onsite")
         results, report = process_campaign(plan, log, control,
                                            day_summary=good_day(), onsite=onsite)
         assert len(results) == 1
@@ -537,7 +543,7 @@ class TestProcessCampaign:
     def test_onsite_without_samples_in_span_skips_drift_check(self):
         plan, log, control = synthetic_campaign({"P1": 1.0})
         onsite = make_series([30.0] * 10, start=T0 + timedelta(days=3), rh=40.0,
-                             station_id="onsite", role=StationRole.ONSITE_FIXED)
+                             station_id="onsite")
         _, report = process_campaign(plan, log, control, day_summary=good_day(),
                                      onsite=onsite)
         assert ("__drift__", "drift check skipped: empty offset series") in report.failures
@@ -553,12 +559,9 @@ class TestPointResultInvariant:
         plan, log, control = synthetic_campaign({"P1": 0.0})
         results, _ = process_campaign(plan, log, control, day_summary=good_day())
         from dataclasses import replace
-
-        from microclimap.campaign import PointResult
-        r = results[0]
+        offset = results[0].offset
         with pytest.raises(DomainError, match="inconsistent"):
-            PointResult(r.point_id, r.timestamp, r.drivers,
-                        r.utci_mobile + 0.5, r.utci_ref, r.offset)
+            replace(offset, utci_mobile=offset.utci_mobile + 0.5)
 
 
 class TestPlanValidation:

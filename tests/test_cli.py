@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -365,6 +366,14 @@ class TestMalformedConfigExitsTwo:
         (site / "before_plan.yaml").write_text("campaign_id: before\npoints: [{a: 1\n")
         self.assert_one_line_exit_two(run(site, *args), "malformed YAML in plan file")
 
+    @pytest.mark.parametrize("args", [("check-day", BEFORE_DAY.isoformat()),
+                                      ("process", "before")])
+    def test_plan_naming_unconfigured_control_station(self, site, args):
+        plan = site / "before_plan.yaml"
+        plan.write_text(plan.read_text().replace("control_station: control",
+                                                 "control_station: nowhere"))
+        self.assert_one_line_exit_two(run(site, *args), "no station 'nowhere' configured")
+
     def test_plan_without_points_under_compare(self, site):
         plan = site / "before_plan.yaml"
         kept = plan.read_text().split("points:")[0]
@@ -416,3 +425,67 @@ def test_no_command_imports_scipy(site):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (site / "out" / "compare_before_after" / "scatter.csv").exists()
+
+
+FIXTURE_COMMANDS = (("ucp",), ("process", "before"), ("process", "after"),
+                    ("process", "driftcase"), ("process", "cloudy", "--force-day"),
+                    ("compare", "before", "after"))
+
+
+def fixture_digests(site):
+    """SHA-256 of the check-day stdout and of every file the fixture commands write."""
+    digests = {"check-day stdout": hashlib.sha256(
+        run(site, "check-day", BEFORE_DAY.isoformat()).stdout.encode()).hexdigest()}
+    for args in FIXTURE_COMMANDS:
+        run(site, *args)
+    out = site / "out"
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            digests[path.relative_to(out).as_posix()] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    return digests
+
+
+#: Digests of the fixture outputs; any change to an output byte fails here.
+FIXTURE_DIGESTS = {
+    "check-day stdout":
+        "fe6c944638ad6a31028c8aa343e2fd952d21fcb183864bb45f5109388a28bc49",
+    "ucp.asc":
+        "aec2cf8255ade9265ca5442ac6473d255fa469cf2c1d3353efd9918c46d63bc1",
+    "before/points.csv":
+        "318fb98a9477213bb115aa19692388f9296f26a276ddb4379cdd46df2bb06f74",
+    "before/points.geojson":
+        "bd4dc836d1739f8b488e844c99d7a99d726b988195ec7307ddc7be6b9a6b486e",
+    "before/report.txt":
+        "be11e77f069b27dc0709acc4ade96f1e6883f85d3c193533a03c30bed66061fd",
+    "after/points.csv":
+        "3f15a54e5c17b0cd81e2593810d5311a07fd62dcfcc7351152fb8b3cfac95f1d",
+    "after/points.geojson":
+        "241f8b3add696c1c27b974393f7c33c588bf4f1973182d65f38faeb82a2b123e",
+    "after/report.txt":
+        "bf2a4b58e48b8fabed46722849dcff1270cc6928272ce2122ec8a0337669aed3",
+    "driftcase/points.csv":
+        "318fb98a9477213bb115aa19692388f9296f26a276ddb4379cdd46df2bb06f74",
+    "driftcase/points.geojson":
+        "bd4dc836d1739f8b488e844c99d7a99d726b988195ec7307ddc7be6b9a6b486e",
+    "driftcase/report.txt":
+        "45dd6f342d889023b07db0f5a69ce1eceb3e55e4c606fa125df2c8469a3fa240",
+    "cloudy/points.csv":
+        "318fb98a9477213bb115aa19692388f9296f26a276ddb4379cdd46df2bb06f74",
+    "cloudy/points.geojson":
+        "bd4dc836d1739f8b488e844c99d7a99d726b988195ec7307ddc7be6b9a6b486e",
+    "cloudy/report.txt":
+        "bf4db1ec68d3bdf7f921473165f7dc993130ade7df61999ea2f2b8c9bff42ce8",
+    "compare_before_after/point_deltas.csv":
+        "657692ea7e4501b115380210977373be8a49e757760c0abd0c6ad69e8bbc4384",
+    "compare_before_after/report.txt":
+        "0caac79c964d456e030325a4aca327bc098e0dbab6b30a2802097fc838566787",
+    "compare_before_after/scatter.csv":
+        "752053c64c19733a5bb3395f9f130e90f9a38a6e72bcbb7c6125dcfad22b24a5",
+    "compare_before_after/scatter.svg":
+        "58b69ba90cbf4759472d8e55d3ab60bfc33e3ca1e6afa5aa1a4db6519c8cedf4",
+}
+
+
+def test_fixture_outputs_byte_identical(site):
+    assert fixture_digests(site) == FIXTURE_DIGESTS

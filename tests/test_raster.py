@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from microclimap.campaign import (AggregatedDrivers, CampaignPlan, Environment,
-                                  Phase, TraversePoint, point_result_from_drivers)
+                                  Phase, PointResult, TraversePoint)
 from microclimap.errors import DomainError, GridError
 from microclimap.raster import (RasterLayer, Semantic, compute_ucp,
                                 export_heat_map, geojson_dumps,
                                 normalize_irradiance, parse_ascii_grid,
                                 sample_at, write_ascii_grid)
-from microclimap.thermal import ReferenceConditions
+from microclimap.thermal import ReferenceConditions, UtciInput, utci_offset, vapor_pressure
 
 NODATA = -9999.0
 
@@ -257,7 +257,8 @@ def heat_result(point_id, t_mrt=45.0):
         timestamp=T0, t_air=30.0, rh=40.0, t_globe=t_mrt, wind_measured=0.5,
         wind_10m=0.5, t_mrt=t_mrt, sample_counts={"t_air": 13})
     ref = ReferenceConditions(t_air=30.0, rh=40.0, matched_at=T0)
-    return point_result_from_drivers(point_id, drivers, ref)
+    mobile = UtciInput(30.0, t_mrt, 0.5, vapor_pressure(30.0, 40.0))
+    return PointResult(point_id, T0, drivers, utci_offset(mobile, ref, point_id, T0))
 
 
 class TestExportHeatMap:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microclimap.errors import DomainError, MatchError, SchemaError
-from microclimap.series import (DriftVerdict, StationRole, drift_diagnostic,
+from microclimap.series import (DriftVerdict, drift_diagnostic,
                                 offset_series, parse_station_csv, smooth,
                                 write_station_csv)
 
@@ -27,7 +27,7 @@ class TestParseStationCsv:
             "2019-07-25T08:01:00+02:00,25.1,50,26.1,1.1,410\n",
             "2019-07-25T08:02:00+02:00,25.2,49,26.2,1.2,420\n",
         ])
-        series = parse_station_csv(src, station_id="ctrl", role=StationRole.CONTROL)
+        series = parse_station_csv(src, station_id="ctrl")
         assert len(series.samples) == 3
         assert series.gaps == []
         assert series.load_report.dropped_rows == 0
