@@ -56,14 +56,6 @@ class EffectEstimate:
                 f"n_before={self.n_before}, n_after={self.n_after}, {self.method})")
 
 
-def _filter_hours(times, values, hour_filter):
-    if hour_filter is None:
-        return list(times), list(values)
-    h1, h2 = hour_filter
-    kept = [(t, v) for t, v in zip(times, values) if h1 <= t.hour < h2]
-    return [t for t, _ in kept], [v for _, v in kept]
-
-
 def _day_blocks(times: list[datetime], values: list[float]):
     """Group values by calendar date (UTC), returning per-day sums and counts."""
     days: dict = {}
@@ -77,8 +69,7 @@ def _day_blocks(times: list[datetime], values: list[float]):
     return sums, counts
 
 
-def baci_effect(data: BaciDataset, hour_filter: tuple[int, int] | None = None,
-                bootstrap_n: int = 2000, seed: int = 0,
+def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
                 ci_level: float = 0.95) -> EffectEstimate:
     """Mean after-minus-before offset with a day-block percentile bootstrap CI.
 
@@ -86,17 +77,16 @@ def baci_effect(data: BaciDataset, hour_filter: tuple[int, int] | None = None,
     period; the random stream is split per resample index, so the estimate
     is bit-reproducible for a fixed seed regardless of evaluation order.
     """
-    tb, vb = _filter_hours(data.before.times, data.before.values, hour_filter)
-    ta, va = _filter_hours(data.after.times, data.after.values, hour_filter)
-    if not vb:
-        raise DomainError("before period is empty after filtering")
-    if not va:
-        raise DomainError("after period is empty after filtering")
+    before, after = data.before, data.after
+    if not before.values:
+        raise DomainError("before period is empty")
+    if not after.values:
+        raise DomainError("after period is empty")
 
-    effect = float(np.mean(va) - np.mean(vb))
+    effect = float(np.mean(after.values) - np.mean(before.values))
 
-    sums_b, counts_b = _day_blocks(tb, vb)
-    sums_a, counts_a = _day_blocks(ta, va)
+    sums_b, counts_b = _day_blocks(before.times, before.values)
+    sums_a, counts_a = _day_blocks(after.times, after.values)
     n_days_b, n_days_a = len(sums_b), len(sums_a)
 
     children = np.random.SeedSequence(seed).spawn(bootstrap_n)
@@ -115,8 +105,8 @@ def baci_effect(data: BaciDataset, hour_filter: tuple[int, int] | None = None,
         effect=effect,
         ci_low=min(ci_low, effect),
         ci_high=max(ci_high, effect),
-        n_before=len(vb),
-        n_after=len(va),
+        n_before=len(before.values),
+        n_after=len(after.values),
     )
 
 

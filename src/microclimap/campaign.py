@@ -15,12 +15,14 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta, tzinfo
 from enum import Enum
 
+import numpy as np
+
 from . import thermal
 from .errors import (DayRejectedError, DomainError, MatchError, SchemaError,
                      ValidityError)
 from .series import (DriftReport, DriftThresholds, LoadReport, StationSeries,
-                     WeatherSample, drift_diagnostic, nearest_sample, offset_series,
-                     opened, parse_row)
+                     WeatherSample, drift_diagnostic, epoch_us, nearest_sample,
+                     offset_series, opened, parse_row)
 from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset, utci_offset,
                       vapor_pressure, wind_to_10m)
 
@@ -93,15 +95,11 @@ class CampaignPlan:
     points: list[TraversePoint]
     control_station_id: str
     onsite_station_id: str | None = None
-    window_start: time = time(12, 0)
-    window_end: time = time(16, 0)
 
     def __post_init__(self):
         ids = [p.point_id for p in self.points]
         if len(ids) != len(set(ids)):
             raise DomainError(f"duplicate point ids in plan {self.campaign_id}")
-        if not self.window_start < self.window_end:
-            raise DomainError("measurement window start must precede its end")
 
     def point(self, point_id: str) -> TraversePoint:
         for p in self.points:
@@ -200,10 +198,13 @@ class AggregatedDrivers:
 
 @dataclass(frozen=True)
 class PointResult:
-    point_id: str
-    timestamp: datetime
     drivers: AggregatedDrivers
-    offset: UtciOffset
+    offset: UtciOffset  # carries the point id and the window-center time
+
+    @property
+    def point_id(self) -> str:
+        """The traverse point's id, as `offset` carries it."""
+        return self.offset.point_id
 
 
 @dataclass
@@ -271,25 +272,23 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
     the mean daytime wind is taken over 12:00-16:00 local and converted to
     10 m for the Pasquill lookup.
     """
-    day_start = datetime.combine(day, time(0, 0), tz)
-    day_end = day_start + timedelta(days=1)
-    day_samples = [s for s in control.samples if day_start <= s.timestamp < day_end]
-    if not day_samples:
+    def cut(column, hour, hours):
+        """The non-missing values of `column` from `hour` local time for `hours`."""
+        start = datetime.combine(day, time(hour), tz)
+        lo, hi = np.searchsorted(control.t_us, [epoch_us(start),
+                                                epoch_us(start + timedelta(hours=hours))])
+        values = control.columns[column][lo:hi]
+        return values[~np.isnan(values)].tolist()
+
+    t_values = cut("t_air", 0, 24)
+    if not t_values:
         raise MatchError(f"control series has no samples on {day.isoformat()}")
 
-    t_values = [s.t_air for s in day_samples]
-
-    noon_lo = datetime.combine(day, time(12, 0), tz)
-    noon_hi = datetime.combine(day, time(14, 0), tz)
-    noon_rn = [s.net_radiation for s in day_samples
-               if s.net_radiation is not None and noon_lo <= s.timestamp < noon_hi]
+    noon_rn = cut("net_radiation", 12, 2)
     strong = bool(noon_rn) and sum(noon_rn) / len(noon_rn) > STRONG_INSOLATION_WM2
     insolation = Insolation.STRONG if strong else Insolation.MODERATE
 
-    win_lo = datetime.combine(day, time(12, 0), tz)
-    win_hi = datetime.combine(day, time(16, 0), tz)
-    winds = [s.wind for s in day_samples
-             if s.wind is not None and win_lo <= s.timestamp < win_hi]
+    winds = cut("wind", 12, 4)
     if winds:
         mean_wind_10m = wind_to_10m(sum(winds) / len(winds),
                                     control.sensor_heights["wind"], z0)
@@ -334,7 +333,8 @@ def parse_mobile_csv(source) -> MobileLog:
                 point_id = (row["point_id"] or "").strip()
                 if not point_id:
                     raise ValueError("missing point_id")
-                out.append(MobileSample(point_id, parse_row(row, colmap, MOBILE_REQUIRED)))
+                ts, values = parse_row(row, colmap, MOBILE_REQUIRED)
+                out.append(MobileSample(point_id, WeatherSample(ts, *values)))
             except (ValueError, DomainError) as exc:
                 report.dropped_rows += 1
                 report.drop_reasons.append(f"line {lineno}: {exc}")
@@ -460,6 +460,7 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
                      day_summary: DaySummary | None = None,
                      onsite: StationSeries | None = None,
                      override_day_filter: bool = False,
+                     day_thresholds: DayFilterThresholds = DayFilterThresholds(),
                      globe: GlobeSpec = GlobeSpec(), z0: float = 0.01,
                      stabilization_delta_c: float = STABILIZATION_DELTA_C,
                      drift_thresholds: DriftThresholds = DriftThresholds(),
@@ -474,7 +475,8 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
     traverse span; when the check cannot run, the reason is reported as a
     `__drift__` failure.
     """
-    filter_result = day_filter(day_summary) if day_summary is not None else None
+    filter_result = (day_filter(day_summary, day_thresholds)
+                     if day_summary is not None else None)
     overridden = False
     if filter_result is not None and not filter_result.accepted:
         if not override_day_filter:
@@ -501,8 +503,7 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
             mobile = UtciInput(drivers.t_air, drivers.t_mrt, drivers.wind_10m,
                                vapor_pressure(drivers.t_air, drivers.rh))
             offset = utci_offset(mobile, ref, segment.point_id, drivers.timestamp)
-            results[segment.point_id] = PointResult(
-                segment.point_id, drivers.timestamp, drivers, offset)
+            results[segment.point_id] = PointResult(drivers, offset)
         except (DomainError, ValidityError, MatchError) as exc:
             failures.append((segment.point_id, str(exc)))
     for p in plan.points:

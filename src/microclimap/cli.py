@@ -74,10 +74,10 @@ def point_results_csv(results, plan) -> str:
     writer = csv.writer(buf)
     writer.writerow(POINT_CSV_COLUMNS)
     for r in results:
-        point = plan.point(r.point_id)
+        point = plan.point(r.offset.point_id)
         writer.writerow([
-            r.point_id,
-            r.timestamp.isoformat(),
+            r.offset.point_id,
+            r.offset.timestamp.isoformat(),
             repr(point.location[0]), repr(point.location[1]),
             point.environment.value, plan.phase.value,
             repr(r.drivers.t_air), repr(r.drivers.rh),
@@ -202,6 +202,7 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
             plan, log_samples, control,
             day_summary=summary, onsite=onsite,
             override_day_filter=force_day,
+            day_thresholds=cfg.day_thresholds,
             globe=cfg.globe, z0=cfg.z0,
             stabilization_delta_c=cfg.stabilization_delta_c,
             drift_thresholds=cfg.drift_thresholds,

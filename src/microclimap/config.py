@@ -9,7 +9,7 @@ default value so a run is fully reproducible from one file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, time, timedelta, timezone, tzinfo
+from datetime import date, timedelta, timezone, tzinfo
 from pathlib import Path
 
 import yaml
@@ -75,7 +75,6 @@ def load_plan(path) -> CampaignPlan:
             )
             for p in raw["points"]
         ]
-        window = raw.get("measurement_window", ["12:00", "16:00"])
         day = raw["date"]
         if not isinstance(day, date):
             day = date.fromisoformat(str(day))
@@ -87,8 +86,6 @@ def load_plan(path) -> CampaignPlan:
             points=points,
             control_station_id=str(raw["control_station"]),
             onsite_station_id=raw.get("onsite_station"),
-            window_start=time.fromisoformat(window[0]),
-            window_end=time.fromisoformat(window[1]),
         )
     except _FIELD_ERRORS as exc:
         raise _invalid("plan", path, exc) from exc

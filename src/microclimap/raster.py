@@ -234,10 +234,10 @@ def export_heat_map(results, plan, ucp: RasterLayer | None = None) -> dict:
     if not results:
         raise DomainError("no point results to export")
     features = []
-    for result in sorted(results, key=lambda r: r.point_id):
-        point = plan.point(result.point_id)
+    for result in sorted(results, key=lambda r: r.offset.point_id):
+        point = plan.point(result.offset.point_id)
         properties = {
-            "point_id": result.point_id,
+            "point_id": result.offset.point_id,
             "phase": plan.phase.value,
             "environment": point.environment.value,
             "utci_mobile": round(result.offset.utci_mobile, 3),

@@ -4,13 +4,13 @@ Stations log one multi-parameter sample per minute. Series are kept
 immutable after parsing; gaps are annotated, never interpolated, and all
 timestamps are normalized to UTC internally.
 
-Columns: besides its samples, a `StationSeries` holds numpy columns built
-once at construction. `t_us` has the timestamps as int64 microseconds
-since the Unix epoch, which is exact for every `datetime`, and `columns`
-maps each field in `FIELDS` to a float64 array with NaN where the value
-is missing. Derived parameters (`parameter_values`) and case-minus-control
-differencing (`offset_series`) run on these columns, one array pass per
-series instead of one call per sample.
+Columns: a `StationSeries` holds its samples as columns only: `t_us`, the
+timestamps as int64 microseconds since the Unix epoch (exact for every
+`datetime`), and `columns`, one float64 array per field in `FIELDS` with
+NaN where a value is missing. The parser appends each row `parse_row`
+validates straight to them; `StationSeries.rows` and `.samples` derive
+`WeatherSample` records on demand. Derived parameters, differencing,
+smoothing and the day screen read the columns, one array pass per series.
 
 Matching: `match_indices` pairs every query time with its nearest sample
 in one `np.searchsorted`. The earlier sample wins an exact tie, and a pair
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -61,6 +60,11 @@ def epoch_us(when: datetime) -> int:
     return (when - _EPOCH) // _MICROSECOND
 
 
+def from_epoch_us(us: int) -> datetime:
+    """The UTC datetime `us` microseconds after the Unix epoch."""
+    return _EPOCH + timedelta(microseconds=us)
+
+
 @contextmanager
 def opened(source, mode: str = "r", newline: str | None = None):
     """The open file `source` names when it is a path, else `source` itself."""
@@ -78,7 +82,7 @@ class DriftVerdict(Enum):
 
 @dataclass(frozen=True)
 class WeatherSample:
-    """One timestamped multi-parameter reading."""
+    """One timestamped multi-parameter reading; `parse_row` validates the values."""
 
     timestamp: datetime  # timezone-aware, stored as UTC
     t_air: float
@@ -86,14 +90,6 @@ class WeatherSample:
     t_globe: float | None = None
     wind: float | None = None
     net_radiation: float | None = None
-
-    def __post_init__(self):
-        if self.timestamp.tzinfo is None:
-            raise DomainError(f"timestamp must be timezone-aware: {self.timestamp}")
-        if self.rh is not None and not (0 <= self.rh <= 100):
-            raise DomainError(f"relative humidity out of range at {self.timestamp}: {self.rh}")
-        if self.wind is not None and self.wind < 0:
-            raise DomainError(f"negative wind speed at {self.timestamp}: {self.wind}")
 
 
 @dataclass(frozen=True)
@@ -113,74 +109,81 @@ class LoadReport:
     drop_reasons: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class StationSeries:
-    """Sorted, gap-annotated time series for one station.
+    """Sorted, gap-annotated time series for one station, held as columns.
 
-    `t_us` and `columns` are built from `samples` at construction, and
-    `sensor_heights` is completed from `DEFAULT_SENSOR_HEIGHTS`; the series
-    is not meant to be mutated afterwards.
+    `t_us` holds strictly increasing int64 epoch microseconds and `columns`
+    one float64 array per field in `FIELDS`, all of the same length.
+    `sensor_heights` is completed from `DEFAULT_SENSOR_HEIGHTS` at
+    construction; the series is not meant to be mutated afterwards.
     """
 
     station_id: str
-    samples: list[WeatherSample]
+    t_us: np.ndarray = field(repr=False)
+    columns: dict[str, np.ndarray] = field(repr=False)
     cadence: float = 60.0  # seconds
     sensor_heights: dict[str, float] | None = None
     gaps: list[Gap] = field(default_factory=list)
     load_report: LoadReport | None = None
-    t_us: np.ndarray = field(init=False, repr=False, compare=False)
-    columns: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.sensor_heights = {**DEFAULT_SENSOR_HEIGHTS, **(self.sensor_heights or {})}
-        self.t_us = np.array([epoch_us(s.timestamp) for s in self.samples], dtype=np.int64)
-        # None becomes NaN under dtype=float
-        self.columns = {name: np.array([getattr(s, name) for s in self.samples], dtype=float)
-                        for name in FIELDS}
 
-    def span(self) -> tuple[datetime, datetime]:
-        return self.samples[0].timestamp, self.samples[-1].timestamp
+    def rows(self, index=slice(None)) -> list[WeatherSample]:
+        """The samples `index` selects (all by default) as row records, NaN as None."""
+        columns = [[None if math.isnan(v) else v for v in self.columns[name][index].tolist()]
+                   for name in FIELDS]
+        return [WeatherSample(from_epoch_us(t), *values)
+                for t, *values in zip(self.t_us[index].tolist(), *columns)]
+
+    @property
+    def samples(self) -> list[WeatherSample]:
+        """Every sample as a row record, built from the columns on each access."""
+        return self.rows()
 
     def window(self, start: datetime, end: datetime) -> StationSeries:
         """The samples with start <= timestamp <= end, as a series of their own."""
         lo = int(np.searchsorted(self.t_us, epoch_us(start), side="left"))
         hi = int(np.searchsorted(self.t_us, epoch_us(end), side="right"))
-        return replace(self, samples=self.samples[lo:hi],
+        return replace(self, t_us=self.t_us[lo:hi],
+                       columns={name: c[lo:hi] for name, c in self.columns.items()},
                        gaps=[g for g in self.gaps if start <= g.start and g.end <= end])
 
 
 def parse_row(row: dict, colmap: dict[str, str],
-              required: tuple[str, ...] = ("t_air", "rh")) -> WeatherSample:
-    """Validate one CSV row into a sample; ValueError or DomainError if it is bad.
+              required: tuple[str, ...] = ("t_air", "rh"),
+              ) -> tuple[datetime, list[float | None]]:
+    """Validate one CSV row; ValueError or DomainError if it is bad.
 
-    The timestamp needs a UTC offset; `required` fields must be present,
-    and every present value must be a finite number passing the sample's
-    domain checks. `colmap` maps canonical names to the file's headers.
+    Returns the UTC timestamp and the values of `FIELDS` in order, None
+    where a value is blank. The timestamp needs a UTC offset; `required`
+    fields must be present; every present value must be a finite number,
+    relative humidity must lie in [0, 100] and wind must not be negative.
+    `colmap` maps canonical names to the file's headers.
     """
     ts = datetime.fromisoformat((row.get(colmap["timestamp"]) or "").strip())
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")
-
-    def num(name):
-        raw = row.get(colmap.get(name, name), "")
-        raw = (raw or "").strip()
+    ts = ts.astimezone(timezone.utc)
+    values = []
+    for name in FIELDS:
+        raw = (row.get(colmap.get(name, name), "") or "").strip()
         if raw == "":
             if name in required:
                 raise ValueError(f"missing value for {name}")
-            return None
+            values.append(None)
+            continue
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError(f"non-finite value for {name}")
-        return value
-
-    return WeatherSample(
-        timestamp=ts.astimezone(timezone.utc),
-        t_air=num("t_air"),
-        rh=num("rh"),
-        t_globe=num("t_globe"),
-        wind=num("wind"),
-        net_radiation=num("net_radiation"),
-    )
+        values.append(value)
+    _, rh, _, wind, _ = values
+    if rh is not None and not (0 <= rh <= 100):
+        raise DomainError(f"relative humidity out of range at {ts}: {rh}")
+    if wind is not None and wind < 0:
+        raise DomainError(f"negative wind speed at {ts}: {wind}")
+    return ts, values
 
 
 def parse_station_csv(source, station_id: str, cadence: float = 60.0,
@@ -190,7 +193,8 @@ def parse_station_csv(source, station_id: str, cadence: float = 60.0,
 
     `column_map` remaps canonical column names to the file's header names.
     Rows with unparseable or out-of-range values are dropped and counted in
-    the series' load report; holes longer than twice the cadence become gap
+    the series' load report, and so is every row repeating an earlier
+    row's timestamp; holes longer than twice the cadence become gap
     annotations.
     """
     colmap = {name: name for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
@@ -206,48 +210,53 @@ def parse_station_csv(source, station_id: str, cadence: float = 60.0,
             raise SchemaError(f"missing mandatory columns: {', '.join(missing)}")
 
         report = LoadReport()
-        samples: list[WeatherSample] = []
+        times: list[int] = []
+        values: list[list[float | None]] = []
         for lineno, row in enumerate(reader, start=2):
             report.rows_read += 1
             try:
-                samples.append(parse_row(row, colmap))
+                ts, row_values = parse_row(row, colmap)
             except (ValueError, DomainError) as exc:
                 report.dropped_rows += 1
                 report.drop_reasons.append(f"line {lineno}: {exc}")
-    if not samples:
+                continue
+            times.append(epoch_us(ts))
+            values.append(row_values)
+    if not times:
         raise SchemaError(f"no valid rows in station file for {station_id}")
 
-    samples.sort(key=lambda s: s.timestamp)
-    deduped = [samples[0]]
-    for s in samples[1:]:
-        if s.timestamp == deduped[-1].timestamp:
-            report.dropped_rows += 1
-            report.drop_reasons.append(f"duplicate timestamp {s.timestamp.isoformat()}")
-        else:
-            deduped.append(s)
-    samples = deduped
-    report.rows_kept = len(samples)
+    t_us = np.array(times, dtype=np.int64)
+    order = np.argsort(t_us, kind="stable")
+    t_us = t_us[order]
+    first = np.diff(t_us, prepend=t_us[0] - 1) != 0  # first row at each timestamp
+    for t in t_us[~first].tolist():
+        report.dropped_rows += 1
+        report.drop_reasons.append(f"duplicate timestamp {from_epoch_us(t).isoformat()}")
+    t_us = t_us[first]
+    report.rows_kept = len(t_us)
+    table = np.array(values, dtype=float)  # None becomes NaN
+    kept = order[first]
 
-    deltas = [(b.timestamp - a.timestamp).total_seconds()
-              for a, b in zip(samples, samples[1:])]
+    deltas = np.diff(t_us) / 1e6
     # ignore gap deltas and require enough spacings for a meaningful median,
     # so isolated dropped rows do not masquerade as a cadence change
-    regular = [d for d in deltas if d <= 2 * cadence]
+    regular = deltas[deltas <= 2 * cadence]
     if len(regular) >= 5:
-        median = float(statistics.median(regular))
+        median = float(np.median(regular))
         if abs(median - cadence) > 0.1 * cadence:
             raise SchemaError(
                 f"declared cadence {cadence}s does not match median sample "
                 f"spacing {median}s for {station_id}"
             )
-    gaps = [Gap(a.timestamp, b.timestamp,
-                (b.timestamp - a.timestamp).total_seconds() - cadence)
-            for a, b in zip(samples, samples[1:])
-            if (b.timestamp - a.timestamp).total_seconds() > 2 * cadence]
+    big = np.flatnonzero(deltas > 2 * cadence)
+    gaps = [Gap(from_epoch_us(a), from_epoch_us(b), d - cadence)
+            for a, b, d in zip(t_us[big].tolist(), t_us[big + 1].tolist(),
+                               deltas[big].tolist())]
 
     return StationSeries(
         station_id=station_id,
-        samples=samples,
+        t_us=t_us,
+        columns={name: table[kept, k] for k, name in enumerate(FIELDS)},
         cadence=cadence,
         sensor_heights=sensor_heights,
         gaps=gaps,
@@ -314,31 +323,28 @@ def parameter_values(series: StationSeries, parameter: str, rows=None,
     return out
 
 
-def _gap_between(gaps: list[Gap], t1: datetime, t2: datetime) -> bool:
-    lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
-    return any(g.start >= lo and g.end <= hi for g in gaps)
+def _smooth_values(t_us: np.ndarray, values: list[float], window_seconds: float,
+                   gaps=()) -> list[float]:
+    """Centered moving average with truncated edge windows; gaps not bridged.
 
-
-def _smooth_values(times: list[datetime], values: list[float],
-                   window_seconds: float, gaps: list[Gap] | None = None) -> list[float]:
-    """Centered moving average with truncated edge windows; gaps not bridged."""
-    gaps = gaps or []
-    half = timedelta(seconds=window_seconds / 2.0)
-    out = []
-    lo = 0
-    hi = 0
-    n = len(times)
-    for i, t in enumerate(times):
-        while lo < n and times[lo] < t - half:
-            lo += 1
-        if hi < i:
-            hi = i
-        while hi + 1 < n and times[hi + 1] <= t + half:
-            hi += 1
-        window = [values[j] for j in range(lo, hi + 1)
-                  if not _gap_between(gaps, t, times[j])]
-        out.append(sum(window) / len(window))
-    return out
+    Sample j is in the window of sample i when |t_j - t_i| <= half the
+    window and no gap lies between them. `t_us` is sorted and `gaps` ordered
+    by start and end alike, so the counts of gaps starting before t_i (S_i)
+    and ending by t_j (E_j) grow with the index. A later j is cut off
+    exactly when E_j > S_i, an earlier one when E_i > S_j, so each window
+    is one contiguous run, averaged as a left-to-right `sum` over its length.
+    """
+    half = timedelta(seconds=window_seconds / 2.0) // _MICROSECOND
+    lo = np.searchsorted(t_us, t_us - half, side="left")
+    hi = np.searchsorted(t_us, t_us + half, side="right")
+    if gaps:
+        starts = np.array([epoch_us(g.start) for g in gaps], dtype=np.int64)
+        ends = np.array([epoch_us(g.end) for g in gaps], dtype=np.int64)
+        started_before = np.searchsorted(starts, t_us, side="left")
+        ended_by = np.searchsorted(ends, t_us, side="right")
+        lo = np.maximum(lo, np.searchsorted(started_before, ended_by, side="left"))
+        hi = np.minimum(hi, np.searchsorted(ended_by, started_before, side="right"))
+    return [sum(values[a:b]) / (b - a) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def smooth(series: StationSeries, parameter: str,
@@ -355,10 +361,10 @@ def smooth(series: StationSeries, parameter: str,
             f"window {window_seconds}s is below the series cadence {series.cadence}s"
         )
     values = parameter_values(series, parameter, **derive_kwargs)
-    keep = np.flatnonzero(~np.isnan(values))
-    times = [series.samples[i].timestamp for i in keep]
-    smoothed = _smooth_values(times, values[keep].tolist(), window_seconds, series.gaps)
-    return list(zip(times, smoothed))
+    keep = ~np.isnan(values)
+    t_us = series.t_us[keep]
+    smoothed = _smooth_values(t_us, values[keep].tolist(), window_seconds, series.gaps)
+    return list(zip(map(from_epoch_us, t_us.tolist()), smoothed))
 
 
 @dataclass
@@ -401,7 +407,7 @@ def nearest_sample(series: StationSeries, when: datetime,
         raise MatchError(
             f"no {series.station_id} sample within {tolerance_s}s of {when.isoformat()}"
         )
-    return series.samples[i]
+    return series.rows(slice(i, i + 1))[0]
 
 
 def offset_series(case: StationSeries, control: StationSeries, parameter: str,
@@ -417,11 +423,9 @@ def offset_series(case: StationSeries, control: StationSeries, parameter: str,
     """
     if parameter not in PARAMETERS:
         raise DomainError(f"unknown parameter {parameter!r}")
-    if not case.samples:
+    if not len(case.t_us):
         return OffsetSeries(parameter, case.station_id, control.station_id, [], [])
-    c0, c1 = case.span()
-    k0, k1 = control.span()
-    if c1 < k0 or k1 < c0:
+    if case.t_us[-1] < control.t_us[0] or control.t_us[-1] < case.t_us[0]:
         raise MatchError(
             f"series {case.station_id} and {control.station_id} do not overlap in time"
         )
@@ -431,7 +435,7 @@ def offset_series(case: StationSeries, control: StationSeries, parameter: str,
             - parameter_values(control, parameter, matched[rows], globe, z0))
     defined = ~np.isnan(diff)
     return OffsetSeries(parameter, case.station_id, control.station_id,
-                        [case.samples[i].timestamp for i in rows[defined]],
+                        list(map(from_epoch_us, case.t_us[rows[defined]].tolist())),
                         diff[defined].tolist())
 
 
@@ -488,7 +492,8 @@ def drift_diagnostic(offsets: OffsetSeries, window: tuple[datetime, datetime],
     times = [offsets.times[i] for i in idx]
     values = [offsets.values[i] for i in idx]
 
-    smoothed = _smooth_values(times, values, thresholds.smoothing_seconds)
+    smoothed = _smooth_values(np.array([epoch_us(t) for t in times], dtype=np.int64),
+                              values, thresholds.smoothing_seconds)
     amplitude = max(smoothed) - min(smoothed)
 
     hours = np.array([(t - start).total_seconds() / 3600.0 for t in times])

@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
+
 from microclimap.campaign import MobileSample
-from microclimap.series import Gap, StationSeries, WeatherSample
+from microclimap.series import FIELDS, Gap, StationSeries, WeatherSample, epoch_us
 
 UTC = timezone.utc
 T0 = datetime(2019, 7, 25, 8, 0, tzinfo=UTC)
@@ -17,22 +19,25 @@ def make_series(values, start=T0, cadence_s=60.0, station_id="case",
                 net_radiation=None, sensor_heights=None):
     """Station series from a list of air temperatures (other fields constant).
 
-    `values` may also be a list of dicts overriding individual sample fields.
+    `values` may also be a list of dicts overriding individual sample fields
+    (None for a missing value).
     """
-    samples = []
+    times, rows = [], []
     for i, v in enumerate(values):
         fields = {"t_air": v} if not isinstance(v, dict) else dict(v)
         fields.setdefault("rh", rh)
         fields.setdefault("t_globe", t_globe)
         fields.setdefault("wind", wind)
         fields.setdefault("net_radiation", net_radiation)
-        ts = fields.pop("timestamp", start + timedelta(seconds=i * cadence_s))
-        samples.append(WeatherSample(timestamp=ts, **fields))
-    gaps = [Gap(a.timestamp, b.timestamp,
-                (b.timestamp - a.timestamp).total_seconds() - cadence_s)
-            for a, b in zip(samples, samples[1:])
-            if (b.timestamp - a.timestamp).total_seconds() > 2 * cadence_s]
-    return StationSeries(station_id=station_id, samples=samples,
+        times.append(fields.pop("timestamp", start + timedelta(seconds=i * cadence_s)))
+        rows.append([fields[name] for name in FIELDS])
+    gaps = [Gap(a, b, (b - a).total_seconds() - cadence_s)
+            for a, b in zip(times, times[1:])
+            if (b - a).total_seconds() > 2 * cadence_s]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(FIELDS))  # None -> NaN
+    return StationSeries(station_id=station_id,
+                         t_us=np.array([epoch_us(t) for t in times], dtype=np.int64),
+                         columns={name: table[:, k] for k, name in enumerate(FIELDS)},
                          cadence=cadence_s, sensor_heights=sensor_heights, gaps=gaps)
 
 

@@ -65,19 +65,6 @@ class TestBaciEffect:
         with pytest.raises(DomainError, match="before period"):
             baci_effect(data)
 
-    def test_hour_filter_can_empty_a_period(self):
-        def daytime_only(d, i):
-            return 0.1
-
-        data = BaciDataset(
-            before=offsets(daytime_only, BEFORE_START, days=2),
-            after=offsets(daytime_only, AFTER_START, days=2))
-        filtered = baci_effect(data, hour_filter=(12, 16), seed=3)
-        assert filtered.n_before == 2 * 4
-        with pytest.raises(DomainError):
-            # the series is hourly on the hour, so (12, 12) keeps nothing
-            baci_effect(data, hour_filter=(12, 12))
-
     def test_seed_reproducibility_bit_exact(self):
         def gen(d, i):
             return math.sin(d + 0.3 * i)

@@ -569,11 +569,6 @@ class TestPlanValidation:
         with pytest.raises(DomainError, match="duplicate"):
             make_plan(("P1", "P1"))
 
-    def test_window_order(self):
-        from datetime import time
-        with pytest.raises(DomainError, match="window"):
-            make_plan(("P1",), window_start=time(16, 0), window_end=time(12, 0))
-
     def test_point_lookup(self):
         plan = make_plan(("P1", "P2"))
         assert plan.point("P2").point_id == "P2"

@@ -185,6 +185,17 @@ class TestProcess:
         report = (site / "out" / "cloudy" / "report.txt").read_text()
         assert "override" in report
 
+    def test_configured_day_thresholds_reject_the_day(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text() + "thresholds: {day_t_max_above_c: 40}\n")
+        result = run(site, "process", "before")
+        assert result.exit_code == 1
+        assert "campaign day rejected" in result.output
+        forced = run(site, "process", "before", "--force-day")
+        assert forced.exit_code == 0, forced.output
+        report = (site / "out" / "before" / "report.txt").read_text()
+        assert "day filter: REJECTED (override)" in report
+
     def test_drifting_onsite_station_exits_three(self, site):
         result = run(site, "process", "driftcase")
         assert result.exit_code == 3

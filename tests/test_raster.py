@@ -258,7 +258,7 @@ def heat_result(point_id, t_mrt=45.0):
         wind_10m=0.5, t_mrt=t_mrt, sample_counts={"t_air": 13})
     ref = ReferenceConditions(t_air=30.0, rh=40.0, matched_at=T0)
     mobile = UtciInput(30.0, t_mrt, 0.5, vapor_pressure(30.0, 40.0))
-    return PointResult(point_id, T0, drivers, utci_offset(mobile, ref, point_id, T0))
+    return PointResult(drivers, utci_offset(mobile, ref, point_id, T0))
 
 
 class TestExportHeatMap:

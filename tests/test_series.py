@@ -1,6 +1,7 @@
 import io
 import math
-from datetime import timedelta
+import random
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microclimap.errors import DomainError, MatchError, SchemaError
-from microclimap.series import (DriftVerdict, drift_diagnostic,
-                                offset_series, parse_station_csv, smooth,
-                                write_station_csv)
+from microclimap.series import (FIELDS, DriftVerdict, Gap, _smooth_values,
+                                drift_diagnostic, epoch_us, offset_series,
+                                parse_station_csv, smooth, write_station_csv)
 
 HEADER = "timestamp,t_air,rh,t_globe,wind,net_radiation\n"
 
@@ -98,6 +99,97 @@ class TestParseStationCsv:
         assert again.samples == series.samples
 
 
+# Injected bad rows, as (timestamp, t_air, rh, t_globe, wind, net_radiation)
+# cells with the reason the parser gives, which quotes timestamps in UTC.
+BAD_ROWS = [
+    (("not-a-timestamp", "25.0", "50", "", "", ""),
+     "Invalid isoformat string: 'not-a-timestamp'"),
+    (("2019-07-25T08:00:30", "25.0", "50", "", "", ""), "timestamp lacks a UTC offset"),
+    (("2019-07-25T08:00:30+00:00", "abc", "50", "", "", ""),
+     "could not convert string to float: 'abc'"),
+    (("2019-07-25T08:00:30+00:00", "", "50", "", "", ""), "missing value for t_air"),
+    (("2019-07-25T10:00:30+02:00", "25.0", "50", "nan", "", ""),
+     "non-finite value for t_globe"),
+    (("2019-07-25T08:00:30+00:00", "25.0", "140", "", "", ""),
+     "relative humidity out of range at 2019-07-25 08:00:30+00:00: 140.0"),
+    (("2019-07-25T10:00:30+02:00", "25.0", "50", "", "-1", ""),
+     "negative wind speed at 2019-07-25 08:00:30+00:00: -1.0"),
+]
+
+
+def messy_station_rows(seed):
+    """Valid rows with holes and repeated timestamps, plus the bad rows, shuffled.
+
+    Returns the shuffled rows as (cells, reason) pairs, reason None for a
+    valid row.
+    """
+    rng = random.Random(seed)
+    rows = []
+    minute = 0
+    for _ in range(120):
+        minute += 1 if rng.random() > 0.05 else rng.randint(3, 12)
+        when = datetime(2019, 7, 25, 6, tzinfo=timezone.utc) + timedelta(minutes=minute)
+        local = when.astimezone(timezone(timedelta(hours=rng.choice([0, 2]))))
+        copies = 2 if rng.random() < 0.1 else 1
+        for _ in range(copies):
+            cells = [local.isoformat(), repr(round(rng.uniform(20, 35), 2)),
+                     repr(round(rng.uniform(20, 90), 1))]
+            cells += [rng.choice(["", repr(round(rng.uniform(0, 5), 2))]) for _ in range(3)]
+            rows.append((tuple(cells), None))
+    rows += BAD_ROWS
+    rng.shuffle(rows)
+    return rows
+
+
+def dict_reference_parse(rows, cadence=60.0):
+    """The series the shuffled rows describe, kept in a dict keyed by time."""
+    first: dict[int, list[float]] = {}
+    repeats, reasons = [], []
+    for lineno, (cells, reason) in enumerate(rows, start=2):
+        if reason is not None:
+            reasons.append(f"line {lineno}: {reason}")
+            continue
+        t = epoch_us(datetime.fromisoformat(cells[0]))
+        values = [float(c) if c else math.nan for c in cells[1:]]
+        if t in first:
+            repeats.append(t)
+        else:
+            first[t] = values
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    reasons += [f"duplicate timestamp {(epoch + timedelta(microseconds=t)).isoformat()}"
+                for t in sorted(repeats)]
+    times = sorted(first)
+    gaps = [Gap(epoch + timedelta(microseconds=a), epoch + timedelta(microseconds=b),
+                (b - a) / 1e6 - cadence)
+            for a, b in zip(times, times[1:]) if (b - a) / 1e6 > 2 * cadence]
+    return times, [first[t] for t in times], gaps, reasons
+
+
+class TestParseStationColumns:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_rows_match_dict_reference(self, seed):
+        rows = messy_station_rows(seed)
+        series = parse_station_csv(csv_rows(",".join(cells) + "\n" for cells, _ in rows),
+                                   station_id="s")
+        times, values, gaps, reasons = dict_reference_parse(rows)
+        assert series.t_us.dtype == np.int64
+        assert series.t_us.tolist() == times
+        for k, name in enumerate(FIELDS):
+            np.testing.assert_array_equal(series.columns[name], [v[k] for v in values])
+        assert series.gaps == gaps
+        report = series.load_report
+        assert report.rows_read == len(rows)
+        assert report.rows_kept == len(times)
+        assert report.dropped_rows == len(reasons)
+        assert report.drop_reasons == reasons
+
+    def test_rows_view_turns_nan_into_none(self):
+        series = make_series([{"t_air": 25.0, "wind": 1.5}, {"t_air": 26.0}])
+        first, second = series.samples
+        assert first.timestamp == T0 and first.wind == 1.5 and first.t_globe is None
+        assert second.timestamp == T0 + timedelta(minutes=1) and second.wind is None
+
+
 class TestSmooth:
     def test_constant_series_unchanged(self):
         series = make_series([21.0] * 10)
@@ -142,6 +234,65 @@ class TestSmooth:
         values = [v for _, v in smooth(series, "t_air", 300)]
         interior = values[2:-2]
         assert all(abs(v - 3.0) < 1e-9 for v in interior)
+
+
+def gap_scanning_smooth(times, values, window_seconds, gaps):
+    """The moving average as first written: every gap is scanned per window element."""
+    def gap_between(t1, t2):
+        lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
+        return any(g.start >= lo and g.end <= hi for g in gaps)
+
+    half = timedelta(seconds=window_seconds / 2.0)
+    out = []
+    lo = 0
+    hi = 0
+    n = len(times)
+    for i, t in enumerate(times):
+        while lo < n and times[lo] < t - half:
+            lo += 1
+        if hi < i:
+            hi = i
+        while hi + 1 < n and times[hi + 1] <= t + half:
+            hi += 1
+        window = [values[j] for j in range(lo, hi + 1) if not gap_between(t, times[j])]
+        out.append(sum(window) / len(window))
+    return out
+
+
+WINDOWS = st.sampled_from([60.0, 90.0, 120.0, 300.0, 300.000001, 1200.0])
+
+
+class TestSmoothKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 400), min_size=1, max_size=80),
+           st.lists(st.floats(-50, 50), min_size=80, max_size=80),
+           st.lists(st.integers(-200, 20_000), unique=True, max_size=12),
+           WINDOWS)
+    def test_matches_gap_scanning_oracle(self, steps, values, bounds, window_seconds):
+        """Random sample times (s) and disjoint gaps anywhere on the time line."""
+        times = [T0 + timedelta(seconds=s) for s in np.cumsum(steps).tolist()]
+        values = values[:len(times)]
+        edges = [T0 + timedelta(seconds=b) for b in sorted(bounds)]
+        gaps = [Gap(a, b, (b - a).total_seconds()) for a, b in zip(edges[::2], edges[1::2])]
+        t_us = np.array([epoch_us(t) for t in times], dtype=np.int64)
+        assert (_smooth_values(t_us, values, window_seconds, gaps)
+                == gap_scanning_smooth(times, values, window_seconds, gaps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 8), st.floats(-50, 50), st.booleans()),
+                    min_size=1, max_size=80),
+           WINDOWS)
+    def test_smooth_matches_oracle_on_series_gaps(self, samples, window_seconds):
+        """Minute steps over 2 min leave logger gaps; missing values drop out first."""
+        times = [T0 + timedelta(minutes=m)
+                 for m in np.cumsum([step for step, _, _ in samples]).tolist()]
+        series = make_series([{"t_air": v if present else None, "timestamp": t}
+                              for t, (_, v, present) in zip(times, samples)])
+        kept = [(t, v) for t, (_, v, present) in zip(times, samples) if present]
+        got = smooth(series, "t_air", window_seconds)
+        assert [t for t, _ in got] == [t for t, _ in kept]
+        assert [v for _, v in got] == gap_scanning_smooth(
+            [t for t, _ in kept], [v for _, v in kept], window_seconds, series.gaps)
 
 
 class TestOffsetSeries:
