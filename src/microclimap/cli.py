@@ -217,10 +217,13 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
         log(f"campaign failed: {exc}")
         sys.exit(EXIT_MISSING)
 
-    ucp = _load_ucp_raster(cfg)
+    try:
+        collection = raster_mod.export_heat_map(results, plan, _load_ucp_raster(cfg))
+    except (GridError, DomainError) as exc:
+        log(f"cannot use UCP raster: {exc}")
+        sys.exit(EXIT_MISSING)
     out = cfg.output_dir / campaign_id
     write_atomic(out / "points.csv", point_results_csv(results, plan))
-    collection = raster_mod.export_heat_map(results, plan, ucp)
     write_atomic(out / "points.geojson", raster_mod.geojson_dumps(collection))
     write_atomic(out / "report.txt", report.summary() + "\n")
     log(f"wrote {len(results)} point results to {out}")
@@ -284,6 +287,15 @@ def compare(cfg: RunConfig, before_id, after_id):
             sys.exit(EXIT_MISSING)
     before_rows = read_point_results_csv(before_csv)
     after_rows = read_point_results_csv(after_csv)
+    try:
+        ucp = _load_ucp_raster(cfg)
+        samples = [] if ucp is None else [
+            (row["offset_c"], raster_mod.sample_at(ucp, row["lon"], row["lat"]))
+            for row in before_rows + after_rows]
+    except (GridError, DomainError) as exc:
+        log(f"cannot use UCP raster: {exc}")
+        sys.exit(EXIT_MISSING)
+    pairs = [(offset, value) for offset, value in samples if value is not None]
 
     out = cfg.output_dir / f"compare_{before_id}_{after_id}"
     report_lines = [f"comparison {before_id} -> {after_id}"]
@@ -315,15 +327,9 @@ def compare(cfg: RunConfig, before_id, after_id):
         report_lines.append(f"BACI effect unavailable: {exc}")
 
     # Figure-5 style association against the configured UCP raster
-    ucp = _load_ucp_raster(cfg)
     if ucp is None:
         report_lines.append("no UCP raster configured; correlation skipped")
     else:
-        pairs = []
-        for row in before_rows + after_rows:
-            value = raster_mod.sample_at(ucp, row["lon"], row["lat"])
-            if value is not None:
-                pairs.append((row["offset_c"], value))
         try:
             corr = analysis.correlate_offset_ucp(pairs)
             report_lines.append(

@@ -41,10 +41,15 @@ def _parse_tz(value) -> tzinfo:
 _FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
+# libyaml's loader builds the same documents several times faster; its
+# problem texts are worded differently, but marks the same line and column.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _read_yaml(path: Path, kind: str):
     with open(path) as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             problem = getattr(exc, "problem", None)

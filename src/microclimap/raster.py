@@ -4,12 +4,22 @@ Grids travel as ESRI ASCII (.asc) files in planar coordinates; the site
 extent is sub-hectare so no geodesic math is attempted. The UCP indicator
 maps each cell to [0, 1]: 1 for bare sun-exposed dark pavement, 0 for
 dense, shaded vegetation.
+
+Grids of at least `_FORK_MIN_CELLS` cells are parsed and written on two
+cores where Linux offers them: a forked child converts one half of the
+cells while this process converts the other. Values and written bytes are
+identical to the one-core path, which also runs whenever a worker fails.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -20,6 +30,11 @@ from .series import opened
 from .thermal import heat_stress_category
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+
+#: Smallest grid parsed and written on two cores. A fork round trip costs
+#: about 5 ms; one core converts a million cells in about 0.6 s (2-vCPU
+#: x86-64 VM).
+_FORK_MIN_CELLS = 250_000
 
 
 class Semantic(Enum):
@@ -58,6 +73,13 @@ class RasterLayer:
                 f"declared {self.nrows} rows x {self.ncols} cols")
         if self.cellsize <= 0:
             raise GridError(f"cellsize must be > 0, got {self.cellsize}")
+        if not math.isfinite(self.nodata):
+            raise GridError(f"NODATA_value must be finite, got {self.nodata}")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            row, col = divmod(int(np.flatnonzero(~finite)[0]), self.ncols)
+            raise GridError(f"non-finite cell value {self.values[row, col]} "
+                            f"at row {row + 1}, column {col + 1}")
         self._check_bounds()
 
     def _check_bounds(self):
@@ -85,47 +107,146 @@ class RasterLayer:
                 and self.cellsize == other.cellsize)
 
 
-def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
-    """Read an ESRI ASCII grid and validate it against the declared semantic."""
+def _fork_possible(cells: int) -> bool:
+    """Whether a grid of `cells` cells is worth splitting with a forked child.
+
+    Forking is only safe with no other thread that could hold a lock the
+    child would need.
+    """
+    return (cells >= _FORK_MIN_CELLS and sys.platform.startswith("linux")
+            and hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1)
+
+
+def _in_forked_child(child_part, parent_part):
+    """Run `child_part()` in a forked child while this process runs `parent_part()`.
+
+    Returns `(child result, parent result)`, or None when the child failed
+    in any way. The child sends its result back pickled over a pipe and
+    leaves through `os._exit`, so it flushes no buffer it inherited. An
+    exception from `parent_part` propagates; the child is always reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(child_part(), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            parent_result = parent_part()
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return None
+    return pickle.loads(payload), parent_result
+
+
+def _read_header(text: str) -> tuple[dict[str, float], float, int]:
+    """Header values, the nodata value and the offset where the cell values start.
+
+    The header is every leading line whose first word is a header key;
+    blank lines are skipped.
+    """
     header: dict[str, float] = {}
     nodata = -9999.0
-    tokens: list[str] = []
-    with opened(source) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end + 1
+        line = text[start:end]
+        parts = line.split(None, 2)  # a cell row is not split further
+        if parts:
             key = parts[0].lower()
-            if not tokens and key in _HEADER_KEYS + ("nodata_value",):
-                if len(parts) != 2:
-                    raise GridError(f"malformed header line: {line.strip()!r}")
-                if key == "nodata_value":
-                    nodata = float(parts[1])
-                else:
-                    header[key] = float(parts[1])
+            if key not in _HEADER_KEYS + ("nodata_value",):
+                break
+            try:
+                (value,) = map(float, parts[1:])  # exactly one number
+            except ValueError:
+                raise GridError(f"malformed header line: {line.strip()!r}") from None
+            if key == "nodata_value":
+                nodata = value
             else:
-                tokens.extend(parts)
+                header[key] = value
+        start = end
+    return header, nodata, start
+
+
+def _cell_values(text: str) -> np.ndarray:
+    """The whitespace-separated numbers in `text`, converted as `float()` would."""
+    return np.array(text.split(), dtype=float)
+
+
+def _parse_cells_on_two_cores(text: str, start: int) -> np.ndarray | None:
+    """Cell values of `text[start:]`, converted in two halves cut at a newline.
+
+    None when there is no newline to cut at, when a half holds a value that
+    does not convert, or when the child fails.
+    """
+    cut = text.find("\n", start + (len(text) - start) // 2)
+    if cut < 0:
+        return None
+    try:
+        halves = _in_forked_child(lambda: _cell_values(text[start:cut]),
+                                  lambda: _cell_values(text[cut:]))
+    except ValueError:
+        return None
+    return None if halves is None else np.concatenate(halves)
+
+
+def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
+    """Read an ESRI ASCII grid and validate it against the declared semantic."""
+    with opened(source) as fh:
+        text = fh.read()
+    header, nodata, start = _read_header(text)
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise GridError(f"missing header keys: {', '.join(missing)}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    if len(tokens) != ncols * nrows:
-        raise GridError(
-            f"expected {ncols * nrows} cell values, found {len(tokens)}")
-    try:
-        values = np.array([float(t) for t in tokens]).reshape(nrows, ncols)
-    except ValueError as exc:
-        raise GridError(f"non-numeric cell value: {exc}") from exc
+    cells = (_parse_cells_on_two_cores(text, start)
+             if _fork_possible(ncols * nrows) else None)
+    if cells is None:  # one core, or a worker failed: this path words every error
+        tokens = text[start:].split()
+        if len(tokens) != ncols * nrows:
+            raise GridError(
+                f"expected {ncols * nrows} cell values, found {len(tokens)}")
+        try:
+            cells = np.array(tokens, dtype=float)
+        except ValueError as exc:
+            raise GridError(f"non-numeric cell value: {exc}") from exc
+    elif cells.size != ncols * nrows:
+        raise GridError(f"expected {ncols * nrows} cell values, found {cells.size}")
     return RasterLayer(
         ncols=ncols, nrows=nrows,
         xllcorner=header["xllcorner"], yllcorner=header["yllcorner"],
         cellsize=header["cellsize"], nodata=nodata,
-        values=values, semantic=semantic,
+        values=cells.reshape(nrows, ncols), semantic=semantic,
     )
+
+
+def _grid_rows(values: np.ndarray) -> str:
+    """Rows of cell values as text lines; `repr` round-trips every float."""
+    return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in values)
 
 
 def write_ascii_grid(layer: RasterLayer, sink) -> None:
     """Write an ESRI ASCII grid; cell values round-trip bit-exactly."""
+    values = layer.values
+    halves = None
+    if _fork_possible(values.size):
+        middle = layer.nrows // 2
+        halves = _in_forked_child(lambda: _grid_rows(values[:middle]),
+                                  lambda: _grid_rows(values[middle:]))
     with opened(sink, "w") as fh:
         fh.write(f"ncols {layer.ncols}\n")
         fh.write(f"nrows {layer.nrows}\n")
@@ -133,8 +254,8 @@ def write_ascii_grid(layer: RasterLayer, sink) -> None:
         fh.write(f"yllcorner {layer.yllcorner!r}\n")
         fh.write(f"cellsize {layer.cellsize!r}\n")
         fh.write(f"NODATA_value {layer.nodata!r}\n")
-        for row in layer.values:
-            fh.write(" ".join(repr(v) for v in row.tolist()) + "\n")
+        for part in halves or (_grid_rows(values),):
+            fh.write(part)
 
 
 def normalize_irradiance(raw: RasterLayer, clear_sky_max: float) -> RasterLayer:

@@ -7,11 +7,14 @@ from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 from conftest import UTC, V15_FOR_HALF, globe_for_offset
 
 import microclimap
+from microclimap import config as config_mod
 from microclimap.cli import main
+from microclimap.errors import ConfigError
 
 BEFORE_DAY = date(2019, 7, 25)
 AFTER_DAY = date(2020, 7, 22)
@@ -385,6 +388,18 @@ class TestMalformedConfigExitsTwo:
                                                  "control_station: nowhere"))
         self.assert_one_line_exit_two(run(site, *args), "no station 'nowhere' configured")
 
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_malformed_plan_names_line_and_column(self, site, loader, monkeypatch):
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML built without {loader}")
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", getattr(yaml, loader))
+        plan = site / "before_plan.yaml"
+        plan.write_text("points:\n  - {point_id: P1, lon: 0.5\n  - {point_id: P2}\n")
+        with pytest.raises(ConfigError) as caught:
+            config_mod.load_plan(plan)
+        assert str(caught.value).startswith(f"malformed YAML in plan file {plan}: ")
+        assert str(caught.value).endswith(" at line 3, column 5")
+
     def test_plan_without_points_under_compare(self, site):
         plan = site / "before_plan.yaml"
         kept = plan.read_text().split("points:")[0]
@@ -407,6 +422,51 @@ class TestMalformedConfigExitsTwo:
         config = site / "run.yaml"
         config.write_text(config.read_text() + "thresholds: [1.0, 2.0]\n")
         self.assert_one_line_exit_two(run(site, "ucp"), "invalid config file")
+
+
+def _truncate_ucp(site):
+    ucp = site / "out" / "ucp.asc"
+    ucp.write_text(ucp.read_text().rsplit("\n", 2)[0] + "\n")  # last row gone
+
+
+def _nan_in_ucp(site):
+    ucp = site / "out" / "ucp.asc"
+    lines = ucp.read_text().splitlines(keepends=True)
+    lines[-1] = "nan " + lines[-1].split(" ", 1)[1]
+    ucp.write_text("".join(lines))
+
+
+def _shift_ucp(site):
+    ucp = site / "out" / "ucp.asc"
+    ucp.write_text(ucp.read_text().replace("xllcorner 0.0", "xllcorner 10.0"))
+
+
+BAD_UCP = pytest.mark.parametrize("spoil, phrase", [
+    (_truncate_ucp, "expected 4 cell values, found 2"),
+    (_nan_in_ucp, "non-finite cell value nan at row 2, column 1"),
+    (_shift_ucp, "location (0.5, 0.5) outside raster extent"),
+])
+
+
+class TestBadUcpRaster:
+    """A UCP raster that cannot be read or sampled exits 2 and writes nothing."""
+
+    @BAD_UCP
+    def test_process(self, site, spoil, phrase):
+        assert run(site, "ucp").exit_code == 0
+        spoil(site)
+        TestMalformedConfigExitsTwo.assert_one_line_exit_two(
+            run(site, "process", "before"), "cannot use UCP raster: " + phrase)
+        assert not (site / "out" / "before").exists()
+
+    @BAD_UCP
+    def test_compare(self, site, spoil, phrase):
+        for args in (("ucp",), ("process", "before"), ("process", "after")):
+            assert run(site, *args).exit_code == 0
+        spoil(site)
+        TestMalformedConfigExitsTwo.assert_one_line_exit_two(
+            run(site, "compare", "before", "after"), "cannot use UCP raster: " + phrase)
+        assert not (site / "out" / "compare_before_after").exists()
 
 
 IMPORT_GUARD = """

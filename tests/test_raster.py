@@ -1,11 +1,16 @@
 import io
+import math
+import os
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import T0, UTC
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from microclimap import raster
 
 from microclimap.campaign import (AggregatedDrivers, CampaignPlan, Environment,
                                   Phase, PointResult, TraversePoint)
@@ -92,6 +97,199 @@ class TestParseAsciiGrid:
         buf2 = io.StringIO()
         write_ascii_grid(again, buf2)
         assert buf2.getvalue() == buf.getvalue()
+
+
+    @pytest.mark.parametrize("token, shown", [("nan", "nan"), ("NaN", "nan"),
+                                              ("inf", "inf"), ("-inf", "-inf"),
+                                              ("1e400", "inf")])
+    def test_non_finite_cell_rejected(self, token, shown):
+        text = grid_text([[0.25, 0.5], [0.75, 0.0]]).replace("0.75", token)
+        for semantic in (Semantic.UCP, Semantic.IRRADIANCE_RAW):
+            with pytest.raises(GridError, match=(f"^non-finite cell value {shown} "
+                                                 "at row 2, column 1$")):
+                parse_ascii_grid(io.StringIO(text), semantic)
+
+    @pytest.mark.parametrize("nodata", ["nan", "inf"])
+    def test_non_finite_nodata_rejected(self, nodata):
+        src = io.StringIO(grid_text([[0.25, 0.5]], nodata=nodata))
+        with pytest.raises(GridError, match="NODATA_value must be finite"):
+            parse_ascii_grid(src, Semantic.ALBEDO)
+
+    def test_non_numeric_header_value(self):
+        src = io.StringIO(grid_text([[0.25, 0.5]]).replace("cellsize 1.0", "cellsize one"))
+        with pytest.raises(GridError, match="malformed header line: 'cellsize one'"):
+            parse_ascii_grid(src, Semantic.ALBEDO)
+
+
+def parse_both_ways(text, semantic=Semantic.IRRADIANCE_RAW):
+    """Outcomes of the two-core and the one-core parse: a layer or an error text."""
+    outcomes = []
+    for cut_off in (1, math.inf):
+        with mock.patch.object(raster, "_FORK_MIN_CELLS", cut_off):
+            try:
+                outcomes.append(parse_ascii_grid(io.StringIO(text), semantic))
+            except GridError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def write_both_ways(grid):
+    """Text written by the two-core and by the one-core path."""
+    texts = []
+    for cut_off in (1, math.inf):
+        sink = io.StringIO()
+        with mock.patch.object(raster, "_FORK_MIN_CELLS", cut_off):
+            write_ascii_grid(grid, sink)
+        texts.append(sink.getvalue())
+    return texts
+
+
+def grid_40(row=None, token=None):
+    """A 40x40 grid of 0.25, with `token` in column 8 of `row` if given."""
+    rows = [[0.25] * 40 for _ in range(40)]
+    if row is not None:
+        rows[row][7] = token
+    return grid_text(rows)
+
+
+def assert_same_layer(a, b):
+    assert not isinstance(a, str) and not isinstance(b, str), (a, b)
+    assert a.values.shape == b.values.shape
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+    for field in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata"):
+        assert getattr(a, field) == getattr(b, field)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Whitespace between two cell values: irregular wraps, tabs, blank lines.
+separators = st.sampled_from([" ", " ", " ", "  ", "\t", "\n", "\n", " \n", "\n\n", "\n \n"])
+
+
+def grid_file(head, tokens, seps, tail):
+    return head + tokens[0] + "".join(sep + t for sep, t in zip(seps, tokens[1:])) + tail
+
+
+@st.composite
+def grid_parts(draw):
+    """Header, cell tokens, the whitespace after each and the text's end.
+
+    The header keys come in any order and case, NODATA_value is optional,
+    cells may hold nodata, and the cell rows wrap irregularly.
+    """
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    has_nodata_line = draw(st.booleans())
+    nodata = draw(st.sampled_from([-9999.0, -1.0, 0.0])) if has_nodata_line else -9999.0
+    header = [("ncols", str(ncols)), ("nrows", str(nrows)),
+              ("xllcorner", repr(draw(finite))), ("yllcorner", repr(draw(finite))),
+              ("cellsize", repr(draw(st.floats(1e-3, 1e3))))]
+    if has_nodata_line:
+        header.append(("NODATA_value", repr(nodata)))
+    lines = [f"{draw(st.sampled_from([key, key.upper()]))} {value}"
+             for key, value in draw(st.permutations(header))]
+    head = "\n".join(lines) + draw(st.sampled_from(["\n", "\n\n"]))
+    n = nrows * ncols
+    cells = draw(st.lists(st.one_of(finite, st.just(nodata), st.just(-0.0)),
+                          min_size=n, max_size=n))
+    fmt = draw(st.sampled_from([repr, "{:.6g}".format, "{:.17e}".format]))
+    seps = draw(st.lists(separators, min_size=n - 1, max_size=n - 1))
+    return head, [fmt(v) for v in cells], seps, draw(st.sampled_from(["", "\n", " \n\n"]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestTwoCoreGridIo:
+    """The forked two-core path agrees with the one-core path bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=grid_parts())
+    def test_parse_matches_one_core(self, parts):
+        assert_same_layer(*parse_both_ways(grid_file(*parts)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=grid_parts(), data=st.data())
+    def test_errors_match_one_core(self, parts, data):
+        head, tokens, seps, tail = parts
+        kind = data.draw(st.sampled_from(["bad", "drop", "extra", "bad+drop"]))
+        if "bad" in kind:
+            index = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[index] = data.draw(st.sampled_from(["x", "1..0", "0x1", "--1", "nan"]))
+        if "drop" in kind and len(tokens) > 1:
+            index = data.draw(st.integers(0, len(tokens) - 1))
+            del tokens[index]
+            del seps[min(index, len(seps) - 1)]
+        if kind == "extra":
+            tokens.append("0.5")
+            seps.append(data.draw(separators))
+        fork, serial = parse_both_ways(grid_file(head, tokens, seps, tail))
+        if isinstance(serial, str):
+            assert fork == serial
+        else:
+            assert_same_layer(fork, serial)
+
+    @pytest.mark.parametrize("row, token", [(0, "x"), (39, "x"), (0, "nan"), (39, "inf")])
+    def test_bad_cell_in_either_half(self, row, token):
+        fork, serial = parse_both_ways(grid_40(row, token))
+        assert fork == serial
+        assert serial.startswith("non-numeric" if token == "x" else "non-finite")
+
+    @pytest.mark.parametrize("row", [0, 39])
+    def test_count_checked_before_values_in_either_half(self, row):
+        lines = grid_40().splitlines()
+        lines[6 + row] = lines[6 + row].replace("0.25", "x", 1)
+        lines[6 + 39 - row] = lines[6 + 39 - row].replace("0.25 ", "", 1)
+        fork, serial = parse_both_ways("\n".join(lines) + "\n")
+        assert fork == serial == "expected 1600 cell values, found 1599"
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 7), st.integers(1, 7)), data=st.data())
+    def test_write_matches_one_core(self, shape, data):
+        cells = data.draw(st.lists(st.one_of(finite, st.just(NODATA), st.just(-0.0)),
+                                   min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))
+        grid = layer(np.reshape(cells, shape), Semantic.IRRADIANCE_RAW,
+                     xll=data.draw(finite), yll=data.draw(finite))
+        fork, serial = write_both_ways(grid)
+        assert fork == serial
+        again = parse_ascii_grid(io.StringIO(fork), Semantic.IRRADIANCE_RAW)
+        assert np.array_equal(again.values.view(np.int64), grid.values.view(np.int64))
+
+    def test_write_to_a_path_matches_one_core(self, tmp_path):
+        grid = layer(np.linspace(0.0, 1.0, 30 * 20).reshape(30, 20), Semantic.UCP)
+        for cut_off, name in ((1, "fork.asc"), (math.inf, "serial.asc")):
+            with mock.patch.object(raster, "_FORK_MIN_CELLS", cut_off):
+                write_ascii_grid(grid, tmp_path / name)
+        assert (tmp_path / "fork.asc").read_bytes() == (tmp_path / "serial.asc").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="one CPU: no fork")
+    def test_fork_path_taken_and_every_child_reaped(self):
+        children, results = [], []
+        real_fork, real_split = os.fork, raster._in_forked_child
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        def split(child_part, parent_part):
+            results.append(real_split(child_part, parent_part))
+            return results[-1]
+
+        with mock.patch.object(raster, "_FORK_MIN_CELLS", 1), \
+                mock.patch.object(os, "fork", fork), \
+                mock.patch.object(raster, "_in_forked_child", split):
+            grid = parse_ascii_grid(io.StringIO(grid_40()), Semantic.ALBEDO)
+            write_ascii_grid(grid, io.StringIO())
+            for row in (0, 39):  # the child's half, then this process's half
+                with pytest.raises(GridError, match="non-numeric"):
+                    parse_ascii_grid(io.StringIO(grid_40(row, "x")), Semantic.ALBEDO)
+        assert len(children) == 4
+        assert results[0] is not None and results[1] is not None  # the good parse and write
+        assert results[2] is None  # the child's half failed
+        for pid in children:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestNormalizeIrradiance:
