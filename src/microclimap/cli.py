@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -42,12 +43,16 @@ POINT_CSV_COLUMNS = (
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write a file via a temp file in the same directory plus rename."""
+    """Write a text file via a temp file in the same directory plus rename."""
+    _replace_file(path, text)
+
+
+def _replace_file(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,14 +93,39 @@ def point_results_csv(results, plan) -> str:
     return buf.getvalue()
 
 
+#: Columns of points.csv that `compare` reads as finite numbers.
+_POINT_NUMBERS = ("lon", "lat", "offset_c", "utci_mobile", "utci_ref")
+
+
 def read_point_results_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    """Rows of a points.csv with the numbers `compare` reads as floats.
+
+    A missing column, a missing or non-numeric number, a non-finite number
+    or an unreadable file is a `SchemaError`.
+    """
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            missing = [c for c in ("point_id", "environment") + _POINT_NUMBERS
+                       if c not in (reader.fieldnames or ())]
+            if missing and reader.fieldnames:
+                raise SchemaError(f"{path} lacks column(s) {', '.join(missing)}")
+            for row in reader:
+                for key in _POINT_NUMBERS:
+                    try:
+                        row[key] = float(row[key])
+                    except ValueError:
+                        raise SchemaError(f"{path} line {reader.line_num}: {key} "
+                                          f"{row[key]!r} is not a number") from None
+                    if not math.isfinite(row[key]):
+                        raise SchemaError(f"{path} line {reader.line_num}: {key} "
+                                          f"{row[key]!r} is not finite")
+                rows.append(row)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise SchemaError(f"no point results in {path}")
-    for row in rows:
-        for key in ("lon", "lat", "offset_c", "utci_mobile", "utci_ref"):
-            row[key] = float(row[key])
     return rows
 
 
@@ -107,7 +137,7 @@ def _load_ucp_raster(cfg: RunConfig) -> raster_mod.RasterLayer | None:
             ucp_path = computed
     if ucp_path is None:
         return None
-    return raster_mod.parse_ascii_grid(ucp_path, raster_mod.Semantic.UCP)
+    return raster_mod.read_ascii_grid(ucp_path, raster_mod.Semantic.UCP)
 
 
 @click.group()
@@ -285,8 +315,13 @@ def compare(cfg: RunConfig, before_id, after_id):
         if not p.exists():
             log(f"missing processed results {p}; run `process` first")
             sys.exit(EXIT_MISSING)
-    before_rows = read_point_results_csv(before_csv)
-    after_rows = read_point_results_csv(after_csv)
+    try:
+        before_rows = read_point_results_csv(before_csv)
+        after_rows = read_point_results_csv(after_csv)
+        matched, unmatched = _match_points(before_rows, after_rows, after_plan)
+    except (SchemaError, DomainError) as exc:
+        log(f"cannot compare campaigns: {exc}")
+        sys.exit(EXIT_MISSING)
     try:
         ucp = _load_ucp_raster(cfg)
         samples = [] if ucp is None else [
@@ -300,7 +335,6 @@ def compare(cfg: RunConfig, before_id, after_id):
     out = cfg.output_dir / f"compare_{before_id}_{after_id}"
     report_lines = [f"comparison {before_id} -> {after_id}"]
 
-    matched, unmatched = _match_points(before_rows, after_rows, after_plan)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["point_id_before", "point_id_after", "environment",
@@ -374,8 +408,13 @@ def ucp(cfg: RunConfig):
         sys.exit(EXIT_MISSING)
     buf = io.StringIO()
     raster_mod.write_ascii_grid(result, buf)
-    write_atomic(cfg.output_dir / "ucp.asc", buf.getvalue())
-    log(f"wrote {cfg.output_dir / 'ucp.asc'}")
+    text = buf.getvalue()
+    grid_path = cfg.output_dir / "ucp.asc"
+    write_atomic(grid_path, text)
+    # the grid text is ASCII, so its encoding is the file's bytes
+    _replace_file(raster_mod.cells_sidecar_path(grid_path),
+                  raster_mod.cells_sidecar(text.encode(), result))
+    log(f"wrote {grid_path}")
     sys.exit(EXIT_OK)
 
 

@@ -242,7 +242,11 @@ def parse_station_csv(source, station_id: str, cadence: float = 60.0,
     # so isolated dropped rows do not masquerade as a cadence change
     regular = deltas[deltas <= 2 * cadence]
     if len(regular) >= 5:
-        median = float(np.median(regular))
+        # np.median's result, written out: np.median imports numpy.ma on first use
+        regular.sort()
+        mid = len(regular) // 2
+        median = float(regular[mid] if len(regular) % 2
+                       else (regular[mid - 1] + regular[mid]) / 2)
         if abs(median - cadence) > 0.1 * cadence:
             raise SchemaError(
                 f"declared cadence {cadence}s does not match median sample "

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microclimap.analysis import (BaciDataset, EffectEstimate, _average_ranks, baci_effect,
-                                  correlate_offset_ucp, scatter_csv, scatter_svg)
+from microclimap.analysis import (BaciDataset, EffectEstimate, _average_ranks, _quantile,
+                                  baci_effect, correlate_offset_ucp, scatter_csv, scatter_svg)
 from microclimap.errors import DomainError
 from microclimap.series import OffsetSeries
 
@@ -109,6 +109,20 @@ class TestBaciEffect:
     def test_summary_format(self):
         text = EffectEstimate(-1.0, -1.4, -0.6, 240, 240).summary()
         assert "-1.000" in text and "baci-bootstrap" in text
+
+
+class TestQuantile:
+    """`_quantile` gives `np.quantile`'s default ("linear") result bit for bit."""
+
+    @given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=300),
+           st.one_of(st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, 0.5, 1.0, (1.0 - 0.95) / 2, 1.0 - (1.0 - 0.95) / 2])))
+    def test_matches_np_quantile(self, values, q):
+        values = np.array(values)
+        got = _quantile(np.sort(values), q)
+        want = np.quantile(values, q)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestCorrelateOffsetUcp:

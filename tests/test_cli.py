@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import subprocess
@@ -13,6 +14,7 @@ from conftest import UTC, V15_FOR_HALF, globe_for_offset
 
 import microclimap
 from microclimap import config as config_mod
+from microclimap import raster as raster_mod
 from microclimap.cli import main
 from microclimap.errors import ConfigError
 
@@ -469,6 +471,103 @@ class TestBadUcpRaster:
         assert not (site / "out" / "compare_before_after").exists()
 
 
+class TestUcpSidecar:
+    """`ucp` writes a checked binary copy of its cells that later reads take."""
+
+    def test_process_and_compare_skip_the_text_parse(self, site, monkeypatch):
+        assert run(site, "ucp").exit_code == 0
+        assert (site / "out" / ".ucp.asc.cells").is_file()
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the UCP grid was parsed")
+
+        monkeypatch.setattr(raster_mod, "parse_ascii_grid", no_parse)
+        for args in (("process", "before"), ("process", "after"),
+                     ("compare", "before", "after")):
+            result = run(site, *args)
+            assert result.exit_code == 0, result.output
+        assert '"ucp":' in (site / "out" / "before" / "points.geojson").read_text()
+
+    def test_outputs_same_without_sidecar(self, site):
+        assert run(site, "ucp").exit_code == 0
+        out = site / "out"
+        outputs = {}
+        for sidecar in (True, False):
+            if not sidecar:
+                (out / ".ucp.asc.cells").unlink()
+            for args in (("process", "before"), ("process", "after"),
+                         ("compare", "before", "after")):
+                assert run(site, *args).exit_code == 0
+            outputs[sidecar] = {p.relative_to(out): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+        assert outputs[True].pop(Path(".ucp.asc.cells"))
+        assert outputs[True] == outputs[False]
+
+    def test_configured_ucp_without_sidecar_loads(self, site):
+        write_grid(site / "given_ucp.asc", [[0.25, 0.5], [0.75, 1.0]])
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace(
+            "  irradiance: irr.asc\n", "  irradiance: irr.asc\n  ucp: given_ucp.asc\n"))
+        assert run(site, "process", "before").exit_code == 0
+        geojson = (site / "out" / "before" / "points.geojson").read_text()
+        assert '"ucp": 0.75' in geojson  # P1 at (0.5, 0.5): bottom-left cell
+        assert not (site / ".given_ucp.asc.cells").exists()
+
+
+def _set_cell(name, column, value):
+    """Spoil one cell of the campaign's points.csv."""
+    def spoil(site):
+        path = site / "out" / name / "points.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    return spoil
+
+
+def _drop_column(site):
+    path = site / "out" / "after" / "points.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("offset_c")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([r[:drop] + r[drop + 1:] for r in rows])
+
+
+def _no_rows(site):
+    path = site / "out" / "before" / "points.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
+BAD_POINTS = pytest.mark.parametrize("spoil, phrase", [
+    (_set_cell("before", "offset_c", "abc"), "line 2: offset_c 'abc' is not a number"),
+    (_set_cell("after", "lon", "east"), "line 2: lon 'east' is not a number"),
+    (_set_cell("after", "lat", ""), "line 2: lat '' is not a number"),
+    (_set_cell("before", "utci_mobile", "x"), "line 2: utci_mobile 'x' is not a number"),
+    (_set_cell("after", "utci_ref", "-"), "line 2: utci_ref '-' is not a number"),
+    (_set_cell("after", "offset_c", "nan"), "line 2: offset_c nan is not finite"),
+    (_set_cell("before", "lat", "inf"), "line 2: lat inf is not finite"),
+    (_drop_column, "lacks column(s) offset_c"),
+    (_set_cell("after", "point_id", "P9"), "unknown point id 'P9' in plan after"),
+    (_no_rows, "no point results in"),
+])
+
+
+class TestMalformedPointResults:
+    """A points.csv that compare cannot read exits 2 and writes nothing."""
+
+    @BAD_POINTS
+    def test_compare(self, site, spoil, phrase):
+        for args in (("ucp",), ("process", "before"), ("process", "after")):
+            assert run(site, *args).exit_code == 0
+        spoil(site)
+        result = run(site, "compare", "before", "after")
+        TestMalformedConfigExitsTwo.assert_one_line_exit_two(result, phrase)
+        assert result.stderr.startswith("cannot compare campaigns: ")
+        assert not (site / "out" / "compare_before_after").exists()
+
+
 IMPORT_GUARD = """
 import sys
 from microclimap.cli import main
@@ -483,6 +582,7 @@ for args in (["check-day", day], ["ucp"], ["process", "before"],
         code = exc.code
     assert code == 0, (args, code)
     assert "scipy" not in sys.modules, args
+    assert "numpy.ma" not in sys.modules, args
 """
 
 
@@ -523,6 +623,8 @@ FIXTURE_DIGESTS = {
         "fe6c944638ad6a31028c8aa343e2fd952d21fcb183864bb45f5109388a28bc49",
     "ucp.asc":
         "aec2cf8255ade9265ca5442ac6473d255fa469cf2c1d3353efd9918c46d63bc1",
+    ".ucp.asc.cells":
+        "f5f39f5f66d8974984590423f634f49014c1f9cea47aa7cec89b42fc9c2068f9",
     "before/points.csv":
         "318fb98a9477213bb115aa19692388f9296f26a276ddb4379cdd46df2bb06f74",
     "before/points.geojson":

@@ -292,6 +292,133 @@ class TestTwoCoreGridIo:
                 os.waitpid(pid, os.WNOHANG)
 
 
+def computed_grid(path, values, nodata=NODATA, header_gap=""):
+    """Write a UCP grid and its cells sidecar as the `ucp` command does."""
+    grid = layer(values, Semantic.UCP, xll=10.0, yll=-3.5, cellsize=0.5, nodata=nodata)
+    sink = io.StringIO()
+    write_ascii_grid(grid, sink)
+    text = sink.getvalue().replace("NODATA_value", header_gap + "NODATA_value")
+    path.write_text(text)
+    raster.cells_sidecar_path(path).write_bytes(raster.cells_sidecar(text.encode(), grid))
+    return path
+
+
+def ucp_values(seed=0, shape=(12, 10), nodata=NODATA):
+    """Cells in [0, 1] that do not print short, the two ends and a nodata cell."""
+    values = np.random.default_rng(seed).random(shape)
+    values[0, :3] = (0.0, 1.0, 1 / 3)
+    values[-1, -1] = nodata
+    return values
+
+
+def spoil_grid(path):
+    path.write_text(path.read_text().replace("0.0 1.0", "0.5 1.0", 1))
+
+
+def truncate_sidecar(path):
+    sidecar = raster.cells_sidecar_path(path)
+    sidecar.write_bytes(sidecar.read_bytes()[:-8])
+
+
+def truncate_digest(path):
+    sidecar = raster.cells_sidecar_path(path)
+    sidecar.write_bytes(sidecar.read_bytes()[:20])
+
+
+def foreign_sidecar(path):
+    other = computed_grid(path.with_name("other.asc"), ucp_values(seed=1))
+    raster.cells_sidecar_path(path).write_bytes(raster.cells_sidecar_path(other).read_bytes())
+
+
+def flip_cell_byte(path):
+    sidecar = raster.cells_sidecar_path(path)
+    data = bytearray(sidecar.read_bytes())
+    data[40] ^= 1
+    sidecar.write_bytes(bytes(data))
+
+
+def short_cells_with_matching_digest(path):
+    grid = parse_ascii_grid(path, Semantic.UCP)
+    fewer = layer(grid.values[:-1], Semantic.UCP)
+    raster.cells_sidecar_path(path).write_bytes(
+        raster.cells_sidecar(path.read_bytes(), fewer))
+
+
+def remove_sidecar(path):
+    raster.cells_sidecar_path(path).unlink()
+
+
+class TestCellsSidecar:
+    """`read_ascii_grid` takes a current sidecar and otherwise parses the text."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        real = raster.parse_ascii_grid
+
+        def spy(source, semantic):
+            calls.append(source)
+            return real(source, semantic)
+
+        monkeypatch.setattr(raster, "parse_ascii_grid", spy)
+        return calls
+
+    def test_sidecar_beside_the_grid(self, tmp_path):
+        assert raster.cells_sidecar_path(tmp_path / "ucp.asc") == tmp_path / ".ucp.asc.cells"
+        path = computed_grid(tmp_path / "ucp.asc", ucp_values())
+        data = raster.cells_sidecar_path(path).read_bytes()
+        assert len(data) == 32 + 8 * 12 * 10
+        assert np.array_equal(np.frombuffer(data, dtype="<f8", offset=32).reshape(12, 10),
+                              ucp_values())
+
+    def test_hit_is_bit_equal_without_a_parse(self, tmp_path, parses):
+        path = computed_grid(tmp_path / "ucp.asc", ucp_values())
+        want = parse_ascii_grid(path, Semantic.UCP)
+        parses.clear()
+        got = raster.read_ascii_grid(path, Semantic.UCP)
+        assert parses == []
+        assert_same_layer(got, want)
+        assert got.semantic is Semantic.UCP
+        assert got.values.flags.writeable
+
+    @pytest.mark.parametrize("spoil", [spoil_grid, truncate_sidecar, truncate_digest,
+                                       foreign_sidecar, flip_cell_byte,
+                                       short_cells_with_matching_digest, remove_sidecar])
+    def test_anything_else_is_parsed(self, tmp_path, parses, spoil):
+        path = computed_grid(tmp_path / "ucp.asc", ucp_values())
+        spoil(path)
+        want = parse_ascii_grid(path, Semantic.UCP)
+        parses.clear()
+        got = raster.read_ascii_grid(path, Semantic.UCP)
+        assert len(parses) == 1
+        assert_same_layer(got, want)
+
+    def test_header_past_the_decoded_prefix_is_parsed(self, tmp_path, parses):
+        # NODATA_value follows 5000 blank lines; a header read from the first
+        # 4096 bytes alone would miss it
+        path = computed_grid(tmp_path / "ucp.asc", ucp_values(nodata=-1.0), nodata=-1.0,
+                             header_gap="\n" * 5000)
+        got = raster.read_ascii_grid(path, Semantic.UCP)
+        assert len(parses) == 1
+        assert got.nodata == -1.0
+
+    def test_edited_grid_keeps_the_parse_errors(self, tmp_path):
+        path = computed_grid(tmp_path / "ucp.asc", ucp_values())
+        path.write_text(path.read_text().replace("0.0 1.0", "nan 1.0", 1))
+        with pytest.raises(GridError, match="non-finite cell value nan at row 1, column 1"):
+            raster.read_ascii_grid(path, Semantic.UCP)
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        with pytest.raises(GridError, match="expected 120 cell values, found 110"):
+            raster.read_ascii_grid(path, Semantic.UCP)
+
+    def test_grid_without_sidecar_loads(self, tmp_path):
+        path = tmp_path / "given.asc"
+        path.write_text(grid_text([[0.25, 0.5], [0.75, 1.0]]))
+        assert_same_layer(raster.read_ascii_grid(path, Semantic.UCP),
+                          parse_ascii_grid(path, Semantic.UCP))
+        assert not raster.cells_sidecar_path(path).exists()
+
+
 class TestNormalizeIrradiance:
     def test_scaling(self):
         raw = layer([[800.0, 1000.0], [0.0, 500.0]], Semantic.IRRADIANCE_RAW)
