@@ -91,8 +91,10 @@ def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
     """Mean after-minus-before offset with a day-block percentile bootstrap CI.
 
     Days (not samples) are resampled with replacement independently in each
-    period; the random stream is split per resample index, so the estimate
-    is bit-reproducible for a fixed seed regardless of evaluation order.
+    period. One Generator seeded with `seed` draws every resample at once,
+    a `(bootstrap_n, days)` index matrix for the before period and then one
+    for the after period, so the estimate is bit-reproducible for a fixed
+    seed.
     """
     before, after = data.before, data.after
     if not before.values:
@@ -104,17 +106,12 @@ def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
 
     sums_b, counts_b = _day_blocks(before.times, before.values)
     sums_a, counts_a = _day_blocks(after.times, after.values)
-    n_days_b, n_days_a = len(sums_b), len(sums_a)
 
-    children = np.random.SeedSequence(seed).spawn(bootstrap_n)
-    resampled = np.empty(bootstrap_n)
-    for k in range(bootstrap_n):
-        rng = np.random.default_rng(children[k])
-        ib = rng.integers(0, n_days_b, n_days_b)
-        ia = rng.integers(0, n_days_a, n_days_a)
-        mean_b = sums_b[ib].sum() / counts_b[ib].sum()
-        mean_a = sums_a[ia].sum() / counts_a[ia].sum()
-        resampled[k] = mean_a - mean_b
+    rng = np.random.default_rng(seed)
+    ib = rng.integers(0, len(sums_b), (bootstrap_n, len(sums_b)))
+    ia = rng.integers(0, len(sums_a), (bootstrap_n, len(sums_a)))
+    resampled = (sums_a[ia].sum(axis=1) / counts_a[ia].sum(axis=1)
+                 - sums_b[ib].sum(axis=1) / counts_b[ib].sum(axis=1))
     alpha = (1.0 - ci_level) / 2.0
     resampled.sort()
     ci_low = _quantile(resampled, alpha)

@@ -22,7 +22,7 @@ from .errors import (DayRejectedError, DomainError, MatchError, SchemaError,
                      ValidityError)
 from .series import (DriftReport, DriftThresholds, LoadReport, StationSeries,
                      WeatherSample, drift_diagnostic, epoch_us, nearest_sample,
-                     offset_series, opened, parse_row)
+                     offset_series, opened, parse_rows, weather_samples)
 from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset, utci_offset,
                       vapor_pressure, wind_to_10m)
 
@@ -311,40 +311,33 @@ MOBILE_REQUIRED = ("t_air", "t_globe", "wind")
 def parse_mobile_csv(source) -> MobileLog:
     """Parse a point-tagged mobile log (timestamp, point_id, drivers).
 
-    Rows go through the station parser's row validation (UTC offset,
-    finite numbers, sample domain checks); t_air, t_globe and wind must be
-    present, rh may be blank. Bad rows are dropped and counted in the log's
-    load report; a SchemaError is raised when no row survives.
+    Rows go through the station parser's bulk reader, `series.parse_rows`,
+    with the same validation (UTC offset, finite numbers, sample domain
+    checks); point_id, t_air, t_globe and wind must be present, rh may be
+    blank. Bad rows are dropped and counted in the log's load report; a
+    SchemaError is raised when no row survives. Samples are ordered by time,
+    rows at the same time in file order.
     """
     with opened(source, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "point_id" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "point_id" not in header:
             raise SchemaError("mobile log must carry a point_id column")
         required = {"timestamp", "t_air", "rh", "t_globe", "wind"}
-        missing = required - set(reader.fieldnames)
+        missing = required - set(header)
         if missing:
             raise SchemaError(f"mobile log missing columns: {', '.join(sorted(missing))}")
-        colmap = {name: name for name in required}
-        report = LoadReport()
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            report.rows_read += 1
-            try:
-                point_id = (row["point_id"] or "").strip()
-                if not point_id:
-                    raise ValueError("missing point_id")
-                ts, values = parse_row(row, colmap, MOBILE_REQUIRED)
-                out.append(MobileSample(point_id, WeatherSample(ts, *values)))
-            except (ValueError, DomainError) as exc:
-                report.dropped_rows += 1
-                report.drop_reasons.append(f"line {lineno}: {exc}")
+        parsed = parse_rows(header, reader, {name: name for name in required},
+                            MOBILE_REQUIRED, label="point_id")
+    report = parsed.report
     if not report.rows_read:
         raise SchemaError("mobile log contains no rows")
-    if not out:
+    if not report.rows_kept:
         raise SchemaError(f"no valid rows in mobile log ({report.drop_reasons[0]})")
-    report.rows_kept = len(out)
-    out.sort(key=lambda m: m.sample.timestamp)
-    return MobileLog(out, report)
+    order = np.argsort(parsed.t_us, kind="stable")
+    samples = weather_samples(parsed.t_us[order], parsed.table[order].T)
+    return MobileLog((MobileSample(parsed.labels[i], sample)
+                      for i, sample in zip(order.tolist(), samples)), report)
 
 
 def segment_stops(log: list[MobileSample], plan: CampaignPlan) -> list[StopSegment]:

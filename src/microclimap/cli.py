@@ -48,10 +48,18 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def _replace_file(path: Path, data: str | bytes) -> None:
+    """Write `path` through a temp file in its directory plus rename.
+
+    The file gets the mode `open` would give a new file under the process
+    umask (0o666 minus the umask bits), not the 0o600 of `mkstemp`.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0o077)  # read the umask; os.umask has no query form
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -7,10 +7,23 @@ timestamps are normalized to UTC internally.
 Columns: a `StationSeries` holds its samples as columns only: `t_us`, the
 timestamps as int64 microseconds since the Unix epoch (exact for every
 `datetime`), and `columns`, one float64 array per field in `FIELDS` with
-NaN where a value is missing. The parser appends each row `parse_row`
-validates straight to them; `StationSeries.rows` and `.samples` derive
+NaN where a value is missing. `StationSeries.rows` and `.samples` derive
 `WeatherSample` records on demand. Derived parameters, differencing,
 smoothing and the day screen read the columns, one array pass per series.
+
+Ingest: station and mobile logs share one bulk reader, `parse_rows`. It
+reads every row once with `csv.reader`, as `csv.DictReader` would see it
+(blank lines skipped and not numbered, short rows read as blanks, extra
+fields ignored, the last of repeated headers wins), and checks the rows
+column by column: timestamps of exactly the form `YYYY-MM-DDTHH:MM:SS+HH:MM`
+(or `-HH:MM`) are converted from their digits, and each value column goes
+through `float()` in one `np.fromiter` pass. A row the column checks
+cannot prove clean (a blank required field, a value that is not a finite
+number, humidity outside [0, 100], negative wind, a blank label) falls
+back to `parse_row`, the one row validator, which keeps it or words why it
+is dropped; a row whose only odd cell is a timestamp of another form goes
+through `parse_timestamp`, the first step of `parse_row`. So the drop
+reasons, their order and every kept value are those of a row-by-row parse.
 
 Matching: `match_indices` pairs every query time with its nearest sample
 in one `np.searchsorted`. The earlier sample wins an exact tie, and a pair
@@ -31,6 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -92,6 +106,15 @@ class WeatherSample:
     net_radiation: float | None = None
 
 
+def weather_samples(t_us: np.ndarray, columns) -> list[WeatherSample]:
+    """Row records from epoch microseconds and one column per field in `FIELDS`.
+
+    NaN becomes None.
+    """
+    values = [[None if math.isnan(v) else v for v in column.tolist()] for column in columns]
+    return [WeatherSample(from_epoch_us(t), *row) for t, *row in zip(t_us.tolist(), *values)]
+
+
 @dataclass(frozen=True)
 class Gap:
     """Annotation for a hole larger than twice the nominal cadence."""
@@ -132,10 +155,8 @@ class StationSeries:
 
     def rows(self, index=slice(None)) -> list[WeatherSample]:
         """The samples `index` selects (all by default) as row records, NaN as None."""
-        columns = [[None if math.isnan(v) else v for v in self.columns[name][index].tolist()]
-                   for name in FIELDS]
-        return [WeatherSample(from_epoch_us(t), *values)
-                for t, *values in zip(self.t_us[index].tolist(), *columns)]
+        return weather_samples(self.t_us[index],
+                               [self.columns[name][index] for name in FIELDS])
 
     @property
     def samples(self) -> list[WeatherSample]:
@@ -151,6 +172,22 @@ class StationSeries:
                        gaps=[g for g in self.gaps if start <= g.start and g.end <= end])
 
 
+def parse_timestamp(text: str) -> datetime:
+    """The UTC datetime of an ISO 8601 timestamp cell; ValueError if it is bad.
+
+    The timestamp needs a UTC offset, and its UTC instant must fall within
+    the years 1 to 9999.
+    """
+    raw = text.strip()
+    ts = datetime.fromisoformat(raw)
+    if ts.tzinfo is None:
+        raise ValueError("timestamp lacks a UTC offset")
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range: {raw}") from None
+
+
 def parse_row(row: dict, colmap: dict[str, str],
               required: tuple[str, ...] = ("t_air", "rh"),
               ) -> tuple[datetime, list[float | None]]:
@@ -162,10 +199,7 @@ def parse_row(row: dict, colmap: dict[str, str],
     relative humidity must lie in [0, 100] and wind must not be negative.
     `colmap` maps canonical names to the file's headers.
     """
-    ts = datetime.fromisoformat((row.get(colmap["timestamp"]) or "").strip())
-    if ts.tzinfo is None:
-        raise ValueError("timestamp lacks a UTC offset")
-    ts = ts.astimezone(timezone.utc)
+    ts = parse_timestamp(row.get(colmap["timestamp"]) or "")
     values = []
     for name in FIELDS:
         raw = (row.get(colmap.get(name, name), "") or "").strip()
@@ -186,55 +220,225 @@ def parse_row(row: dict, colmap: dict[str, str],
     return ts, values
 
 
+# The one timestamp form the bulk reader converts itself: "2019-07-25T08:00:00+02:00".
+_TS_LENGTH = 25
+_TS_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24]
+_TS_PUNCTUATION = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":", 22: ":"}
+_TS_SIGN = 19
+# epoch microseconds of the first and last whole second a datetime can hold in UTC
+_UTC_MIN_US = epoch_us(datetime.min.replace(tzinfo=timezone.utc))
+_UTC_MAX_US = epoch_us(datetime.max.replace(tzinfo=timezone.utc, microsecond=0))
+
+
+def _timestamps_us(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch microseconds of `YYYY-MM-DDTHH:MM:SS+HH:MM` cells, and where they hold.
+
+    A cell counts only when it has exactly that form, a valid calendar date
+    and time (year 1 or later, seconds up to 59), an offset under 24 h and a
+    UTC instant a `datetime` can hold; `parse_row` reads those cells to the
+    same instant. Other cells are left to it (their time reads 0).
+    """
+    n = len(cells)
+    t_us = np.zeros(n, dtype=np.int64)
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=n)
+    rows = np.flatnonzero(lengths == _TS_LENGTH)
+    picked = cells if len(rows) == n else list(map(cells.__getitem__, rows.tolist()))
+    # non-ASCII characters become "?", one byte each, which fails the form
+    chars = np.frombuffer("".join(picked).encode("ascii", "replace"),
+                          dtype=np.uint8).reshape(len(rows), _TS_LENGTH)
+    digits = chars[:, _TS_DIGITS] - np.uint8(ord("0"))  # a non-digit wraps past 9
+    ok = (digits <= 9).all(axis=1)
+    for pos, char in _TS_PUNCTUATION.items():
+        ok &= chars[:, pos] == ord(char)
+    sign = chars[:, _TS_SIGN]
+    ok &= (sign == ord("+")) | (sign == ord("-"))
+    d = digits.T.astype(np.int64)
+    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
+    month, day, hour, minute, second, off_h, off_m = (
+        d[k] * 10 + d[k + 1] for k in range(4, 18, 2))
+    months = (year - 1970) * 12 + month - 1  # months since January 1970
+    ok &= (year >= 1) & (month >= 1) & (month <= 12)
+    months = np.where(ok, months, 0)
+    first_day = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    month_days = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(
+        np.int64) - first_day
+    ok &= ((day >= 1) & (day <= month_days) & (hour <= 23) & (minute <= 59)
+           & (second <= 59) & (off_h <= 23) & (off_m <= 59))
+    offset_s = np.where(sign == ord("-"), -60, 60) * (off_h * 60 + off_m)
+    seconds = (((first_day + day - 1) * 24 + hour) * 60 + minute) * 60 + second - offset_s
+    us = seconds * 1_000_000
+    ok &= (_UTC_MIN_US <= us) & (us <= _UTC_MAX_US)
+    t_us[rows[ok]] = us[ok]
+    clean = np.zeros(n, dtype=bool)
+    clean[rows[ok]] = True
+    return t_us, clean
+
+
+def _float_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The cells as float64, NaN where blank or not a number, and the blank mask.
+
+    Each cell goes through `float()`, the conversion `parse_row` uses. A
+    column holding a blank or a bad cell takes a second pass, which reads
+    blanks as "nan" and restarts the conversion after each bad cell.
+    """
+    n = len(cells)
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=n), np.zeros(n, dtype=bool)
+    except ValueError:
+        pass
+    values: list[float] = []
+    rest = iter([c or "nan" for c in cells])
+    while True:
+        try:
+            values.extend(map(float, rest))  # keeps what it converted when one fails
+            break
+        except ValueError:
+            values.append(math.nan)  # the bad cell, which `rest` has passed
+    column = np.array(values, dtype=float)
+    nan = np.flatnonzero(np.isnan(column))
+    blank = np.zeros(n, dtype=bool)
+    blank[nan] = [cells[i] == "" for i in nan.tolist()]
+    return column, blank
+
+
+@dataclass
+class ParsedRows:
+    """The rows of a log that passed validation, in file order, as columns."""
+
+    t_us: np.ndarray         # int64 epoch microseconds (UTC)
+    table: np.ndarray        # float64, one column per field in FIELDS, NaN where blank
+    labels: list[str] | None  # the stripped label of each row, when one was asked for
+    report: LoadReport
+
+
+def parse_rows(header: list[str], rows, colmap: dict[str, str],
+               required: tuple[str, ...] = ("t_air", "rh"),
+               label: str | None = None) -> ParsedRows:
+    """Validate the data rows of a log CSV as `parse_row` would, column by column.
+
+    `rows` yields the `csv.reader` rows after `header`. A row is read as
+    `csv.DictReader` reads it: empty rows are skipped and not numbered, a
+    short row reads blanks for its missing fields, extra fields are ignored
+    and the last of repeated header names wins. `label` names a text column
+    every kept row must carry; a blank one drops the row as "missing
+    <label>" before its values are looked at. Rows the column checks cannot
+    prove clean go through `parse_row` one by one, or only through
+    `parse_timestamp` when the timestamp is their one odd cell, so each
+    dropped row gets the reason a row-by-row parse gives, in file order
+    ("line N: ...", the header being line 1).
+    """
+    names = [colmap["timestamp"], *(colmap.get(name, name) for name in FIELDS)]
+    n, cells = _read_cells(header, rows, names + ([label] if label is not None else []))
+    stamps = cells[colmap["timestamp"]]
+    t_us, clean_stamps = _timestamps_us(stamps)
+    clean = np.ones(n, dtype=bool)  # rows whose values and label are clean
+    table = np.empty((n, len(FIELDS)))
+    for k, name in enumerate(FIELDS):
+        values, blank = _float_column(cells[colmap.get(name, name)])
+        if name in required:
+            clean &= ~blank
+        clean &= blank | np.isfinite(values)
+        table[:, k] = values
+    rh, wind = table[:, FIELDS.index("rh")], table[:, FIELDS.index("wind")]
+    clean &= ~((rh < 0) | (rh > 100) | (wind < 0))
+    labels = None
+    if label is not None:
+        labels = [c.strip() for c in cells[label]]
+        clean &= np.array(labels, dtype=object) != ""
+
+    report = LoadReport(rows_read=n)
+    kept = clean & clean_stamps
+    for i in np.flatnonzero(~kept).tolist():
+        try:
+            if clean[i]:  # the timestamp is the one odd cell: parse_row's first step
+                t_us[i] = epoch_us(parse_timestamp(stamps[i]))
+            else:
+                if label is not None and not labels[i]:
+                    raise ValueError(f"missing {label}")
+                # parse_row reads no other field, and reads "" for a missing one
+                ts, row_values = parse_row(
+                    {name: column[i] for name, column in cells.items()}, colmap, required)
+                t_us[i] = epoch_us(ts)
+                table[i] = [math.nan if v is None else v for v in row_values]
+        except (ValueError, DomainError) as exc:
+            report.dropped_rows += 1
+            report.drop_reasons.append(f"line {i + 2}: {exc}")
+            continue
+        kept[i] = True
+    report.rows_kept = int(kept.sum())
+    return ParsedRows(t_us[kept], table[kept],
+                      None if labels is None else [labels[i] for i in np.flatnonzero(kept)],
+                      report)
+
+
+# Rows held at once while reading. Rows freed while few are alive never
+# reach the cyclic garbage collector's older generations, which would
+# otherwise scan every row list read so far again and again.
+_CHUNK_ROWS = 256
+
+
+def _read_cells(header: list[str], rows, names: list[str]) -> tuple[int, dict[str, list[str]]]:
+    """The number of non-empty `rows` and the cells of the columns `names`.
+
+    A row reads as `csv.DictReader` reads it: empty rows are skipped, a
+    field past the end of a short row and a name missing from `header` read
+    "", extra fields are ignored and the last of repeated header names wins.
+    """
+    index = {name: i for i, name in enumerate(header)}
+    columns: dict[str, list[str]] = {name: [] for name in names}
+    n = 0
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        chunk = list(filter(None, chunk))  # drop empty rows
+        n += len(chunk)
+        width = min(map(len, chunk), default=0)
+        for name, cells in columns.items():
+            i = index.get(name)
+            if i is None:
+                cells.extend([""] * len(chunk))
+            elif i < width:
+                cells.extend([row[i] for row in chunk])
+            else:
+                cells.extend([row[i] if i < len(row) else "" for row in chunk])
+    return n, columns
+
+
 def parse_station_csv(source, station_id: str, cadence: float = 60.0,
                       column_map: dict[str, str] | None = None,
                       sensor_heights: dict[str, float] | None = None) -> StationSeries:
     """Parse a station log CSV into a validated series.
 
     `column_map` remaps canonical column names to the file's header names.
-    Rows with unparseable or out-of-range values are dropped and counted in
-    the series' load report, and so is every row repeating an earlier
-    row's timestamp; holes longer than twice the cadence become gap
-    annotations.
+    Rows are read by `parse_rows`; rows with unparseable or out-of-range
+    values are dropped and counted in the series' load report, and so is
+    every row repeating an earlier row's timestamp; holes longer than twice
+    the cadence become gap annotations.
     """
     colmap = {name: name for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
     if column_map:
         colmap.update(column_map)
 
     with opened(source, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError("missing header row")
-        missing = [colmap[c] for c in REQUIRED_COLUMNS if colmap[c] not in reader.fieldnames]
+        missing = [colmap[c] for c in REQUIRED_COLUMNS if colmap[c] not in header]
         if missing:
             raise SchemaError(f"missing mandatory columns: {', '.join(missing)}")
-
-        report = LoadReport()
-        times: list[int] = []
-        values: list[list[float | None]] = []
-        for lineno, row in enumerate(reader, start=2):
-            report.rows_read += 1
-            try:
-                ts, row_values = parse_row(row, colmap)
-            except (ValueError, DomainError) as exc:
-                report.dropped_rows += 1
-                report.drop_reasons.append(f"line {lineno}: {exc}")
-                continue
-            times.append(epoch_us(ts))
-            values.append(row_values)
-    if not times:
+        parsed = parse_rows(header, reader, colmap)
+    if not len(parsed.t_us):
         raise SchemaError(f"no valid rows in station file for {station_id}")
 
-    t_us = np.array(times, dtype=np.int64)
-    order = np.argsort(t_us, kind="stable")
-    t_us = t_us[order]
+    report = parsed.report
+    order = np.argsort(parsed.t_us, kind="stable")
+    t_us = parsed.t_us[order]
     first = np.diff(t_us, prepend=t_us[0] - 1) != 0  # first row at each timestamp
     for t in t_us[~first].tolist():
         report.dropped_rows += 1
         report.drop_reasons.append(f"duplicate timestamp {from_epoch_us(t).isoformat()}")
     t_us = t_us[first]
     report.rows_kept = len(t_us)
-    table = np.array(values, dtype=float)  # None becomes NaN
+    table = parsed.table
     kept = order[first]
 
     deltas = np.diff(t_us) / 1e6

@@ -218,6 +218,17 @@ def clamp_wind(wind_10m):
     return max(wind_10m, UTCI_WIND_MIN)
 
 
+# Each table term as its coefficient and four indices into the powers list
+# of `_utci_polynomial`: first index 0, which holds the float 1.0, once for
+# each driver the term raises to the power 0, then the powers it uses, in
+# table order. x ** 0 is exactly 1, so this changes no bit; with the 1.0
+# factors first, an array evaluation multiplies arrays only for the powers
+# a term uses (504 of the 840 factors).
+_TERM_FACTORS = tuple(
+    (coeff, *[0] * powers.count(0), *[6 * d + n for d, n in enumerate(powers) if n])
+    for *powers, coeff in UTCI_POLYNOMIAL_TERMS)
+
+
 def _utci_polynomial(ta, vel, d_tr, pa):
     """t_air plus every table term, over powers 0..6 of each driver.
 
@@ -225,10 +236,10 @@ def _utci_polynomial(ta, vel, d_tr, pa):
     term is bit-identical to evaluating the powers inside the term; for
     arrays the loop runs element-wise.
     """
-    p_ta, p_vel, p_dtr, p_pa = ([x ** n for n in range(7)] for x in (ta, vel, d_tr, pa))
+    p = [1.0, *(x ** n for x in (ta, vel, d_tr, pa) for n in range(1, 7))]
     result = ta
-    for i, j, k, l, coeff in UTCI_POLYNOMIAL_TERMS:
-        result = result + coeff * p_ta[i] * p_vel[j] * p_dtr[k] * p_pa[l]
+    for coeff, i, j, k, l in _TERM_FACTORS:
+        result = result + coeff * p[i] * p[j] * p[k] * p[l]
     return result
 
 

@@ -6,12 +6,17 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+from hypothesis import settings
 
 from microclimap.campaign import MobileSample
 from microclimap.series import FIELDS, Gap, StationSeries, WeatherSample, epoch_us
 
 UTC = timezone.utc
 T0 = datetime(2019, 7, 25, 8, 0, tzinfo=UTC)
+
+# CI runs the property tests that set no example count of their own, the
+# parser and kernel parity tests among them, with `--hypothesis-profile=ci`.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def make_series(values, start=T0, cadence_s=60.0, station_id="case",

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microclimap.analysis import (BaciDataset, EffectEstimate, _average_ranks, _quantile,
-                                  baci_effect, correlate_offset_ucp, scatter_csv, scatter_svg)
+from microclimap.analysis import (BaciDataset, EffectEstimate, _average_ranks, _day_blocks,
+                                  _quantile, baci_effect, correlate_offset_ucp, scatter_csv,
+                                  scatter_svg)
 from microclimap.errors import DomainError
 from microclimap.series import OffsetSeries
 
@@ -109,6 +110,70 @@ class TestBaciEffect:
     def test_summary_format(self):
         text = EffectEstimate(-1.0, -1.4, -0.6, 240, 240).summary()
         assert "-1.000" in text and "baci-bootstrap" in text
+
+
+def loop_resamples(data, bootstrap_n, seed):
+    """The bootstrap distribution one resample at a time, from the same two draws."""
+    sums_b, counts_b = _day_blocks(data.before.times, data.before.values)
+    sums_a, counts_a = _day_blocks(data.after.times, data.after.values)
+    rng = np.random.default_rng(seed)
+    ib = rng.integers(0, len(sums_b), (bootstrap_n, len(sums_b)))
+    ia = rng.integers(0, len(sums_a), (bootstrap_n, len(sums_a)))
+    return np.array([sums_a[ia[k]].sum() / counts_a[ia[k]].sum()
+                     - sums_b[ib[k]].sum() / counts_b[ib[k]].sum()
+                     for k in range(bootstrap_n)])
+
+
+class TestDayBlockBootstrap:
+    """One Generator draws a (resamples, days) index matrix per period."""
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.integers(1, 300))
+    def test_matches_resample_loop(self, days_b, days_a, seed, bootstrap_n):
+        def gen(d, i):
+            return math.sin(3 * d + 0.7 * i) + 0.1 * d
+
+        data = BaciDataset(before=offsets(gen, BEFORE_START, days=days_b, cadence_s=7200.0),
+                           after=offsets(gen, AFTER_START, days=days_a, cadence_s=5400.0))
+        estimate = baci_effect(data, bootstrap_n=bootstrap_n, seed=seed)
+        ordered = np.sort(loop_resamples(data, bootstrap_n, seed))
+        alpha = (1.0 - 0.95) / 2.0  # as baci_effect computes it; not exactly 0.025
+        assert estimate.ci_low == min(_quantile(ordered, alpha), estimate.effect)
+        assert estimate.ci_high == max(_quantile(ordered, 1.0 - alpha), estimate.effect)
+
+    @given(st.integers(0, 2**32 - 2))
+    def test_reproducible_per_seed_and_seed_dependent(self, seed):
+        def gen(d, i):
+            return math.sin(d + 0.3 * i)
+
+        data = BaciDataset(before=offsets(gen, BEFORE_START, days=5, cadence_s=7200.0),
+                           after=offsets(gen, AFTER_START, days=4, cadence_s=7200.0))
+        a = baci_effect(data, bootstrap_n=500, seed=seed)
+        b = baci_effect(data, bootstrap_n=500, seed=seed)
+        c = baci_effect(data, bootstrap_n=500, seed=seed + 1)
+        assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
+        assert (c.ci_low, c.ci_high) != (a.ci_low, a.ci_high)
+
+    @pytest.mark.parametrize("days_b, days_a", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("seed", range(0, 100, 7))
+    def test_two_blocks_give_the_support_extremes(self, days_b, days_a, seed):
+        # 2000 draws hit each extreme pair with probability 1/16 or more, about
+        # 125 times, so both 2.5 % and 97.5 % percentiles land on the extremes
+        def gen(d, i):
+            return math.cos(5 * d + i) + 0.25 * d
+
+        data = BaciDataset(before=offsets(gen, BEFORE_START, days=days_b, cadence_s=3600.0),
+                           after=offsets(gen, AFTER_START, days=days_a, cadence_s=1800.0))
+
+        def support(series):
+            sums, counts = _day_blocks(series.times, series.values)
+            return [(sums[i] + sums[j]) / (counts[i] + counts[j])
+                    for i in range(len(sums)) for j in range(len(sums))]
+
+        before, after = support(data.before), support(data.after)
+        estimate = baci_effect(data, seed=seed)
+        assert estimate.ci_low == min(min(after) - max(before), estimate.effect)
+        assert estimate.ci_high == max(max(after) - min(before), estimate.effect)
 
 
 class TestQuantile:

@@ -206,6 +206,14 @@ class TestParseMobileCsv:
         assert [m.sample.t_globe for m in log] == [45.0]
         assert log.load_report.dropped_rows == 1
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00",
+                                       "9999-12-31T23:59:59-01:00"])
+    def test_out_of_range_timestamp_dropped(self, stamp):
+        row = f"{stamp},P1,30.0,40,45.0,0.8\n"
+        log = parse_mobile_csv(io.StringIO(self.HEADER + self.GOOD_ROW + row))
+        assert len(log) == 1
+        assert log.load_report.drop_reasons == [f"line 3: timestamp out of range: {stamp}"]
+
     def test_no_surviving_row_is_schema_error(self):
         src = io.StringIO(self.HEADER
                           + "2019-07-25T12:00:00+00:00,P1,30.0,40,nan,0.8\n")

@@ -334,6 +334,21 @@ class TestRobustInputs:
         assert result.exit_code == 2
         assert "no valid rows in mobile log" in result.stderr
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00",
+                                       "9999-12-31T23:59:59-01:00"])
+    def test_out_of_range_timestamps_dropped_not_raised(self, site, stamp):
+        for name in ("control.csv", "before_mobile.csv"):
+            path = site / name
+            lines = path.read_text().splitlines(keepends=True)
+            lines[3] = stamp + lines[3][lines[3].index(","):]
+            path.write_text("".join(lines))
+        result = run(site, "check-day", BEFORE_DAY.isoformat())
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 0, result.output
+        result = run(site, "process", "before")
+        assert result.exit_code == 0, result.output
+        assert f"(first: line 4: timestamp out of range: {stamp})" in result.stderr
+
 
 class TestBaciWindow:
     def test_windowed_estimate_equals_whole_record(self, site):
@@ -424,6 +439,20 @@ class TestMalformedConfigExitsTwo:
         config = site / "run.yaml"
         config.write_text(config.read_text() + "thresholds: [1.0, 2.0]\n")
         self.assert_one_line_exit_two(run(site, "ucp"), "invalid config file")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_take_the_umask(site, umask, mode):
+    previous = os.umask(umask)
+    try:
+        for args in FIXTURE_COMMANDS:
+            assert run(site, *args).exit_code in (0, 3)
+    finally:
+        os.umask(previous)
+    files = [path for path in (site / "out").rglob("*") if path.is_file()]
+    assert len(files) == len(FIXTURE_DIGESTS) - 1  # all but the check-day stdout
+    assert {str(path): path.stat().st_mode & 0o777 for path in files} == {
+        str(path): mode for path in files}
 
 
 def _truncate_ucp(site):

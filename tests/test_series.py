@@ -114,6 +114,10 @@ BAD_ROWS = [
      "relative humidity out of range at 2019-07-25 08:00:30+00:00: 140.0"),
     (("2019-07-25T10:00:30+02:00", "25.0", "50", "", "-1", ""),
      "negative wind speed at 2019-07-25 08:00:30+00:00: -1.0"),
+    (("0001-01-01T00:00:00+01:00", "25.0", "50", "", "", ""),
+     "timestamp out of range: 0001-01-01T00:00:00+01:00"),
+    (("9999-12-31T23:59:59-01:00", "25.0", "50", "", "", ""),
+     "timestamp out of range: 9999-12-31T23:59:59-01:00"),
 ]
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from microclimap._utci_coeffs import UTCI_POLYNOMIAL_TERMS
 from microclimap.errors import DomainError, ValidityError
 from microclimap.thermal import (GlobeFormula, GlobeSpec, HeatStressCategory,
                                  ReferenceConditions, UtciInput, heat_stress_category,
                                  mrt_from_globe, utci, utci_offset, utci_values,
-                                 vapor_pressure, wind_to_10m)
+                                 _utci_polynomial, vapor_pressure, wind_to_10m)
 from utci_reference import utci_reference
 
 ISO_SPEC = GlobeSpec(formula_variant=GlobeFormula.ISO7726_FORCED)
@@ -228,6 +229,36 @@ def criterion_one_grid(n=1000):
     dtr = rng.uniform(-29.5, 69.5, n)
     vp = rng.uniform(0.1, 45.0, n)
     return ta, vel, dtr, vp
+
+
+def table_loop_polynomial(ta, vel, d_tr, pa):
+    """The table evaluated term by term over all four powers, x ** 0 included."""
+    p_ta, p_vel, p_dtr, p_pa = ([x ** n for n in range(7)] for x in (ta, vel, d_tr, pa))
+    result = ta
+    for i, j, k, l, coeff in UTCI_POLYNOMIAL_TERMS:
+        result = result + coeff * p_ta[i] * p_vel[j] * p_dtr[k] * p_pa[l]
+    return result
+
+
+DRIVERS = (st.floats(-50.0, 50.0), st.floats(0.5, 17.0), st.floats(-30.0, 70.0),
+           st.floats(0.0, 5.0))
+
+
+class TestPolynomialKernel:
+    """Leaving out the x ** 0 factors changes no bit of a float or array result."""
+
+    @given(*DRIVERS)
+    def test_float_bitwise_equal_to_table_loop(self, ta, vel, d_tr, pa):
+        got = _utci_polynomial(ta, vel, d_tr, pa)
+        assert type(got) is float
+        assert (np.float64(got).view(np.int64)
+                == np.float64(table_loop_polynomial(ta, vel, d_tr, pa)).view(np.int64))
+
+    @given(st.lists(st.tuples(*DRIVERS), min_size=1, max_size=50))
+    def test_array_bitwise_equal_to_table_loop(self, rows):
+        columns = [np.array(c) for c in zip(*rows)]
+        got = _utci_polynomial(*columns)
+        assert (got.view(np.int64) == table_loop_polynomial(*columns).view(np.int64)).all()
 
 
 class TestArrayForms:
