@@ -5,13 +5,19 @@ radiative-day filtering, stop segmentation, black-globe stabilization
 detection, driver aggregation, control matching, and the final UTCI-offset
 computation, plus a drift check against an on-site fixed station when one
 is available.
+
+Columns: a `MobileLog` holds its rows as columns in time order, as a
+`series.StationSeries` does, and a `StopSegment` holds views of one run of
+them. Stabilization finds each window by `np.searchsorted` and aggregation
+averages column slices with a Python `sum`, so windows and drivers are
+those of a per-sample scan, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, tzinfo
 from enum import Enum
 
@@ -20,18 +26,18 @@ import numpy as np
 from . import thermal
 from .errors import (DayRejectedError, DomainError, MatchError, SchemaError,
                      ValidityError)
-from .series import (DriftReport, DriftThresholds, LoadReport, StationSeries,
-                     WeatherSample, drift_diagnostic, epoch_us, nearest_sample,
-                     offset_series, opened, parse_rows, weather_samples)
+from .series import (FIELDS, DriftReport, DriftThresholds, LoadReport, StationSeries,
+                     drift_diagnostic, epoch_us, from_epoch_us, nearest_sample,
+                     offset_series, opened, parse_rows)
 from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset, utci_offset,
                       vapor_pressure, wind_to_10m)
 
-MOBILE_CADENCE_S = 15.0
 SEGMENT_SPLIT_GAP_S = 60.0
 MIN_SEGMENT_S = 300.0
 STABILIZATION_WINDOW_S = 180.0
 STABILIZATION_DELTA_C = 0.15  # globe sensor uncertainty
 CONTROL_MATCH_TOLERANCE_S = 60.0
+MOBILE_SENSOR_HEIGHT_M = 1.5  # height of the mobile wind sensor
 
 # Net radiation above which a day counts as strongly insolated
 STRONG_INSOLATION_WM2 = 500.0
@@ -108,34 +114,35 @@ class CampaignPlan:
         raise DomainError(f"unknown point id {point_id!r} in plan {self.campaign_id}")
 
 
-@dataclass(frozen=True)
-class MobileSample:
-    """One mobile-instrument reading tagged with the traverse point it belongs to."""
+@dataclass(eq=False)
+class MobileLog:
+    """Time-ordered mobile readings as columns, plus the load report of their file.
 
-    point_id: str
-    sample: WeatherSample
+    `t_us` holds sorted int64 epoch microseconds (rows at one time in file
+    order), `point_ids` the traverse point of each row (an object array of
+    str) and `columns` one float64 array per field in `FIELDS`, NaN where a
+    value is blank; all have one entry per kept row.
+    """
+
+    t_us: np.ndarray = field(repr=False)
+    point_ids: np.ndarray = field(repr=False)
+    columns: dict[str, np.ndarray] = field(repr=False)
+    load_report: LoadReport | None = None
+
+    def __len__(self) -> int:
+        return len(self.t_us)
 
 
-class MobileLog(list):
-    """Time-ordered mobile samples, plus the load report of the file they came from."""
-
-    def __init__(self, samples=(), load_report: LoadReport | None = None):
-        super().__init__(samples)
-        self.load_report = load_report
-
-
-@dataclass
+@dataclass(eq=False)
 class StopSegment:
-    """A contiguous dwell at one traverse point."""
+    """A contiguous dwell at one traverse point: views of the log's columns."""
 
     point_id: str
-    samples: list[WeatherSample]
+    t_us: np.ndarray = field(repr=False)
+    columns: dict[str, np.ndarray] = field(repr=False)
     stabilization_window: tuple[datetime, datetime] | None = None
     stabilized: bool = False
     too_short: bool = False
-
-    def span(self) -> tuple[datetime, datetime]:
-        return self.samples[0].timestamp, self.samples[-1].timestamp
 
 
 @dataclass(frozen=True)
@@ -335,92 +342,84 @@ def parse_mobile_csv(source) -> MobileLog:
     if not report.rows_kept:
         raise SchemaError(f"no valid rows in mobile log ({report.drop_reasons[0]})")
     order = np.argsort(parsed.t_us, kind="stable")
-    samples = weather_samples(parsed.t_us[order], parsed.table[order].T)
-    return MobileLog((MobileSample(parsed.labels[i], sample)
-                      for i, sample in zip(order.tolist(), samples)), report)
+    return MobileLog(parsed.t_us[order], parsed.labels[order],
+                     {name: parsed.table[order, k] for k, name in enumerate(FIELDS)},
+                     report)
 
 
-def segment_stops(log: list[MobileSample], plan: CampaignPlan) -> list[StopSegment]:
+def segment_stops(log: MobileLog, plan: CampaignPlan) -> list[StopSegment]:
     """Split the mobile log into per-point dwell segments.
 
     Contiguous runs of one point id become a segment; an internal time gap
     longer than 60 s splits the run; segments shorter than 5 minutes are
-    flagged too short.
+    flagged too short. The first unknown point id in time order is an error.
     """
+    if not len(log):
+        return []
+    t, ids = log.t_us, log.point_ids
+    split = (ids[1:] != ids[:-1]) | (np.diff(t) / 1e6 > SEGMENT_SPLIT_GAP_S)
+    starts = np.flatnonzero(np.concatenate(([True], split)))
+    ends = np.append(starts[1:], len(t))
+    too_short = (t[ends - 1] - t[starts]) / 1e6 < MIN_SEGMENT_S
     known = {p.point_id for p in plan.points}
-    segments: list[StopSegment] = []
-    current: list[WeatherSample] = []
-    current_id: str | None = None
-
-    def flush():
-        if current_id is not None and current:
-            duration = (current[-1].timestamp - current[0].timestamp).total_seconds()
-            segments.append(StopSegment(
-                point_id=current_id,
-                samples=list(current),
-                too_short=duration < MIN_SEGMENT_S,
-            ))
-
-    for m in log:
-        if m.point_id not in known:
-            raise DomainError(
-                f"mobile log references unknown point id {m.point_id!r}")
-        gap = (current
-               and (m.sample.timestamp - current[-1].timestamp).total_seconds()
-               > SEGMENT_SPLIT_GAP_S)
-        if m.point_id != current_id or gap:
-            flush()
-            current = []
-            current_id = m.point_id
-        current.append(m.sample)
-    flush()
+    segments = []
+    for a, b, short in zip(starts.tolist(), ends.tolist(), too_short.tolist()):
+        if ids[a] not in known:
+            raise DomainError(f"mobile log references unknown point id {ids[a]!r}")
+        segments.append(StopSegment(ids[a], t[a:b],
+                                    {name: c[a:b] for name, c in log.columns.items()},
+                                    too_short=short))
     return segments
 
 
 def detect_stabilization(segment: StopSegment,
-                         delta_c: float = STABILIZATION_DELTA_C,
-                         window_s: float = STABILIZATION_WINDOW_S) -> StopSegment:
+                         delta_c: float = STABILIZATION_DELTA_C) -> StopSegment:
     """Find the latest window over which the globe reading has settled.
 
-    Scans fixed-length windows (3 min default) from the end of the segment
-    backwards and keeps the first one whose globe-temperature range stays
-    within the sensor uncertainty. Returns a copy of the segment with the
-    stabilization fields set.
+    A window starts at a sample time t_i, holds every sample up to
+    t_i + 3 min and must end by the last sample. Starts are tried from the
+    latest back; the first window whose globe range is within the sensor
+    uncertainty (inclusive) is set on the returned copy of the segment.
     """
-    if any(s.t_globe is None for s in segment.samples):
+    t, globe = segment.t_us, segment.columns["t_globe"]
+    if np.isnan(globe).any():
         raise DomainError(
             f"segment at {segment.point_id} has samples without globe readings")
-    times = [s.timestamp for s in segment.samples]
-    span = timedelta(seconds=window_s)
-    for i in range(len(times) - 1, -1, -1):
-        end = times[i] + span
-        if end > times[-1]:
-            continue
-        in_window = [s.t_globe for s in segment.samples
-                     if times[i] <= s.timestamp <= end]
-        if max(in_window) - min(in_window) <= delta_c:
-            return replace(segment, stabilization_window=(times[i], end), stabilized=True)
+    span = timedelta(seconds=STABILIZATION_WINDOW_S)
+    span_us = span // timedelta(microseconds=1)
+    lo = np.searchsorted(t, t, side="left").tolist()
+    hi = np.searchsorted(t, t + span_us, side="right").tolist()
+    values = globe.tolist()
+    fits = int(np.searchsorted(t, t[-1] - span_us, side="right"))  # windows ending by t[-1]
+    for i in range(fits - 1, -1, -1):
+        window = values[lo[i]:hi[i]]
+        if max(window) - min(window) <= delta_c:
+            start = from_epoch_us(int(t[i]))
+            return replace(segment, stabilization_window=(start, start + span),
+                           stabilized=True)
     return replace(segment, stabilization_window=None, stabilized=False)
 
 
 def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
-                    measurement_height: float = 1.5, z0: float = 0.01) -> AggregatedDrivers:
+                    z0: float = 0.01) -> AggregatedDrivers:
     """Average the drivers over the stabilization window.
 
-    MRT is derived from the averaged globe/air/wind values; the wind speed
-    is converted from the measurement height to 10 m with a neutral log
-    profile for the UTCI evaluation.
+    Each mean is a Python `sum` over the window's readings of that field,
+    blanks left out. MRT is derived from the averaged globe/air/wind
+    values; the wind speed is converted from the sensor height to 10 m with
+    a neutral log profile for the UTCI evaluation.
     """
     if not segment.stabilized or segment.stabilization_window is None:
         raise DomainError(
             f"segment at {segment.point_id} never stabilized; point is unusable")
     lo, hi = segment.stabilization_window
-    window = [s for s in segment.samples if lo <= s.timestamp <= hi]
+    inside = (segment.t_us >= epoch_us(lo)) & (segment.t_us <= epoch_us(hi))
 
-    def mean_of(attr):
-        values = [getattr(s, attr) for s in window if getattr(s, attr) is not None]
+    def mean_of(name):
+        values = segment.columns[name][inside]
+        values = values[~np.isnan(values)].tolist()
         if not values:
-            raise DomainError(f"no {attr} readings in stabilization window "
+            raise DomainError(f"no {name} readings in stabilization window "
                               f"at {segment.point_id}")
         return sum(values) / len(values), len(values)
 
@@ -435,20 +434,21 @@ def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
         rh=rh,
         t_globe=t_globe,
         wind_measured=wind,
-        wind_10m=wind_to_10m(wind, measurement_height, z0),
+        wind_10m=wind_to_10m(wind, MOBILE_SENSOR_HEIGHT_M, z0),
         t_mrt=t_mrt,
         sample_counts={"t_air": n_t, "rh": n_rh, "t_globe": n_g, "wind": n_w},
     )
 
 
-def match_control(timestamp: datetime, control: StationSeries,
-                  tolerance_s: float = CONTROL_MATCH_TOLERANCE_S) -> ReferenceConditions:
+def match_control(timestamp: datetime, control: StationSeries) -> ReferenceConditions:
     """Reference conditions from the nearest control sample."""
-    s = nearest_sample(control, timestamp, tolerance_s)
-    return ReferenceConditions(t_air=s.t_air, rh=s.rh, matched_at=s.timestamp)
+    i = nearest_sample(control, timestamp, CONTROL_MATCH_TOLERANCE_S)
+    return ReferenceConditions(t_air=float(control.columns["t_air"][i]),
+                               rh=float(control.columns["rh"][i]),
+                               matched_at=from_epoch_us(int(control.t_us[i])))
 
 
-def process_campaign(plan: CampaignPlan, log: list[MobileSample],
+def process_campaign(plan: CampaignPlan, log: MobileLog,
                      control: StationSeries,
                      day_summary: DaySummary | None = None,
                      onsite: StationSeries | None = None,
@@ -457,7 +457,6 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
                      globe: GlobeSpec = GlobeSpec(), z0: float = 0.01,
                      stabilization_delta_c: float = STABILIZATION_DELTA_C,
                      drift_thresholds: DriftThresholds = DriftThresholds(),
-                     control_tolerance_s: float = CONTROL_MATCH_TOLERANCE_S,
                      ) -> tuple[list[PointResult], CampaignReport]:
     """Run the full per-point pipeline for one campaign.
 
@@ -483,16 +482,15 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
     for segment in segments:
         seen.add(segment.point_id)
         if segment.too_short:
-            start, end = segment.span()
             failures.append((segment.point_id,
                              f"segment at {segment.point_id} lasts "
-                             f"{(end - start).total_seconds():g} s, under the "
+                             f"{(segment.t_us[-1] - segment.t_us[0]) / 1e6:g} s, under the "
                              f"{MIN_SEGMENT_S:g} s minimum dwell; point is unusable"))
             continue
         try:
             stabilized = detect_stabilization(segment, stabilization_delta_c)
             drivers = aggregate_point(stabilized, globe=globe, z0=z0)
-            ref = match_control(drivers.timestamp, control, control_tolerance_s)
+            ref = match_control(drivers.timestamp, control)
             mobile = UtciInput(drivers.t_air, drivers.t_mrt, drivers.wind_10m,
                                vapor_pressure(drivers.t_air, drivers.rh))
             offset = utci_offset(mobile, ref, segment.point_id, drivers.timestamp)
@@ -512,7 +510,7 @@ def process_campaign(plan: CampaignPlan, log: list[MobileSample],
 
     drift = None
     if onsite is not None and log:
-        span = (log[0].sample.timestamp, log[-1].sample.timestamp)
+        span = (from_epoch_us(int(log.t_us[0])), from_epoch_us(int(log.t_us[-1])))
         try:
             # only the traverse span is differenced; the control stays whole
             offsets = offset_series(onsite.window(*span), control, "utci",

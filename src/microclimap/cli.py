@@ -223,21 +223,21 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
         control = load_station(cfg, plan.control_station_id)
         onsite = (load_station(cfg, plan.onsite_station_id)
                   if plan.onsite_station_id else None)
-        log_samples = campaign_mod.parse_mobile_csv(entry.mobile_log_path)
+        mobile_log = campaign_mod.parse_mobile_csv(entry.mobile_log_path)
         summary = campaign_mod.derive_day_summary(control, plan.day,
                                                   entry.cloud_cover_oktas, plan.tz,
                                                   z0=cfg.z0)
     except (ConfigError, SchemaError, MatchError, DomainError) as exc:
         log(f"cannot process campaign: {exc}")
         sys.exit(EXIT_MISSING)
-    mobile_report = log_samples.load_report
+    mobile_report = mobile_log.load_report
     if mobile_report.dropped_rows:
         log(f"mobile log: dropped {mobile_report.dropped_rows} of "
             f"{mobile_report.rows_read} rows (first: {mobile_report.drop_reasons[0]})")
 
     try:
         results, report = campaign_mod.process_campaign(
-            plan, log_samples, control,
+            plan, mobile_log, control,
             day_summary=summary, onsite=onsite,
             override_day_filter=force_day,
             day_thresholds=cfg.day_thresholds,

@@ -1,4 +1,4 @@
-"""Fixed-station time series: ingestion, smoothing, differencing, drift checks.
+"""Fixed-station time series: ingestion, differencing, drift checks.
 
 Stations log one multi-parameter sample per minute. Series are kept
 immutable after parsing; gaps are annotated, never interpolated, and all
@@ -7,9 +7,10 @@ timestamps are normalized to UTC internally.
 Columns: a `StationSeries` holds its samples as columns only: `t_us`, the
 timestamps as int64 microseconds since the Unix epoch (exact for every
 `datetime`), and `columns`, one float64 array per field in `FIELDS` with
-NaN where a value is missing. `StationSeries.rows` and `.samples` derive
-`WeatherSample` records on demand. Derived parameters, differencing,
-smoothing and the day screen read the columns, one array pass per series.
+NaN where a value is missing. `StationSeries.samples` builds one
+`WeatherSample` record per sample on each access, for callers that want
+records. Derived parameters, matching, differencing and the day screen
+read the columns, one array pass per series.
 
 Ingest: station and mobile logs share one bulk reader, `parse_rows`. It
 reads every row once with `csv.reader`, as `csv.DictReader` would see it
@@ -28,7 +29,10 @@ reasons, their order and every kept value are those of a row-by-row parse.
 Matching: `match_indices` pairs every query time with its nearest sample
 in one `np.searchsorted`. The earlier sample wins an exact tie, and a pair
 needs |dt| <= tolerance (inclusive). `nearest_sample` is the one-element
-case.
+case and returns the sample's index.
+
+Smoothing: `_smooth_values` is the centered moving average the drift check
+applies to an offset series, each window found by `np.searchsorted`.
 
 Windowing: a verdict differences only the samples it reads.
 `StationSeries.window` cuts a series to an inclusive time span before it
@@ -106,15 +110,6 @@ class WeatherSample:
     net_radiation: float | None = None
 
 
-def weather_samples(t_us: np.ndarray, columns) -> list[WeatherSample]:
-    """Row records from epoch microseconds and one column per field in `FIELDS`.
-
-    NaN becomes None.
-    """
-    values = [[None if math.isnan(v) else v for v in column.tolist()] for column in columns]
-    return [WeatherSample(from_epoch_us(t), *row) for t, *row in zip(t_us.tolist(), *values)]
-
-
 @dataclass(frozen=True)
 class Gap:
     """Annotation for a hole larger than twice the nominal cadence."""
@@ -153,15 +148,13 @@ class StationSeries:
     def __post_init__(self):
         self.sensor_heights = {**DEFAULT_SENSOR_HEIGHTS, **(self.sensor_heights or {})}
 
-    def rows(self, index=slice(None)) -> list[WeatherSample]:
-        """The samples `index` selects (all by default) as row records, NaN as None."""
-        return weather_samples(self.t_us[index],
-                               [self.columns[name][index] for name in FIELDS])
-
     @property
     def samples(self) -> list[WeatherSample]:
-        """Every sample as a row record, built from the columns on each access."""
-        return self.rows()
+        """Every sample as a row record, NaN as None, built from the columns on each access."""
+        values = [[None if math.isnan(v) else v for v in self.columns[name].tolist()]
+                  for name in FIELDS]
+        return [WeatherSample(from_epoch_us(t), *row)
+                for t, *row in zip(self.t_us.tolist(), *values)]
 
     def window(self, start: datetime, end: datetime) -> StationSeries:
         """The samples with start <= timestamp <= end, as a series of their own."""
@@ -307,7 +300,7 @@ class ParsedRows:
 
     t_us: np.ndarray         # int64 epoch microseconds (UTC)
     table: np.ndarray        # float64, one column per field in FIELDS, NaN where blank
-    labels: list[str] | None  # the stripped label of each row, when one was asked for
+    labels: np.ndarray | None  # the stripped label (str) of each row, when one was asked for
     report: LoadReport
 
 
@@ -343,8 +336,8 @@ def parse_rows(header: list[str], rows, colmap: dict[str, str],
     clean &= ~((rh < 0) | (rh > 100) | (wind < 0))
     labels = None
     if label is not None:
-        labels = [c.strip() for c in cells[label]]
-        clean &= np.array(labels, dtype=object) != ""
+        labels = np.array([c.strip() for c in cells[label]], dtype=object)
+        clean &= labels != ""
 
     report = LoadReport(rows_read=n)
     kept = clean & clean_stamps
@@ -366,9 +359,7 @@ def parse_rows(header: list[str], rows, colmap: dict[str, str],
             continue
         kept[i] = True
     report.rows_kept = int(kept.sum())
-    return ParsedRows(t_us[kept], table[kept],
-                      None if labels is None else [labels[i] for i in np.flatnonzero(kept)],
-                      report)
+    return ParsedRows(t_us[kept], table[kept], None if labels is None else labels[kept], report)
 
 
 # Rows held at once while reading. Rows freed while few are alive never
@@ -472,21 +463,6 @@ def parse_station_csv(source, station_id: str, cadence: float = 60.0,
     )
 
 
-def write_station_csv(series: StationSeries, sink) -> None:
-    """Serialize a series back to the canonical CSV schema (UTC timestamps)."""
-    with opened(sink, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REQUIRED_COLUMNS + OPTIONAL_COLUMNS)
-        for s in series.samples:
-            writer.writerow([
-                s.timestamp.isoformat(),
-                repr(s.t_air), repr(s.rh),
-                "" if s.t_globe is None else repr(s.t_globe),
-                "" if s.wind is None else repr(s.wind),
-                "" if s.net_radiation is None else repr(s.net_radiation),
-            ])
-
-
 def parameter_values(series: StationSeries, parameter: str, rows=None,
                      globe: GlobeSpec = GlobeSpec(), z0: float = 0.01) -> np.ndarray:
     """One parameter of a series as a float64 array, NaN where it is undefined.
@@ -531,48 +507,18 @@ def parameter_values(series: StationSeries, parameter: str, rows=None,
     return out
 
 
-def _smooth_values(t_us: np.ndarray, values: list[float], window_seconds: float,
-                   gaps=()) -> list[float]:
-    """Centered moving average with truncated edge windows; gaps not bridged.
+def _smooth_values(t_us: np.ndarray, values: list[float],
+                   window_seconds: float) -> list[float]:
+    """Centered moving average with truncated edge windows.
 
     Sample j is in the window of sample i when |t_j - t_i| <= half the
-    window and no gap lies between them. `t_us` is sorted and `gaps` ordered
-    by start and end alike, so the counts of gaps starting before t_i (S_i)
-    and ending by t_j (E_j) grow with the index. A later j is cut off
-    exactly when E_j > S_i, an earlier one when E_i > S_j, so each window
-    is one contiguous run, averaged as a left-to-right `sum` over its length.
+    window. `t_us` is sorted, so each window is one contiguous run, averaged
+    as a left-to-right `sum` over its length.
     """
     half = timedelta(seconds=window_seconds / 2.0) // _MICROSECOND
     lo = np.searchsorted(t_us, t_us - half, side="left")
     hi = np.searchsorted(t_us, t_us + half, side="right")
-    if gaps:
-        starts = np.array([epoch_us(g.start) for g in gaps], dtype=np.int64)
-        ends = np.array([epoch_us(g.end) for g in gaps], dtype=np.int64)
-        started_before = np.searchsorted(starts, t_us, side="left")
-        ended_by = np.searchsorted(ends, t_us, side="right")
-        lo = np.maximum(lo, np.searchsorted(started_before, ended_by, side="left"))
-        hi = np.minimum(hi, np.searchsorted(ended_by, started_before, side="right"))
     return [sum(values[a:b]) / (b - a) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
-def smooth(series: StationSeries, parameter: str,
-           window_seconds: float = 300.0, **derive_kwargs) -> list[tuple[datetime, float]]:
-    """Centered moving-average smoothing of one parameter of a series.
-
-    Output timestamps are unchanged; edge windows use whatever part of the
-    window exists; samples on the far side of a gap annotation are excluded.
-    """
-    if parameter not in PARAMETERS:
-        raise DomainError(f"unknown parameter {parameter!r}")
-    if window_seconds < series.cadence:
-        raise DomainError(
-            f"window {window_seconds}s is below the series cadence {series.cadence}s"
-        )
-    values = parameter_values(series, parameter, **derive_kwargs)
-    keep = ~np.isnan(values)
-    t_us = series.t_us[keep]
-    smoothed = _smooth_values(t_us, values[keep].tolist(), window_seconds, series.gaps)
-    return list(zip(map(from_epoch_us, t_us.tolist()), smoothed))
 
 
 @dataclass
@@ -607,15 +553,14 @@ def match_indices(times_us: np.ndarray, query_us: np.ndarray,
     return np.where(np.minimum(dt_before, dt_after) <= tolerance_s, nearest, -1)
 
 
-def nearest_sample(series: StationSeries, when: datetime,
-                   tolerance_s: float = 60.0) -> WeatherSample:
-    """Nearest sample within the tolerance, or a MatchError."""
+def nearest_sample(series: StationSeries, when: datetime, tolerance_s: float = 60.0) -> int:
+    """Index of the nearest sample within the tolerance, or a MatchError."""
     (i,) = match_indices(series.t_us, np.array([epoch_us(when)]), tolerance_s)
     if i < 0:
         raise MatchError(
             f"no {series.station_id} sample within {tolerance_s}s of {when.isoformat()}"
         )
-    return series.rows(slice(i, i + 1))[0]
+    return int(i)
 
 
 def offset_series(case: StationSeries, control: StationSeries, parameter: str,

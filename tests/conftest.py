@@ -8,8 +8,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 from hypothesis import settings
 
-from microclimap.campaign import MobileSample
-from microclimap.series import FIELDS, Gap, StationSeries, WeatherSample, epoch_us
+from microclimap.campaign import MobileLog
+from microclimap.series import FIELDS, Gap, StationSeries, epoch_us
 
 UTC = timezone.utc
 T0 = datetime(2019, 7, 25, 8, 0, tzinfo=UTC)
@@ -47,23 +47,28 @@ def make_series(values, start=T0, cadence_s=60.0, station_id="case",
 
 
 def make_mobile_log(point_blocks, start=T0, cadence_s=15.0):
-    """Mobile samples from [(point_id, n, fields), ...] blocks, back to back.
+    """Mobile log from [(point_id, n, fields[, block_start]), ...] blocks.
 
-    `fields` maps sample attributes to constants or callables of the sample
-    index within the block.
+    Each block follows the one before it at the cadence, or begins at its
+    own `block_start` when it gives one. `fields` maps sample fields to
+    constants or callables of the sample index within the block (None for a
+    missing value); rh defaults to 50.
     """
-    out = []
+    times, point_ids, rows = [], [], []
     t = start
-    for point_id, n, fields in point_blocks:
+    for point_id, n, fields, *block_start in point_blocks:
+        if block_start:
+            (t,) = block_start
         for i in range(n):
-            resolved = {k: (v(i) if callable(v) else v) for k, v in fields.items()}
-            resolved.setdefault("rh", 50.0)
-            out.append(MobileSample(
-                point_id=point_id,
-                sample=WeatherSample(timestamp=t, **resolved),
-            ))
+            resolved = {"rh": 50.0, **{k: (v(i) if callable(v) else v)
+                                       for k, v in fields.items()}}
+            times.append(epoch_us(t))
+            point_ids.append(point_id)
+            rows.append([resolved.get(name) for name in FIELDS])
             t += timedelta(seconds=cadence_s)
-    return out
+    table = np.array(rows, dtype=float).reshape(len(rows), len(FIELDS))  # None -> NaN
+    return MobileLog(np.array(times, dtype=np.int64), np.array(point_ids, dtype=object),
+                     {name: table[:, k] for k, name in enumerate(FIELDS)})
 
 
 def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):

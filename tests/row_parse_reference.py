@@ -4,6 +4,8 @@ These are the parsers as they were before `series.parse_rows` read logs
 column by column: `csv.DictReader` hands over one dict per row and every
 row goes through `series.parse_row`. The parity tests require the bulk
 reader to give the same series, mobile log and load report on any input.
+The mobile log is built as `campaign.MobileLog` columns once every row is
+read and sorted by time.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ import csv
 
 import numpy as np
 
-from microclimap.campaign import MOBILE_REQUIRED, MobileLog, MobileSample
+from microclimap.campaign import MOBILE_REQUIRED, MobileLog
 from microclimap.errors import DomainError, SchemaError
 from microclimap.series import (FIELDS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, Gap, LoadReport,
-                                StationSeries, WeatherSample, epoch_us, from_epoch_us,
-                                opened, parse_row)
+                                StationSeries, epoch_us, from_epoch_us, opened, parse_row)
 
 
 def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
@@ -102,7 +103,7 @@ def parse_mobile_csv_rows(source) -> MobileLog:
                 if not point_id:
                     raise ValueError("missing point_id")
                 ts, values = parse_row(row, colmap, MOBILE_REQUIRED)
-                out.append(MobileSample(point_id, WeatherSample(ts, *values)))
+                out.append((epoch_us(ts), point_id, values))
             except (ValueError, DomainError) as exc:
                 report.dropped_rows += 1
                 report.drop_reasons.append(f"line {lineno}: {exc}")
@@ -111,5 +112,8 @@ def parse_mobile_csv_rows(source) -> MobileLog:
     if not out:
         raise SchemaError(f"no valid rows in mobile log ({report.drop_reasons[0]})")
     report.rows_kept = len(out)
-    out.sort(key=lambda m: m.sample.timestamp)
-    return MobileLog(out, report)
+    out.sort(key=lambda row: row[0])
+    table = np.array([values for _, _, values in out], dtype=float)  # None -> NaN
+    return MobileLog(np.array([t for t, _, _ in out], dtype=np.int64),
+                     np.array([point_id for _, point_id, _ in out], dtype=object),
+                     {name: table[:, k] for k, name in enumerate(FIELDS)}, report)

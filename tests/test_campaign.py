@@ -2,10 +2,14 @@ import io
 import math
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from conftest import (T0, UTC, V15_FOR_HALF, globe_for_offset, make_mobile_log,
                       make_series)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stabilization_reference as reference
 from microclimap.campaign import (CampaignPlan, DaySummary,
                                   Environment, Insolation, Phase, StabilityClass,
                                   StopSegment, TraversePoint, aggregate_point,
@@ -15,6 +19,7 @@ from microclimap.campaign import (CampaignPlan, DaySummary,
                                   process_campaign, segment_stops)
 from microclimap.errors import (DayRejectedError, DomainError, MatchError,
                                 SchemaError)
+from microclimap.series import FIELDS, WeatherSample, epoch_us, from_epoch_us
 
 
 def make_plan(point_ids=("P1", "P2", "P3"), campaign_id="c1",
@@ -152,20 +157,21 @@ class TestParseMobileCsv:
                           + "2019-07-25T12:00:00+02:00,P1,30.0,40,45.0,0.8\n"
                           + "2019-07-25T12:00:15+02:00,P1,30.1,41,45.1,0.7\n")
         log = parse_mobile_csv(src)
-        assert [m.point_id for m in log] == ["P1", "P1"]
-        assert log[0].sample.t_globe == 45.0
+        assert log.point_ids.tolist() == ["P1", "P1"]
+        assert log.columns["t_globe"].tolist() == [45.0, 45.1]
 
     def test_rows_sorted_by_time(self):
         src = io.StringIO(self.HEADER
                           + "2019-07-25T12:00:15+00:00,P1,30.0,40,45.0,0.8\n"
                           + "2019-07-25T12:00:00+00:00,P1,30.0,40,45.0,0.8\n")
         log = parse_mobile_csv(src)
-        assert log[0].sample.timestamp < log[1].sample.timestamp
+        assert log.t_us.tolist() == [epoch_us(T0.replace(hour=12)),
+                                     epoch_us(T0.replace(hour=12, second=15))]
 
     def test_blank_rh_kept_as_missing(self):
         src = io.StringIO(self.HEADER
                           + "2019-07-25T12:00:00+00:00,P1,30.0,,45.0,0.8\n")
-        assert parse_mobile_csv(src)[0].sample.rh is None
+        assert np.isnan(parse_mobile_csv(src).columns["rh"]).tolist() == [True]
 
     def test_missing_point_id_column(self):
         src = io.StringIO("timestamp,t_air,rh,t_globe,wind\n"
@@ -203,7 +209,7 @@ class TestParseMobileCsv:
     ])
     def test_invalid_value_row_dropped(self, row):
         log = parse_mobile_csv(io.StringIO(self.HEADER + self.GOOD_ROW + row))
-        assert [m.sample.t_globe for m in log] == [45.0]
+        assert log.columns["t_globe"].tolist() == [45.0]
         assert log.load_report.dropped_rows == 1
 
     @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00",
@@ -229,24 +235,30 @@ class TestSegmentStops:
         plan = make_plan(("P1", "P2"))
         log = make_mobile_log([("P1", 40, BASE_FIELDS), ("P2", 50, BASE_FIELDS)])
         segments = segment_stops(log, plan)
-        assert [(s.point_id, len(s.samples)) for s in segments] == [("P1", 40),
-                                                                    ("P2", 50)]
+        assert [(s.point_id, len(s.t_us)) for s in segments] == [("P1", 40),
+                                                                 ("P2", 50)]
+
+    def test_segments_are_views_of_the_log(self):
+        plan = make_plan(("P1", "P2"))
+        log = make_mobile_log([("P1", 40, BASE_FIELDS), ("P2", 50, BASE_FIELDS)])
+        for segment in segment_stops(log, plan):
+            assert np.shares_memory(segment.t_us, log.t_us)
+            for name in FIELDS:
+                assert np.shares_memory(segment.columns[name], log.columns[name])
 
     def test_internal_gap_splits_segment(self):
         plan = make_plan(("P1",))
-        first = make_mobile_log([("P1", 20, BASE_FIELDS)])
-        second = make_mobile_log([("P1", 25, BASE_FIELDS)],
-                                 start=T0 + timedelta(seconds=19 * 15 + 90))
-        segments = segment_stops(first + second, plan)
+        log = make_mobile_log([("P1", 20, BASE_FIELDS),
+                               ("P1", 25, BASE_FIELDS, T0 + timedelta(seconds=19 * 15 + 90))])
+        segments = segment_stops(log, plan)
         assert [s.point_id for s in segments] == ["P1", "P1"]
-        assert len(segments[0].samples) == 20
+        assert len(segments[0].t_us) == 20
 
     def test_sixty_second_gap_does_not_split(self):
         plan = make_plan(("P1",))
-        first = make_mobile_log([("P1", 20, BASE_FIELDS)])
-        second = make_mobile_log([("P1", 5, BASE_FIELDS)],
-                                 start=T0 + timedelta(seconds=19 * 15 + 60))
-        segments = segment_stops(first + second, plan)
+        log = make_mobile_log([("P1", 20, BASE_FIELDS),
+                               ("P1", 5, BASE_FIELDS, T0 + timedelta(seconds=19 * 15 + 60))])
+        segments = segment_stops(log, plan)
         assert len(segments) == 1
 
     def test_short_dwell_flagged(self):
@@ -255,21 +267,43 @@ class TestSegmentStops:
         (segment,) = segment_stops(log, plan)
         assert segment.too_short
 
+    def test_five_minute_dwell_is_long_enough(self):
+        plan = make_plan(("P1", "P2"))
+        # 21 readings span exactly 300 s, 20 readings 285 s
+        log = make_mobile_log([("P1", 21, BASE_FIELDS), ("P2", 20, BASE_FIELDS)])
+        assert [s.too_short for s in segment_stops(log, plan)] == [False, True]
+
     def test_unknown_point_id_named_in_error(self):
         plan = make_plan(("P1",))
         log = make_mobile_log([("P9", 5, BASE_FIELDS)])
         with pytest.raises(DomainError, match="P9"):
             segment_stops(log, plan)
 
+    def test_first_unknown_point_id_in_time_order_is_named(self):
+        plan = make_plan(("P1",))
+        log = make_mobile_log([("P1", 5, BASE_FIELDS), ("P8", 5, BASE_FIELDS),
+                               ("P7", 5, BASE_FIELDS)])
+        with pytest.raises(DomainError, match="'P8'"):
+            segment_stops(log, plan)
+
     def test_half_logs_yield_same_segments_as_joined_log(self):
         plan = make_plan(("P1", "P2", "P3"))
         blocks = [("P1", 30, BASE_FIELDS), ("P2", 30, BASE_FIELDS),
-                  ("P3", 30, BASE_FIELDS)]
-        log = make_mobile_log(blocks)
-        cut = 60  # boundary between the P2 and P3 dwells
-        joined = segment_stops(log, plan)
-        halves = segment_stops(log[:cut], plan) + segment_stops(log[cut:], plan)
-        assert halves == joined
+                  ("P3", 30, BASE_FIELDS, T0 + timedelta(seconds=60 * 15))]
+        joined = segment_stops(make_mobile_log(blocks), plan)
+        # the second half starts at the P3 dwell
+        halves = (segment_stops(make_mobile_log(blocks[:2]), plan)
+                  + segment_stops(make_mobile_log(blocks[2:]), plan))
+        assert segment_values(halves) == segment_values(joined)
+        assert len(joined) == 3
+
+
+def segment_values(segments):
+    """Each segment's point id, times, columns (bitwise) and flags."""
+    return [(s.point_id, s.t_us.tolist(),
+             {name: c.view(np.int64).tolist() for name, c in s.columns.items()},
+             s.stabilization_window, s.stabilized, s.too_short)
+            for s in segments]
 
 
 class TestDetectStabilization:
@@ -310,6 +344,21 @@ class TestDetectStabilization:
         assert not out.stabilized
         assert out.stabilization_window is None
 
+    def test_range_equal_to_delta_settles(self):
+        plan = make_plan(("P1",))
+        fields = dict(BASE_FIELDS, t_globe=lambda i: 40.0 + 0.125 * (i % 2))
+        (segment,) = segment_stops(make_mobile_log([("P1", 61, fields)]), plan)
+        assert detect_stabilization(segment, 0.125).stabilized
+        assert not detect_stabilization(segment, 0.124).stabilized
+
+    def test_window_holds_the_reading_at_its_end(self):
+        # the last reading, exactly 3 min after the latest start, is off
+        plan = make_plan(("P1",))
+        fields = dict(BASE_FIELDS, t_globe=lambda i: 41.0 if i == 60 else 40.0)
+        (segment,) = segment_stops(make_mobile_log([("P1", 61, fields)]), plan)
+        assert detect_stabilization(segment).stabilization_window == (
+            T0 + timedelta(seconds=705), T0 + timedelta(seconds=885))
+
     def test_idempotent_on_stabilized_window(self):
         plan = make_plan(("P1",))
         fields = dict(BASE_FIELDS,
@@ -317,10 +366,10 @@ class TestDetectStabilization:
         log = make_mobile_log([("P1", 61, fields)])
         (segment,) = segment_stops(log, plan)
         first = detect_stabilization(segment)
-        lo, hi = first.stabilization_window
-        tail = StopSegment(point_id="P1",
-                           samples=[s for s in first.samples
-                                    if lo <= s.timestamp <= hi])
+        lo, hi = (epoch_us(t) for t in first.stabilization_window)
+        inside = (first.t_us >= lo) & (first.t_us <= hi)
+        tail = StopSegment(point_id="P1", t_us=first.t_us[inside],
+                           columns={name: c[inside] for name, c in first.columns.items()})
         again = detect_stabilization(tail)
         assert again.stabilized
         assert again.stabilization_window == first.stabilization_window
@@ -376,6 +425,70 @@ class TestAggregatePoint:
         assert drivers.t_mrt == mrt_from_globe(45.0, 30.0, 1.0, GlobeSpec())
 
 
+# Steps between readings (s): repeated times, the 15 s cadence and holes of
+# 30, 45 and 60 s (the longest step that does not split a stop).
+STEPS = st.sampled_from([0, 0, 15, 15, 15, 30, 45, 60])
+
+
+@st.composite
+def dwells(draw):
+    """Readings (step, globe, t_air, rh, wind) whose globe reading walks a level grid.
+
+    On the 1/8 degC grid the ranges of a window hit 0.125 and 0.25 degC
+    exactly; on the 0.05 degC grid three levels give float ranges just under
+    or just over 0.15. A reading at a repeated time mostly moves the level,
+    so a window must hold every reading of its first time.
+    """
+    base, unit = draw(st.sampled_from([(40.0, 0.125), (45.0, 0.05)]))
+    steps = draw(st.lists(STEPS, min_size=1, max_size=40))
+    readings, level = [], 0
+    for step in steps:
+        level += draw(st.sampled_from([0, 1, -1, 2] if step == 0 else [0] * 6 + [1, -1]))
+        readings.append((step, base + level * unit, draw(st.floats(20, 40)),
+                         draw(st.one_of(st.none(), st.floats(10, 90))), draw(st.floats(0.1, 5))))
+    return readings
+
+
+def both_segments(readings):
+    """One dwell as a columnar `StopSegment` and as the reference's per-sample segment."""
+    t_us = epoch_us(T0) + np.cumsum([step for step, *_ in readings]) * 1_000_000
+    rows = [(t_air, rh, globe, wind, None) for _, globe, t_air, rh, wind in readings]
+    table = np.array(rows, dtype=float)  # None -> NaN
+    columnar = StopSegment("P1", t_us, {name: table[:, k] for k, name in enumerate(FIELDS)})
+    samples = [WeatherSample(from_epoch_us(t), *row) for t, row in zip(t_us.tolist(), rows)]
+    return columnar, reference.SampleSegment("P1", samples)
+
+
+class TestColumnarMatchesPerSampleReference:
+    @settings(deadline=None)
+    @given(dwells(), st.sampled_from([0.0, 0.125, 0.15, 0.25]))
+    def test_same_window_and_drivers(self, readings, delta_c):
+        columnar, samples = both_segments(readings)
+        got = detect_stabilization(columnar, delta_c)
+        expected = reference.detect_stabilization(samples, delta_c)
+        assert got.stabilization_window == expected.stabilization_window
+        assert got.stabilized is expected.stabilized
+        if not expected.stabilized:
+            return
+        try:
+            drivers = repr(reference.aggregate_point(expected))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                aggregate_point(got)
+            assert str(raised.value) == str(exc)
+            return
+        assert repr(aggregate_point(got)) == drivers
+
+    def test_window_starts_at_first_reading_of_its_time(self):
+        # two readings at 15 s; the first is 1 degC warmer, and every window
+        # holding 15 s must hold it, so the dwell never settles
+        readings = ([(0, 40.0, 30.0, 40.0, 1.0), (15, 41.0, 30.0, 40.0, 1.0)]
+                    + [(0 if i == 0 else 15, 40.0, 30.0, 40.0, 1.0) for i in range(13)])
+        columnar, samples = both_segments(readings)
+        assert not reference.detect_stabilization(samples).stabilized
+        assert not detect_stabilization(columnar).stabilized
+
+
 class TestMatchControl:
     def test_exact_timestamp(self):
         control = make_series([25.0, 26.0, 27.0], station_id="ctrl")
@@ -396,15 +509,17 @@ class TestMatchControl:
             match_control(T0 + timedelta(seconds=360), control)
 
 
+def synthetic_blocks(deltas, t_air=30.0, rh=40.0):
+    """Mobile log blocks of 12 min dwells realizing the target offsets."""
+    return [(pid, 49, {"t_air": t_air, "rh": rh, "wind": V15_FOR_HALF,
+                       "t_globe": globe_for_offset(delta, t_air, rh)})
+            for pid, delta in deltas.items()]
+
+
 def synthetic_campaign(deltas, t_air=30.0, rh=40.0):
     """Plan, mobile log, and control series realizing the target offsets."""
     plan = make_plan(tuple(deltas))
-    blocks = []
-    for pid, delta in deltas.items():
-        fields = {"t_air": t_air, "rh": rh, "wind": V15_FOR_HALF,
-                  "t_globe": globe_for_offset(delta, t_air, rh)}
-        blocks.append((pid, 49, fields))  # 12 min dwell per point
-    log = make_mobile_log(blocks)
+    log = make_mobile_log(synthetic_blocks(deltas, t_air, rh))
     control = make_series([t_air] * 80, start=T0 - timedelta(minutes=10),
                           rh=rh, station_id="ctrl")
     return plan, log, control
@@ -421,8 +536,9 @@ class TestProcessCampaign:
         assert report.failures == []
 
     def test_stop_shorter_than_five_minutes_is_unusable(self):
-        plan, log, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
-        log = log[:49 + 15]  # P2 keeps a steady 15-sample (210 s) dwell
+        plan, _, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
+        (p1, p2) = synthetic_blocks({"P1": 1.0, "P2": 0.0})
+        log = make_mobile_log([p1, ("P2", 15, p2[2])])  # a steady 15-sample (210 s) dwell
         results, report = process_campaign(plan, log, control, day_summary=good_day())
         assert [r.point_id for r in results] == ["P1"]
         assert report.failures == [("P2", "segment at P2 lasts 210 s, under the 300 s "
@@ -459,14 +575,13 @@ class TestProcessCampaign:
         assert "override" in report.summary()
 
     def test_per_point_failure_does_not_kill_campaign(self):
-        plan, log, control = synthetic_campaign({"P1": 2.0, "P2": 0.0})
+        _, _, control = synthetic_campaign({"P1": 2.0, "P2": 0.0})
         ramp = {"t_air": 30.0, "rh": 40.0, "wind": V15_FOR_HALF,
                 "t_globe": lambda i: 40.0 + 0.05 * i}
-        bad_log = make_mobile_log([("P3", 61, ramp)],
-                                  start=log[-1].sample.timestamp
-                                  + timedelta(seconds=15))
+        # P3 follows the P2 dwell
+        log = make_mobile_log(synthetic_blocks({"P1": 2.0, "P2": 0.0}) + [("P3", 61, ramp)])
         plan = make_plan(("P1", "P2", "P3"))
-        results, report = process_campaign(plan, log + bad_log, control,
+        results, report = process_campaign(plan, log, control,
                                            day_summary=good_day())
         assert [r.point_id for r in results] == ["P1", "P2"]
         assert [pid for pid, _ in report.failures] == ["P3"]
@@ -512,7 +627,7 @@ class TestProcessCampaign:
         onsite = self.onsite_series()
         _, report = process_campaign(plan, log, control,
                                      day_summary=good_day(), onsite=onsite)
-        span = (log[0].sample.timestamp, log[-1].sample.timestamp)
+        span = (from_epoch_us(int(log.t_us[0])), from_epoch_us(int(log.t_us[-1])))
         whole = drift_diagnostic(offset_series(onsite, control, "utci"), span)
         assert report.drift.n_samples == whole.n_samples
         assert report.drift.amplitude == pytest.approx(whole.amplitude, abs=1e-9)
