@@ -5,6 +5,44 @@ extent is sub-hectare so no geodesic math is attempted. The UCP indicator
 maps each cell to [0, 1]: 1 for bare sun-exposed dark pavement, 0 for
 dense, shaded vegetation.
 
+Cells are converted in numpy blocks, not by one `float()` or `repr()` per
+cell, with exactly the values `float()` reads and the text `repr()` writes:
+
+- Reading (`_decode_cells`). A token `-?digits[.digits]` is an integer
+  mantissa m over 10**k, k its fraction digits. One
+  `np.fromstring(..., np.int64)` reads m from the text with every '.'
+  deleted, and one `np.fromstring(..., np.uint64)` reads 10**k from a copy
+  in which a '.' is 1 and every other token byte 0. In the x87 80-bit long
+  double, whose 64-bit significand holds |m| < 2**63 and 10**k (k < 20)
+  exactly, m / 10**k is one correctly rounded division (Clinger 1990), and
+  rounding that quotient to float64 gives float()'s value unless it lies
+  exactly on a float64 midpoint; those cells are divided again as Python
+  integers. Other tokens (an exponent, `nan`, `+`, `_`, 20 or more fraction
+  digits, a mantissa beyond int64, a negative zero) go through `float()`
+  one at a time. A text the kernel would split or read differently from
+  `str.split()` and `float()` (a non-ASCII or control byte, a token
+  `float()` rejects) is converted cell by cell instead, so every error
+  keeps its wording. The kernel runs only where numpy's long double is
+  the x87 format (`_EXACT_PARSE`); elsewhere every cell goes through
+  `float()`.
+- Writing (`_encode_rows`). For x with 1e-4 <= |x| < 1e16, `repr` writes
+  in fixed notation the nearest decimal of the fewest significant digits
+  that reads back as x (as Ryu does, Adams 2018). The nearest 16-digit
+  decimal N / 10**s is found exactly: |x| splits into two 26-bit halves
+  and 10**s into two short terms, so every partial product is an exact
+  float64. N reads back as x when |N - x * 10**s| is below half an ulp of
+  x times 10**s, or equal to it with x's last significand bit even.
+  Unless x is a power of two its rounding interval is symmetric, so the
+  nearest p-digit decimal reads back whenever any p-digit one does: when
+  the 16-digit one does, the nearest 15-digit one is tried, and its digits
+  without trailing zeros are the shortest if it reads back too; when it
+  does not, no shorter one can, and the nearest 17-digit one always does.
+  A power of two in this range is itself a decimal of at most 16 digits,
+  which those rounds find exactly. numpy byte columns lay out the digits.
+  Zeros are written the same way; cells outside that range and exact ties
+  in a rounding go through `repr()`. Only exact float64 and int64
+  operations are used, so this runs everywhere.
+
 Grids of at least `_FORK_MIN_CELLS` cells are parsed and written on two
 cores where Linux offers them: a forked child converts one half of the
 cells while this process converts the other. Values and written bytes are
@@ -43,8 +81,8 @@ from .thermal import heat_stress_category
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 
 #: Smallest grid parsed and written on two cores. A fork round trip costs
-#: about 5 ms; one core converts a million cells in about 0.6 s (2-vCPU
-#: x86-64 VM).
+#: about 5 ms; one core parses or writes a million cells in about 0.3 s with
+#: the block codec (2-vCPU x86-64 VM).
 _FORK_MIN_CELLS = 250_000
 
 _CELLS_DTYPE = np.dtype("<f8")
@@ -52,6 +90,60 @@ _DIGEST_BYTES = 32  # SHA-256
 #: Leading bytes of a grid decoded to find its header when the sidecar is
 #: used; a header that runs past them sends the read to the full parse.
 _HEADER_BYTES = 4096
+
+#: Whether the parse kernel can run: numpy's long double must be the x87
+#: 80-bit format, whose 64-bit significand holds every operand exactly and
+#: whose low 11 significand bits, stored first, show a float64 midpoint.
+_EXACT_PARSE = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+#: Grid text parsed per block (about 50,000 cells of 20 bytes).
+_BLOCK_BYTES = 1 << 20
+#: Cells written per block of whole rows. A block's temporaries take about
+#: 300 bytes a cell; larger blocks write no faster and raise the peak RSS of
+#: the forked writer, which starts from this process's pages.
+_BLOCK_CELLS = 1 << 14
+#: A block stays in the kernel while it holds at most one token with a byte
+#: other than a digit, '.' or '-' (`1e-05`, `nan`) per this many bytes:
+#: each such token splits the block into one more run of numpy calls, so
+#: denser ones make `float()` on every cell the faster way.
+_ODD_TOKEN_SPACING = 4096
+#: Cells converted one at a time by `float()` or `repr()`; only tests read it.
+_per_cell_conversions = {"float": 0, "repr": 0}
+
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
+_POW10_LD = _POW10_U64.astype(np.longdouble)  # exact: a 64-bit significand
+_INT64 = np.iinfo(np.int64)
+_UINT64_MAX = np.iinfo(np.uint64).max
+
+
+def _token_marks() -> bytes:
+    """`bytes.translate` table that makes a token's fraction-digit count readable.
+
+    A digit or '-' becomes '0' and a '.' '1', so a token with k fraction
+    digits reads as 10**k. ASCII whitespace becomes a space, any other
+    control byte '!', and every other byte 'x'.
+    """
+    table = bytearray(b"x" * 256)
+    table[:33] = b"!" * 33
+    table[127] = ord("!")
+    for byte in b" \t\n\r":
+        table[byte] = ord(" ")
+    for byte in b"0123456789-":
+        table[byte] = ord("0")
+    table[ord(".")] = ord("1")
+    return bytes(table)
+
+
+_MARKS = _token_marks()
+
+#: 10**s = (hi + lo) * 2**s for s <= 20, where 5**s < 2**47 splits into hi
+#: (24 bits) and lo (23 bits), so a 26-bit number times either is exact.
+_POW5 = [5 ** s for s in range(21)]
+_SCALE_HI = np.array([float(f >> 23 << 23) * 2.0 ** s for s, f in enumerate(_POW5)])
+_SCALE_LO = np.array([float(f & 0x7FFFFF) * 2.0 ** s for s, f in enumerate(_POW5)])
+_POW10_F64 = np.array([float(10 ** s) for s in range(21)])  # exact
+#: float("1e<e>") for e = -5..17: the least float64 >= 10**e, since each of
+#: these is exact or rounded up.
+_DECADES = np.array([float(f"1e{e}") for e in range(-5, 18)])
 
 
 class Semantic(Enum):
@@ -88,7 +180,7 @@ class RasterLayer:
             raise GridError(
                 f"value grid shape {self.values.shape} does not match "
                 f"declared {self.nrows} rows x {self.ncols} cols")
-        if self.cellsize <= 0:
+        if not self.cellsize > 0:
             raise GridError(f"cellsize must be > 0, got {self.cellsize}")
         if not math.isfinite(self.nodata):
             raise GridError(f"NODATA_value must be finite, got {self.nodata}")
@@ -173,10 +265,9 @@ def _read_header(text: str) -> tuple[dict[str, float], float, int]:
     """Header values, the nodata value and the offset where the cell values start.
 
     The header is every leading line whose first word is a header key;
-    blank lines are skipped.
+    blank lines are skipped. A key may appear once.
     """
     header: dict[str, float] = {}
-    nodata = -9999.0
     start = 0
     while start < len(text):
         end = text.find("\n", start)
@@ -191,17 +282,170 @@ def _read_header(text: str) -> tuple[dict[str, float], float, int]:
                 (value,) = map(float, parts[1:])  # exactly one number
             except ValueError:
                 raise GridError(f"malformed header line: {line.strip()!r}") from None
-            if key == "nodata_value":
-                nodata = value
-            else:
-                header[key] = value
+            if key in header:
+                raise GridError(f"repeated header key: {parts[0]}")
+            header[key] = value
         start = end
+    nodata = header.pop("nodata_value", -9999.0)
     return header, nodata, start
 
 
+def _grid_shape(header: dict[str, float]) -> tuple[int, int]:
+    """(ncols, nrows) of a grid, once every header value is checked."""
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise GridError(f"missing header keys: {', '.join(missing)}")
+    for key in ("ncols", "nrows"):
+        value = header[key]
+        if not (math.isfinite(value) and value >= 1 and value == int(value)):
+            raise GridError(f"{key} must be a positive integer, got {value}")
+    for key in ("xllcorner", "yllcorner", "cellsize"):
+        if not math.isfinite(header[key]):
+            raise GridError(f"{key} must be finite, got {header[key]}")
+    return int(header["ncols"]), int(header["nrows"])
+
+
+def _exact_double(mantissa: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 of mantissa / 10**k (uint64, k < 20), and where it may be off.
+
+    Both operands are exact long doubles, so their quotient is correctly
+    rounded to 64 bits, and rounding it to float64 is correct unless it
+    fell exactly on a float64 midpoint: then the flag is set.
+    """
+    quotient = mantissa.astype(np.longdouble) / _POW10_LD[k]
+    low_bits = np.ndarray(quotient.shape, np.uint64, quotient, strides=quotient.strides)
+    return quotient.astype(np.float64), (low_bits & 0x7FF) == 0x400
+
+
+def _token_end(marks: bytes, pos: int) -> int:
+    """Where the token at or after `pos` ends: the next space in `marks`, or its end."""
+    end = marks.find(b" ", pos)
+    return len(marks) if end < 0 else end
+
+
+def _token_texts(text: bytes, marks: bytes, indices: np.ndarray) -> list[bytes]:
+    """The whitespace-separated tokens of `text` at `indices`."""
+    word = np.frombuffer(marks, np.uint8) != ord(" ")
+    starts = np.flatnonzero(word & ~np.r_[False, word[:-1]])[indices].tolist()
+    return [text[start:_token_end(marks, start)] for start in starts]
+
+
+def _floats(tokens: list[bytes]) -> list[float] | None:
+    """`float()` of each token, or None when one does not convert."""
+    _per_cell_conversions["float"] += len(tokens)
+    try:
+        return [float(token) for token in tokens]
+    except ValueError:
+        return None
+
+
+def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
+    """Cells of tokens made of digits, '.' and '-'; None when one is malformed."""
+    if marks.isspace() or not marks:
+        return np.empty(0)  # np.fromstring reads whitespace alone as one 0
+    try:
+        mantissa = np.fromstring(text.replace(b".", b""), np.int64, sep=" ")
+    except ValueError:
+        return None  # a '-' after a token's first byte
+    power = np.fromstring(marks, np.uint64, sep=" ")  # 10**k
+    if mantissa.size != power.size:
+        return None  # a token without a digit
+    # saturated reads: a mantissa beyond int64, or 20 or more fraction digits
+    alone = (mantissa == _INT64.max) | (mantissa == _INT64.min) | (power == _UINT64_MAX)
+    k = np.searchsorted(_POW10_U64, power, "right") - 1
+    if ((power != 0) & (power != _POW10_U64[k]) & ~alone).any():
+        return None  # a token with two '.'
+    k = np.maximum(k, 0)
+    negative = mantissa < 0
+    if b"-" in text and text.count(b"-") != np.count_nonzero(negative):
+        zeros = np.flatnonzero(mantissa == 0)  # a '-' with no digit, or a negative zero
+        signed = [token.startswith(b"-") for token in _token_texts(text, marks, zeros)]
+        alone[zeros[signed]] = True
+    values, midpoint = _exact_double(np.abs(mantissa).view(np.uint64), k)
+    np.negative(values, out=values, where=negative)
+    for i in np.flatnonzero(midpoint & ~alone).tolist():
+        _per_cell_conversions["float"] += 1
+        values[i] = int(mantissa[i]) / 10 ** int(k[i])  # a correctly rounded quotient
+    if alone.any():
+        indices = np.flatnonzero(alone)
+        floats = _floats(_token_texts(text, marks, indices))
+        if floats is None:
+            return None
+        values[indices] = floats
+    return values
+
+
+def _odd_token_spans(marks: bytes, limit: int) -> list[tuple[int, int]] | None:
+    """(start, end) of each token with a byte other than a digit, '.' or '-',
+    which `float()` reads alone; None when there are more than `limit`."""
+    spans, end = [], 0
+    while (hit := marks.find(b"x", end)) >= 0:
+        if len(spans) == limit:
+            return None
+        end = _token_end(marks, hit)
+        spans.append((marks.rfind(b" ", 0, hit) + 1, end))
+    return spans
+
+
+def _decode_block(text: bytes, marks: bytes) -> np.ndarray | None:
+    """Cells of one block of grid text, whose `_MARKS` translation is `marks`.
+
+    None where the per-cell path must convert the text: a control byte
+    `str.split()` may split on, or a token `float()` rejects.
+    """
+    if b"!" in marks:
+        return None
+    spans = _odd_token_spans(marks, len(marks) // _ODD_TOKEN_SPACING)
+    if spans is None:
+        floats = _floats(text.split())
+        return None if floats is None else np.array(floats, dtype=float)
+    parts, pos = [], 0
+    for start, end in spans:
+        run = _decode_run(text[pos:start], marks[pos:start])
+        odd = _floats([text[start:end]])
+        if run is None or odd is None:
+            return None
+        parts += [run, odd]
+        pos = end
+    run = _decode_run(text[pos:], marks[pos:])
+    if run is None:
+        return None
+    return np.concatenate(parts + [run]) if parts else run
+
+
+def _decode_cells(text: str) -> np.ndarray | None:
+    """The numbers in `text` as `float()` reads them, converted block by block.
+
+    None when the per-cell path must convert `text`, to split it exactly as
+    `str.split()` does or to word an error.
+    """
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    marks = data.translate(_MARKS)
+    parts, pos = [], 0
+    while pos < len(data):
+        end = _token_end(marks, pos + _BLOCK_BYTES)
+        part = _decode_block(data[pos:end], marks[pos:end])
+        if part is None:
+            return None
+        parts.append(part)
+        pos = end
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 def _cell_values(text: str) -> np.ndarray:
-    """The whitespace-separated numbers in `text`, converted as `float()` would."""
-    return np.array(text.split(), dtype=float)
+    """The whitespace-separated numbers in `text`, converted as `float()` would.
+
+    Raises ValueError for a number `float()` rejects.
+    """
+    cells = _decode_cells(text) if _EXACT_PARSE else None
+    if cells is None:
+        tokens = text.split()
+        _per_cell_conversions["float"] += len(tokens)
+        cells = np.array(tokens, dtype=float)
+    return cells
 
 
 def _parse_cells_on_two_cores(text: str, start: int) -> np.ndarray | None:
@@ -226,23 +470,21 @@ def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
     with opened(source) as fh:
         text = fh.read()
     header, nodata, start = _read_header(text)
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise GridError(f"missing header keys: {', '.join(missing)}")
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    cells = (_parse_cells_on_two_cores(text, start)
-             if _fork_possible(ncols * nrows) else None)
-    if cells is None:  # one core, or a worker failed: this path words every error
+    ncols, nrows = _grid_shape(header)
+    if _fork_possible(ncols * nrows):
+        cells = _parse_cells_on_two_cores(text, start)
+    else:
+        cells = _decode_cells(text[start:]) if _EXACT_PARSE else None
+    if cells is None or cells.size != ncols * nrows:  # this path words every error
         tokens = text[start:].split()
         if len(tokens) != ncols * nrows:
             raise GridError(
                 f"expected {ncols * nrows} cell values, found {len(tokens)}")
+        _per_cell_conversions["float"] += len(tokens)
         try:
             cells = np.array(tokens, dtype=float)
         except ValueError as exc:
             raise GridError(f"non-numeric cell value: {exc}") from exc
-    elif cells.size != ncols * nrows:
-        raise GridError(f"expected {ncols * nrows} cell values, found {cells.size}")
     return RasterLayer(
         ncols=ncols, nrows=nrows,
         xllcorner=header["xllcorner"], yllcorner=header["yllcorner"],
@@ -294,10 +536,12 @@ def _layer_from_sidecar(path: Path, semantic: Semantic) -> RasterLayer | None:
         header, nodata, start = _read_header(grid[:head_end].decode("ascii"))
     except (UnicodeDecodeError, GridError):
         return None
-    if ((start == head_end and head_end < len(grid))  # header may go on
-            or any(k not in header for k in _HEADER_KEYS)):
+    if start == head_end and head_end < len(grid):  # header may go on
         return None
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    try:
+        ncols, nrows = _grid_shape(header)
+    except GridError:
+        return None
     if cells.size != ncols * nrows:
         return None
     return RasterLayer(
@@ -318,9 +562,147 @@ def read_ascii_grid(path, semantic: Semantic) -> RasterLayer:
     return parse_ascii_grid(path, semantic) if layer is None else layer
 
 
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**s rounded to the nearest integer, and their distance, both exact.
+
+    a splits into two halves of at most 26 bits (Veltkamp) and 10**s into
+    `_SCALE_HI` + `_SCALE_LO`, so the four partial products are exact. Their
+    whole parts sum exactly in int64; their fractional parts are multiples
+    of one power of two no smaller than 2**-49 and sum below 4, so they sum
+    exactly in float64 (the callers keep a * 10**s between 1e14 and 1e17).
+    """
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    low = a - high
+    whole = np.zeros(a.shape, np.int64)
+    fraction = np.zeros(a.shape)
+    for term in (high * _SCALE_HI[s], high * _SCALE_LO[s],
+                 low * _SCALE_HI[s], low * _SCALE_LO[s]):
+        floor = np.floor(term)
+        whole += floor.astype(np.int64)
+        fraction += term - floor
+    up = np.floor(fraction + 0.5)
+    return (whole + up.astype(np.int64)).view(np.uint64), np.abs(fraction - up)
+
+
+def _reads_back(distance, half_ulp, s, even) -> np.ndarray:
+    """Whether a decimal `distance` * 10**-s away from a float64 reads as it.
+
+    `float()` rounds to nearest with ties to even; half an ulp times 10**s
+    is exact, a power of two times an exact 10**s.
+    """
+    half = half_ulp * _POW10_F64[s]
+    return (distance < half) | ((distance == half) & even)
+
+
+def _shortest_decimals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, s, ok): N / 10**s is the decimal `repr` writes for each a.
+
+    a is positive and in [1e-4, 1e16). ok is False where a round needed is
+    an exact tie, which `repr` breaks its own way.
+    """
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    e10 += a >= _DECADES[e10 + 6]  # log10 may be one off next to a power of ten
+    e10 -= a < _DECADES[e10 + 5]
+    half_ulp = np.spacing(a) / 2
+    even = (a.view(np.int64) & 1) == 0
+    s = 15 - e10  # 16 significant digits
+    n, distance = _scaled(a, s)
+    ok = distance != 0.5
+    back = ok & _reads_back(distance, half_ulp, s, even)
+    i = np.flatnonzero(back)
+    s15 = np.maximum(s[i] - 1, 0)
+    n15, distance = _scaled(a[i], s15)
+    ok[i] = distance != 0.5
+    shorter = ok[i] & _reads_back(distance, half_ulp[i], s15, even[i])
+    n[i[shorter]], s[i[shorter]] = n15[shorter], s15[shorter]
+    j = np.flatnonzero(ok & ~back)
+    s[j] += 1
+    n[j], distance = _scaled(a[j], s[j])
+    ok[j] = (distance != 0.5) & _reads_back(distance, half_ulp[j], s[j], even[j])
+    return n, s, ok
+
+
+def _digit_rows(n: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each n < 10**17, most significant first, as (17, len(n))."""
+    digits = np.empty((17, n.size), np.uint8)
+    for part, rows in (((n % 10**9).astype(np.uint32), range(16, 7, -1)),
+                       ((n // 10**9).astype(np.uint32), range(7, -1, -1))):
+        for row in rows:
+            quotient = part // 10
+            digits[row] = part - quotient * 10
+            part = quotient
+    return digits
+
+
+def _encode_rows(rows: np.ndarray) -> str:
+    """Text lines of `rows`, each cell written as `repr` writes it.
+
+    Each cell is laid out as byte columns: a sign, "0." and up to three
+    zeros before a decimal whose point precedes all 17 digits, the digits
+    of N each followed by a slot for the point, a "0" after a point with no
+    fraction digit, and the separator. Unused slots hold NUL and are
+    deleted at the end.
+    """
+    x = rows.ravel()
+    a = np.abs(x)
+    kernel = (a >= 1e-4) & (a < 1e16)
+    if 2 * np.count_nonzero(kernel | (a == 0)) < x.size:  # mostly other notations
+        _per_cell_conversions["repr"] += x.size
+        return "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
+    n = np.zeros(x.size, np.uint64)  # zeros stay 0 / 10**0
+    s = np.zeros(x.size, np.int64)
+    cells = np.flatnonzero(kernel)
+    n[cells], s[cells], ok = _shortest_decimals(a[cells])
+    by_repr = np.flatnonzero(~kernel & (a != 0)).tolist() + cells[~ok].tolist()
+    digits = _digit_rows(n)
+    zero = digits == 0
+    s = s.astype(np.int8)
+    lead = np.zeros(x.size, np.int8)  # leading and trailing zero digits
+    trail = np.zeros(x.size, np.int8)
+    for zeros, count in ((zero, lead), (zero[::-1], trail)):
+        run = np.ones(x.size, bool)
+        for row in zeros:
+            run &= row
+            count += run
+    first = np.maximum(np.minimum(lead, 16 - s), 0)  # digits shown: first <= place < stop
+    stop = 17 - np.minimum(s, trail)
+    places = np.arange(17, dtype=np.int8)[:, None]
+    shown = (places >= first) & (places < stop)
+    chars = (digits + ord("0")) * shown
+    columns = [np.signbit(x) * np.uint8(ord("-"))]
+    if s.max() >= 17:
+        columns += [(s >= 17) * np.uint8(ord("0")), (s >= 17) * np.uint8(ord("."))]
+        columns += [(s >= 17 + z) * np.uint8(ord("0")) for z in range(1, s.max() - 16)]
+    points = np.bincount(16 - s[s <= 16], minlength=17)
+    for place in range(17):
+        if shown[place].any():
+            columns.append(chars[place])
+        if points[place]:
+            columns.append((s == 16 - place) * np.uint8(ord(".")))
+    columns.append((trail >= s) * np.uint8(ord("0")))
+    separator = np.full(x.size, ord(" "), np.uint8)
+    separator[rows.shape[1] - 1::rows.shape[1]] = ord("\n")
+    columns.append(separator)
+    texts = [repr(v).encode() for v in x[by_repr].tolist()]
+    _per_cell_conversions["repr"] += len(texts)
+    width = max([len(t) + 1 for t in texts], default=0)
+    columns += [np.zeros(x.size, np.uint8)] * (width - len(columns))
+    layout = np.stack(columns, axis=1)
+    if texts:
+        ends = separator[by_repr].tobytes()
+        fields = b"".join((text + ends[i:i + 1]).ljust(len(columns), b"\0")
+                          for i, text in enumerate(texts))
+        layout[by_repr] = np.frombuffer(fields, np.uint8).reshape(len(texts), -1)
+    return layout.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _grid_rows(values: np.ndarray) -> str:
-    """Rows of cell values as text lines; `repr` round-trips every float."""
-    return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in values)
+    """Rows of cell values as text lines, each cell as `repr` writes it."""
+    if not values.size:
+        return "\n" * len(values)
+    step = max(1, _BLOCK_CELLS // values.shape[1])
+    return "".join(_encode_rows(values[i:i + step]) for i in range(0, len(values), step))
 
 
 def write_ascii_grid(layer: RasterLayer, sink) -> None:

@@ -15,8 +15,11 @@ UTC = timezone.utc
 T0 = datetime(2019, 7, 25, 8, 0, tzinfo=UTC)
 
 # CI runs the property tests that set no example count of their own, the
-# parser and kernel parity tests among them, with `--hypothesis-profile=ci`.
+# parser and kernel parity tests among them, with `--hypothesis-profile=ci`,
+# and the grid codec's parity tests (`-k codec`) again with
+# `--hypothesis-profile=codec`.
 settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.register_profile("codec", max_examples=10_000, deadline=None)
 
 
 def make_series(values, start=T0, cadence_s=60.0, station_id="case",

@@ -472,10 +472,16 @@ def _shift_ucp(site):
     ucp.write_text(ucp.read_text().replace("xllcorner 0.0", "xllcorner 10.0"))
 
 
+def _fractional_ncols_in_ucp(site):
+    ucp = site / "out" / "ucp.asc"
+    ucp.write_text(ucp.read_text().replace("ncols 2", "ncols 2.5"))
+
+
 BAD_UCP = pytest.mark.parametrize("spoil, phrase", [
     (_truncate_ucp, "expected 4 cell values, found 2"),
     (_nan_in_ucp, "non-finite cell value nan at row 2, column 1"),
     (_shift_ucp, "location (0.5, 0.5) outside raster extent"),
+    (_fractional_ncols_in_ucp, "ncols must be a positive integer, got 2.5"),
 ])
 
 
@@ -498,6 +504,25 @@ class TestBadUcpRaster:
         TestMalformedConfigExitsTwo.assert_one_line_exit_two(
             run(site, "compare", "before", "after"), "cannot use UCP raster: " + phrase)
         assert not (site / "out" / "compare_before_after").exists()
+
+
+class TestBadGridHeader:
+    """An input grid whose header value is unusable exits 2 with one line."""
+
+    @pytest.mark.parametrize("old, new, phrase", [
+        ("ncols 2", "ncols nan", "ncols must be a positive integer, got nan"),
+        ("ncols 2", "ncols 1e400", "ncols must be a positive integer, got inf"),
+        ("ncols 2", "ncols 2.5", "ncols must be a positive integer, got 2.5"),
+        ("ncols 2", "ncols 0", "ncols must be a positive integer, got 0.0"),
+        ("cellsize 1.0", "cellsize nan", "cellsize must be finite, got nan"),
+        ("nrows 2", "nrows 2\nnrows 2", "repeated header key: nrows"),
+    ])
+    def test_ucp(self, site, old, new, phrase):
+        grid = site / "albedo.asc"
+        grid.write_text(grid.read_text().replace(old, new, 1))
+        TestMalformedConfigExitsTwo.assert_one_line_exit_two(
+            run(site, "ucp"), "UCP computation failed: " + phrase)
+        assert not (site / "out" / "ucp.asc").exists()
 
 
 class TestUcpSidecar:

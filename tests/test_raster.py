@@ -1,7 +1,14 @@
 import io
 import math
 import os
+import platform
+import re
+import struct
+import sys
 from datetime import date
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,11 +46,37 @@ def grid_text(rows, nodata=NODATA):
     return "\n".join(lines) + "\n"
 
 
+#: The parse kernel where this platform can run it, then forced off.
+PARSE_KERNEL_SETTINGS = (raster._EXACT_PARSE, False)
+
+
+def parse_grid(source, semantic):
+    """`parse_ascii_grid` with the parse kernel on and forced off.
+
+    Both must give the same layer or the same GridError text; the layer is
+    returned and the error raised.
+    """
+    text = source.getvalue() if isinstance(source, io.StringIO) else Path(source).read_text()
+    outcomes = []
+    for kernel in PARSE_KERNEL_SETTINGS:
+        with mock.patch.object(raster, "_EXACT_PARSE", kernel):
+            try:
+                outcomes.append(parse_ascii_grid(io.StringIO(text), semantic))
+            except GridError as exc:
+                outcomes.append(exc)
+    on, off = outcomes
+    if isinstance(off, GridError):
+        assert isinstance(on, GridError) and str(on) == str(off), (on, off)
+        raise off
+    assert_same_layer(on, off)
+    return on
+
+
 class TestParseAsciiGrid:
     def test_two_by_two_albedo(self):
-        grid = parse_ascii_grid(io.StringIO(grid_text([[0.25, 0.25],
-                                                       [0.25, 0.25]])),
-                                Semantic.ALBEDO)
+        grid = parse_grid(io.StringIO(grid_text([[0.25, 0.25],
+                                                 [0.25, 0.25]])),
+                          Semantic.ALBEDO)
         assert grid.values.size == 4
         assert grid.values.shape == (2, 2)
         assert grid.cellsize == 1.0
@@ -51,36 +84,36 @@ class TestParseAsciiGrid:
     def test_albedo_above_one_is_range_error(self):
         src = io.StringIO(grid_text([[0.25, 1.3], [0.25, 0.25]]))
         with pytest.raises(GridError, match="1.3"):
-            parse_ascii_grid(src, Semantic.ALBEDO)
+            parse_grid(src, Semantic.ALBEDO)
 
     def test_nodata_cells_preserved(self):
         src = io.StringIO(grid_text([[0.25, NODATA], [NODATA, 0.5]]))
-        grid = parse_ascii_grid(src, Semantic.ALBEDO)
+        grid = parse_grid(src, Semantic.ALBEDO)
         assert grid.mask().sum() == 2
         assert grid.values[0, 1] == NODATA
 
     def test_nodata_exempt_from_range_check(self):
         src = io.StringIO(grid_text([[0.25, NODATA]]))
-        parse_ascii_grid(src, Semantic.VEGETATION_FRACTION)  # no error
+        parse_grid(src, Semantic.VEGETATION_FRACTION)  # no error
 
     def test_missing_header_key(self):
         src = io.StringIO("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\n0.1 0.2\n")
         with pytest.raises(GridError, match="cellsize"):
-            parse_ascii_grid(src, Semantic.ALBEDO)
+            parse_grid(src, Semantic.ALBEDO)
 
     def test_value_count_mismatch(self):
         src = io.StringIO(grid_text([[0.1, 0.2]]).replace("0.1 0.2", "0.1"))
         with pytest.raises(GridError, match="expected 2"):
-            parse_ascii_grid(src, Semantic.ALBEDO)
+            parse_grid(src, Semantic.ALBEDO)
 
     def test_non_numeric_cell(self):
         src = io.StringIO(grid_text([[0.1, 0.2]]).replace("0.2", "abc"))
         with pytest.raises(GridError):
-            parse_ascii_grid(src, Semantic.ALBEDO)
+            parse_grid(src, Semantic.ALBEDO)
 
     def test_raw_irradiance_not_bounds_checked(self):
         src = io.StringIO(grid_text([[850.0, 900.0]]))
-        grid = parse_ascii_grid(src, Semantic.IRRADIANCE_RAW)
+        grid = parse_grid(src, Semantic.IRRADIANCE_RAW)
         assert grid.values[0, 0] == 850.0
 
     def test_round_trip_bit_exact(self):
@@ -89,7 +122,7 @@ class TestParseAsciiGrid:
         buf = io.StringIO()
         write_ascii_grid(original, buf)
         buf.seek(0)
-        again = parse_ascii_grid(buf, Semantic.ALBEDO)
+        again = parse_grid(buf, Semantic.ALBEDO)
         assert np.array_equal(again.values, original.values)
         assert again.xllcorner == original.xllcorner
         assert again.nodata == original.nodata
@@ -107,27 +140,59 @@ class TestParseAsciiGrid:
         for semantic in (Semantic.UCP, Semantic.IRRADIANCE_RAW):
             with pytest.raises(GridError, match=(f"^non-finite cell value {shown} "
                                                  "at row 2, column 1$")):
-                parse_ascii_grid(io.StringIO(text), semantic)
+                parse_grid(io.StringIO(text), semantic)
 
     @pytest.mark.parametrize("nodata", ["nan", "inf"])
     def test_non_finite_nodata_rejected(self, nodata):
         src = io.StringIO(grid_text([[0.25, 0.5]], nodata=nodata))
         with pytest.raises(GridError, match="NODATA_value must be finite"):
-            parse_ascii_grid(src, Semantic.ALBEDO)
+            parse_grid(src, Semantic.ALBEDO)
 
     def test_non_numeric_header_value(self):
         src = io.StringIO(grid_text([[0.25, 0.5]]).replace("cellsize 1.0", "cellsize one"))
         with pytest.raises(GridError, match="malformed header line: 'cellsize one'"):
-            parse_ascii_grid(src, Semantic.ALBEDO)
+            parse_grid(src, Semantic.ALBEDO)
+
+    @pytest.mark.parametrize("line, message", [
+        ("ncols nan", "ncols must be a positive integer, got nan"),
+        ("ncols 1e400", "ncols must be a positive integer, got inf"),
+        ("ncols 2.5", "ncols must be a positive integer, got 2.5"),
+        ("ncols 0", "ncols must be a positive integer, got 0.0"),
+        ("nrows -1", "nrows must be a positive integer, got -1.0"),
+        ("xllcorner inf", "xllcorner must be finite, got inf"),
+        ("yllcorner -inf", "yllcorner must be finite, got -inf"),
+        ("cellsize nan", "cellsize must be finite, got nan"),
+        ("cellsize -1", "cellsize must be > 0, got -1.0"),
+    ])
+    def test_unusable_header_value(self, line, message):
+        key = line.split()[0]
+        text = re.sub(f"^{key} .*$", line, grid_text([[0.25, 0.5]]), count=1, flags=re.M)
+        with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
+            parse_grid(io.StringIO(text), Semantic.ALBEDO)
+
+    @pytest.mark.parametrize("again", ["nrows 1", "NROWS 1", "NODATA_value -1"])
+    def test_repeated_header_key(self, again):
+        text = grid_text([[0.25, 0.5]]).replace("cellsize 1.0\n", f"cellsize 1.0\n{again}\n")
+        with pytest.raises(GridError, match=f"^repeated header key: {again.split()[0]}$"):
+            parse_grid(io.StringIO(text), Semantic.ALBEDO)
+
+    def test_integral_header_numbers_in_any_notation(self):
+        text = grid_text([[0.25, 0.5]]).replace("ncols 2", "ncols 2.0")
+        text = text.replace("nrows 1", "nrows 1e0")
+        grid = parse_grid(io.StringIO(text), Semantic.ALBEDO)
+        assert (grid.ncols, grid.nrows) == (2, 1)
 
 
 def parse_both_ways(text, semantic=Semantic.IRRADIANCE_RAW):
-    """Outcomes of the two-core and the one-core parse: a layer or an error text."""
+    """Outcomes of the two-core and the one-core parse: a layer or an error text.
+
+    Each is the same with the parse kernel on and forced off.
+    """
     outcomes = []
     for cut_off in (1, math.inf):
         with mock.patch.object(raster, "_FORK_MIN_CELLS", cut_off):
             try:
-                outcomes.append(parse_ascii_grid(io.StringIO(text), semantic))
+                outcomes.append(parse_grid(io.StringIO(text), semantic))
             except GridError as exc:
                 outcomes.append(str(exc))
     return outcomes
@@ -212,7 +277,8 @@ class TestTwoCoreGridIo:
         kind = data.draw(st.sampled_from(["bad", "drop", "extra", "bad+drop"]))
         if "bad" in kind:
             index = data.draw(st.integers(0, len(tokens) - 1))
-            tokens[index] = data.draw(st.sampled_from(["x", "1..0", "0x1", "--1", "nan"]))
+            tokens[index] = data.draw(st.sampled_from(["x", "1..0", "0x1", "--1", "nan", "-",
+                                                       ".", "-.", "5-", "1-2", "1e", "1\x0b2"]))
         if "drop" in kind and len(tokens) > 1:
             index = data.draw(st.integers(0, len(tokens) - 1))
             del tokens[index]
@@ -292,12 +358,16 @@ class TestTwoCoreGridIo:
                 os.waitpid(pid, os.WNOHANG)
 
 
-def computed_grid(path, values, nodata=NODATA, header_gap=""):
-    """Write a UCP grid and its cells sidecar as the `ucp` command does."""
+def computed_grid(path, values, nodata=NODATA, header_gap="", edit=("", "")):
+    """Write a UCP grid and its cells sidecar as the `ucp` command does.
+
+    `edit` (old, new) changes the text before the sidecar digests it.
+    """
     grid = layer(values, Semantic.UCP, xll=10.0, yll=-3.5, cellsize=0.5, nodata=nodata)
     sink = io.StringIO()
     write_ascii_grid(grid, sink)
     text = sink.getvalue().replace("NODATA_value", header_gap + "NODATA_value")
+    text = text.replace(*edit, 1)
     path.write_text(text)
     raster.cells_sidecar_path(path).write_bytes(raster.cells_sidecar(text.encode(), grid))
     return path
@@ -402,14 +472,28 @@ class TestCellsSidecar:
         assert len(parses) == 1
         assert got.nodata == -1.0
 
-    def test_edited_grid_keeps_the_parse_errors(self, tmp_path):
-        path = computed_grid(tmp_path / "ucp.asc", ucp_values())
-        path.write_text(path.read_text().replace("0.0 1.0", "nan 1.0", 1))
-        with pytest.raises(GridError, match="non-finite cell value nan at row 1, column 1"):
+    def test_edited_grid_keeps_the_parse_errors(self, tmp_path, monkeypatch):
+        for kernel in PARSE_KERNEL_SETTINGS:
+            monkeypatch.setattr(raster, "_EXACT_PARSE", kernel)
+            path = computed_grid(tmp_path / "ucp.asc", ucp_values())
+            path.write_text(path.read_text().replace("0.0 1.0", "nan 1.0", 1))
+            with pytest.raises(GridError, match="non-finite cell value nan at row 1, column 1"):
+                raster.read_ascii_grid(path, Semantic.UCP)
+            path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+            with pytest.raises(GridError, match="expected 120 cell values, found 110"):
+                raster.read_ascii_grid(path, Semantic.UCP)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("ncols 10\n", "ncols 10.5\n", "ncols must be a positive integer, got 10.5"),
+        ("nrows 12\n", "nrows 12\nnrows 12\n", "repeated header key: nrows"),
+        ("cellsize 0.5\n", "cellsize nan\n", "cellsize must be finite, got nan"),
+    ])
+    def test_current_sidecar_of_an_unusable_header_is_not_taken(self, tmp_path, parses,
+                                                                old, new, message):
+        path = computed_grid(tmp_path / "ucp.asc", ucp_values(), edit=(old, new))
+        with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
             raster.read_ascii_grid(path, Semantic.UCP)
-        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
-        with pytest.raises(GridError, match="expected 120 cell values, found 110"):
-            raster.read_ascii_grid(path, Semantic.UCP)
+        assert len(parses) == 1
 
     def test_grid_without_sidecar_loads(self, tmp_path):
         path = tmp_path / "given.asc"
@@ -637,3 +721,153 @@ class TestLayerValidation:
         grid = layer([[0.2, 0.3]], Semantic.ALBEDO, xll=10.0, yll=20.0,
                      cellsize=2.0)
         assert grid.extent() == (10.0, 20.0, 14.0, 22.0)
+
+
+def float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+finite_bit_patterns = st.integers(0, 2**64 - 1).map(float_from_bits).filter(math.isfinite)
+
+
+@st.composite
+def near_midpoints(draw):
+    """A decimal at, or within a few units of its last digit of, the midpoint
+    between a double and the next one up, in plain notation."""
+    low = draw(st.floats(1e-3, 1e18))
+    midpoint = (Decimal(low) + Decimal(math.nextafter(low, math.inf))) / 2
+    digits = draw(st.integers(15, 21))
+    rounding = draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN]))
+    value = Context(prec=digits, rounding=rounding).plus(midpoint)
+    return format(draw(st.sampled_from([value, midpoint])), "f")
+
+
+def with_leading_zeros(token, zeros):
+    sign = "-" if token.startswith("-") else ""
+    return sign + "0" * zeros + token[len(sign):]
+
+
+#: Token texts `float()` reads: every notation the parse kernel takes itself
+#: and every one it hands to `float()` alone.
+number_tokens = st.one_of(
+    finite_bit_patterns.map(repr),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 30)).map(
+        lambda t: f"{t[0]:.{t[1]}f}"),
+    st.tuples(st.floats(allow_nan=False), st.integers(0, 20)).map(lambda t: f"{t[0]:.{t[1]}e}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.tuples(finite_bit_patterns.map(repr), st.integers(1, 25)).map(
+        lambda t: with_leading_zeros(*t)),
+    st.sampled_from(["-0.0", "0.0", "-0", "0", "0.", "-0.", ".0", "-.0", "00.00", "-000.000",
+                     ".5", "1.", "-.5", "-5.", "+1.5", "1_000.5", "nan", "-inf", "1e400",
+                     "9007199254740993", "9223372036854775807", "9223372036854775808",
+                     "-9223372036854775808", "18446744073709551616", "-9999.0",
+                     "0.00012345678901234567", "1.0000000000000001110"]),
+    near_midpoints(),
+)
+
+#: Cells of grids to write: any finite double, plus the edges of the
+#: kernel's range, powers of two, short decimals and the nodata value.
+cell_values = st.one_of(
+    finite,
+    finite_bit_patterns,
+    st.floats(0.0, 1.0),
+    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
+    st.tuples(st.integers(-10**17, 10**17), st.integers(0, 22)).map(lambda t: t[0] / 10**t[1]),
+    # quarters in [2**50, 2**51) and eighths in [2**49, 2**50): at 17 digits
+    # |x| * 10 or |x| * 100 may end in exactly .5
+    st.tuples(st.integers(2**52, 2**53 - 1), st.sampled_from([4, 8])).map(
+        lambda t: t[0] / t[1]),
+    st.sampled_from([0.0, -0.0, NODATA, 1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1),
+                     -1e-4, 1e16, math.nextafter(1e16, 0), 1e15, math.nextafter(1e15, 0),
+                     1e-3, math.nextafter(1e-3, 0), 0.1, 999999999999999.9, 123456789012345.67]),
+)
+
+needs_parse_kernel = pytest.mark.skipif(not raster._EXACT_PARSE,
+                                        reason="numpy's long double is not the x87 format")
+
+
+class TestCodec:
+    """The block codec reads as `float()` and writes as `repr()`, bit for bit.
+
+    CI runs these with `--hypothesis-profile=codec` (10,000 examples each).
+    """
+
+    @needs_parse_kernel
+    @settings(deadline=None)
+    @given(tokens=st.lists(number_tokens, min_size=1, max_size=40), data=st.data())
+    def test_parse_matches_float(self, tokens, data):
+        seps = data.draw(st.lists(separators, min_size=len(tokens) - 1,
+                                  max_size=len(tokens) - 1))
+        text = grid_file(data.draw(st.sampled_from(["", " ", "\n"])), tokens, seps,
+                         data.draw(st.sampled_from(["", "\n", " \n\n"])))
+        block = data.draw(st.sampled_from([1, 16, 200, 1 << 20]))
+        spacing = data.draw(st.sampled_from([1, 64, 4096]))
+        want = np.array(text.split(), dtype=float)
+        with mock.patch.object(raster, "_BLOCK_BYTES", block), \
+                mock.patch.object(raster, "_ODD_TOKEN_SPACING", spacing):
+            got = raster._decode_cells(text)
+        assert got is not None
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(deadline=None)
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), data=st.data())
+    def test_write_matches_repr(self, shape, data):
+        cells = data.draw(st.lists(cell_values, min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))
+        grid = np.reshape(cells, shape)
+        block = data.draw(st.sampled_from([1, 5, 1 << 16]))
+        with mock.patch.object(raster, "_BLOCK_CELLS", block):
+            got = raster._grid_rows(grid)
+        assert got == "".join(" ".join(map(repr, row)) + "\n" for row in grid.tolist())
+
+    @pytest.mark.parametrize("cells", [
+        [2.0 ** e for e in range(-14, 55)],  # every power of two the kernel takes, and past it
+        [2**50 + 0.25, 2**50 + 0.75, 2**49 + 0.125, 2**49 + 0.375, 1234567890123456.25],
+    ], ids=["powers of two", "exact ties"])
+    def test_write_matches_repr_on(self, cells):
+        grid = np.array([cells, [-c for c in cells]])
+        assert raster._grid_rows(grid) == "".join(" ".join(map(repr, row)) + "\n"
+                                                  for row in grid.tolist())
+
+    @needs_parse_kernel
+    @pytest.mark.parametrize("token", ["9007199254740993", "-9007199254740995",
+                                       "1.0000000000000001110", "4503599627370496.5"])
+    def test_parse_divides_midpoint_quotients_again(self, token, monkeypatch):
+        # each of these long-double quotients lands exactly on a float64 midpoint
+        monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
+        got = raster._decode_cells(f"1.5 {token} 2.5")
+        assert got.tolist() == [1.5, float(token), 2.5]
+        assert raster._per_cell_conversions["float"] == 1
+
+    @needs_parse_kernel
+    @pytest.mark.parametrize("text", ["1 2 x", "1 - 2", "1 . 2", "-", "5 -", "-.", "1-2", "5-",
+                                      "5-.", "--1", "1..2", "1.2.3", "1\x0b2", "1\x1c2",
+                                      "1 2\xa03", "1 ٢"])
+    def test_parse_leaves_what_it_cannot_read_to_the_per_cell_path(self, text):
+        assert raster._decode_cells(text) is None
+
+    def test_decades_are_the_least_doubles_at_or_above_each_power_of_ten(self):
+        for e, decade in zip(range(-5, 18), raster._DECADES.tolist()):
+            assert Fraction(decade) >= Fraction(10) ** e > Fraction(math.nextafter(decade, 0))
+
+    def test_random_grid_stays_in_the_kernel(self, monkeypatch):
+        """Under 0.1% of a million random cells take `repr()` or `float()` alone."""
+        monkeypatch.setattr(raster, "_FORK_MIN_CELLS", math.inf)
+        monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
+        grid = layer(np.random.default_rng(10).random((1000, 1000)), Semantic.UCP)
+        sink = io.StringIO()
+        write_ascii_grid(grid, sink)
+        text = sink.getvalue()
+        assert raster._per_cell_conversions["repr"] < 1000
+        rows = text.splitlines()[6:56]
+        assert rows == [" ".join(map(repr, row)) for row in grid.values[:50].tolist()]
+        again = parse_ascii_grid(io.StringIO(text), Semantic.UCP)
+        assert np.array_equal(again.values.view(np.int64), grid.values.view(np.int64))
+        if raster._EXACT_PARSE:
+            assert raster._per_cell_conversions["float"] < 1000
+
+    @pytest.mark.skipif(not (sys.platform.startswith("linux")
+                             and platform.machine() == "x86_64"),
+                        reason="the guard is pinned down for x86-64 Linux only")
+    def test_parse_kernel_guard_holds_on_x86_64_linux(self):
+        assert raster._EXACT_PARSE
