@@ -22,9 +22,11 @@ cell, with exactly the values `float()` reads and the text `repr()` writes:
   one at a time. A text the kernel would split or read differently from
   `str.split()` and `float()` (a non-ASCII or control byte, a token
   `float()` rejects) is converted cell by cell instead, so every error
-  keeps its wording. The kernel runs only where numpy's long double is
-  the x87 format (`_EXACT_PARSE`); elsewhere every cell goes through
-  `float()`.
+  keeps its wording. The kernel finds a '-' inside a token, or a token
+  without a digit, from the text itself rather than from how
+  `np.fromstring` reacts, which differs between numpy versions. The
+  kernel runs only where numpy's long double is the x87 format
+  (`_EXACT_PARSE`); elsewhere every cell goes through `float()`.
 - Writing (`_encode_rows`). For x with 1e-4 <= |x| < 1e16, `repr` writes
   in fixed notation the nearest decimal of the fewest significant digits
   that reads back as x (as Ryu does, Adams 2018). The nearest 16-digit
@@ -68,6 +70,7 @@ import pickle
 import signal
 import sys
 import threading
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -101,11 +104,6 @@ _BLOCK_BYTES = 1 << 20
 #: 300 bytes a cell; larger blocks write no faster and raise the peak RSS of
 #: the forked writer, which starts from this process's pages.
 _BLOCK_CELLS = 1 << 14
-#: A block stays in the kernel while it holds at most one token with a byte
-#: other than a digit, '.' or '-' (`1e-05`, `nan`) per this many bytes:
-#: each such token splits the block into one more run of numpy calls, so
-#: denser ones make `float()` on every cell the faster way.
-_ODD_TOKEN_SPACING = 4096
 #: Cells converted one at a time by `float()` or `repr()`; only tests read it.
 _per_cell_conversions = {"float": 0, "repr": 0}
 
@@ -113,6 +111,8 @@ _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 _POW10_LD = _POW10_U64.astype(np.longdouble)  # exact: a 64-bit significand
 _INT64 = np.iinfo(np.int64)
 _UINT64_MAX = np.iinfo(np.uint64).max
+
+_SPACES = (b" ", b"\t", b"\n", b"\r")  # the whitespace `_MARKS` keeps
 
 
 def _token_marks() -> bytes:
@@ -125,7 +125,7 @@ def _token_marks() -> bytes:
     table = bytearray(b"x" * 256)
     table[:33] = b"!" * 33
     table[127] = ord("!")
-    for byte in b" \t\n\r":
+    for byte in b"".join(_SPACES):
         table[byte] = ord(" ")
     for byte in b"0123456789-":
         table[byte] = ord("0")
@@ -339,14 +339,28 @@ def _floats(tokens: list[bytes]) -> list[float] | None:
         return None
 
 
+def _dashes_lead_tokens(text: bytes) -> bool:
+    """Whether every '-' in `text`, whose whitespace is ASCII, starts a token."""
+    leading = text.startswith(b"-") + sum(text.count(space + b"-") for space in _SPACES)
+    return leading == text.count(b"-")
+
+
 def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
     """Cells of tokens made of digits, '.' and '-'; None when one is malformed."""
     if marks.isspace() or not marks:
         return np.empty(0)  # np.fromstring reads whitespace alone as one 0
-    try:
-        mantissa = np.fromstring(text.replace(b".", b""), np.int64, sep=" ")
-    except ValueError:
-        return None  # a '-' after a token's first byte
+    if b"-" in text and not _dashes_lead_tokens(text):
+        return None
+    digits = text.replace(b".", b"")
+    if digits.isspace():
+        return None  # np.fromstring would read this token without a digit as 0
+    # older numpy warns, rather than raises, and stops where it cannot read on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            mantissa = np.fromstring(digits, np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
     power = np.fromstring(marks, np.uint64, sep=" ")  # 10**k
     if mantissa.size != power.size:
         return None  # a token without a digit
@@ -375,13 +389,11 @@ def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
     return values
 
 
-def _odd_token_spans(marks: bytes, limit: int) -> list[tuple[int, int]] | None:
+def _odd_token_spans(marks: bytes) -> list[tuple[int, int]]:
     """(start, end) of each token with a byte other than a digit, '.' or '-',
-    which `float()` reads alone; None when there are more than `limit`."""
+    which `float()` reads alone."""
     spans, end = [], 0
     while (hit := marks.find(b"x", end)) >= 0:
-        if len(spans) == limit:
-            return None
         end = _token_end(marks, hit)
         spans.append((marks.rfind(b" ", 0, hit) + 1, end))
     return spans
@@ -395,12 +407,8 @@ def _decode_block(text: bytes, marks: bytes) -> np.ndarray | None:
     """
     if b"!" in marks:
         return None
-    spans = _odd_token_spans(marks, len(marks) // _ODD_TOKEN_SPACING)
-    if spans is None:
-        floats = _floats(text.split())
-        return None if floats is None else np.array(floats, dtype=float)
     parts, pos = [], 0
-    for start, end in spans:
+    for start, end in _odd_token_spans(marks):
         run = _decode_run(text[pos:start], marks[pos:start])
         odd = _floats([text[start:end]])
         if run is None or odd is None:
@@ -416,9 +424,12 @@ def _decode_block(text: bytes, marks: bytes) -> np.ndarray | None:
 def _decode_cells(text: str) -> np.ndarray | None:
     """The numbers in `text` as `float()` reads them, converted block by block.
 
-    None when the per-cell path must convert `text`, to split it exactly as
-    `str.split()` does or to word an error.
+    None when the per-cell path must convert `text`: to split it exactly as
+    `str.split()` does, to word an error, or because this platform's long
+    double cannot run the kernel.
     """
+    if not _EXACT_PARSE:
+        return None
     try:
         data = text.encode("ascii")
     except UnicodeEncodeError:
@@ -440,7 +451,7 @@ def _cell_values(text: str) -> np.ndarray:
 
     Raises ValueError for a number `float()` rejects.
     """
-    cells = _decode_cells(text) if _EXACT_PARSE else None
+    cells = _decode_cells(text)
     if cells is None:
         tokens = text.split()
         _per_cell_conversions["float"] += len(tokens)
@@ -474,7 +485,7 @@ def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
     if _fork_possible(ncols * nrows):
         cells = _parse_cells_on_two_cores(text, start)
     else:
-        cells = _decode_cells(text[start:]) if _EXACT_PARSE else None
+        cells = _decode_cells(text[start:])
     if cells is None or cells.size != ncols * nrows:  # this path words every error
         tokens = text[start:].split()
         if len(tokens) != ncols * nrows:
@@ -647,9 +658,6 @@ def _encode_rows(rows: np.ndarray) -> str:
     x = rows.ravel()
     a = np.abs(x)
     kernel = (a >= 1e-4) & (a < 1e16)
-    if 2 * np.count_nonzero(kernel | (a == 0)) < x.size:  # mostly other notations
-        _per_cell_conversions["repr"] += x.size
-        return "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
     n = np.zeros(x.size, np.uint64)  # zeros stay 0 / 10**0
     s = np.zeros(x.size, np.int64)
     cells = np.flatnonzero(kernel)

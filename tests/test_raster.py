@@ -782,6 +782,20 @@ cell_values = st.one_of(
                      1e-3, math.nextafter(1e-3, 0), 0.1, 999999999999999.9, 123456789012345.67]),
 )
 
+
+def read_until_unreadable(data, dtype, sep):
+    """`np.fromstring(data, dtype, sep=" ")` as older numpy reads text: up
+    to the first number it cannot read to a separator, here without a warning."""
+    assert sep == " "
+    numbers = []
+    for token in data.split():
+        number = re.match(rb"-?[0-9]*", token)[0]
+        numbers.append(int(number) if number.strip(b"-") else 0)
+        if len(number) < len(token):
+            break
+    return np.array(numbers, dtype=dtype)
+
+
 needs_parse_kernel = pytest.mark.skipif(not raster._EXACT_PARSE,
                                         reason="numpy's long double is not the x87 format")
 
@@ -801,10 +815,8 @@ class TestCodec:
         text = grid_file(data.draw(st.sampled_from(["", " ", "\n"])), tokens, seps,
                          data.draw(st.sampled_from(["", "\n", " \n\n"])))
         block = data.draw(st.sampled_from([1, 16, 200, 1 << 20]))
-        spacing = data.draw(st.sampled_from([1, 64, 4096]))
         want = np.array(text.split(), dtype=float)
-        with mock.patch.object(raster, "_BLOCK_BYTES", block), \
-                mock.patch.object(raster, "_ODD_TOKEN_SPACING", spacing):
+        with mock.patch.object(raster, "_BLOCK_BYTES", block):
             got = raster._decode_cells(text)
         assert got is not None
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -842,8 +854,16 @@ class TestCodec:
     @needs_parse_kernel
     @pytest.mark.parametrize("text", ["1 2 x", "1 - 2", "1 . 2", "-", "5 -", "-.", "1-2", "5-",
                                       "5-.", "--1", "1..2", "1.2.3", "1\x0b2", "1\x1c2",
-                                      "1 2\xa03", "1 ٢"])
-    def test_parse_leaves_what_it_cannot_read_to_the_per_cell_path(self, text):
+                                      "1 2\xa03", "1 ٢", "1e5 . 1e5", "nan\t.\n", "1 2 5-",
+                                      "1 2 1-2", "1\t2\n-1-2", "5- 1e-05 3", "3 1-2 nan 3",
+                                      "1 2-\r\n", "1 --2"])
+    @pytest.mark.parametrize("reader", ["numpy", "stops silently"])
+    def test_parse_leaves_what_it_cannot_read_to_the_per_cell_path(self, text, reader,
+                                                                   monkeypatch):
+        # older numpy reads a text with a '-' inside a token up to the '-'
+        # and only warns; the kernel must not rely on either behaviour
+        if reader == "stops silently":
+            monkeypatch.setattr(raster.np, "fromstring", read_until_unreadable)
         assert raster._decode_cells(text) is None
 
     def test_decades_are_the_least_doubles_at_or_above_each_power_of_ten(self):
