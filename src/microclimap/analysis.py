@@ -38,22 +38,29 @@ class BaciDataset:
 
 @dataclass(frozen=True)
 class EffectEstimate:
+    """A BACI effect with its bootstrap interval, or the reason there is none."""
+
     effect: float    # degC, mean(after) - mean(before)
-    ci_low: float
-    ci_high: float
+    ci_low: float | None
+    ci_high: float | None
     n_before: int
     n_after: int
     method: str = "baci-bootstrap"
+    ci_unavailable: str | None = None  # why the data support no interval
 
     def __post_init__(self):
-        if not self.ci_low <= self.effect <= self.ci_high:
+        if self.ci_low is None or self.ci_high is None:
+            if self.ci_unavailable is None:
+                raise DomainError("an estimate without an interval must say why")
+        elif not self.ci_low <= self.effect <= self.ci_high:
             raise DomainError(
                 f"confidence interval [{self.ci_low}, {self.ci_high}] does not "
                 f"bracket the effect {self.effect}")
 
     def summary(self) -> str:
-        return (f"BACI effect: {self.effect:+.3f} degC "
-                f"(95% CI [{self.ci_low:+.3f}, {self.ci_high:+.3f}], "
+        interval = (f"CI unavailable: {self.ci_unavailable}" if self.ci_low is None
+                    else f"95% CI [{self.ci_low:+.3f}, {self.ci_high:+.3f}]")
+        return (f"BACI effect: {self.effect:+.3f} degC ({interval}, "
                 f"n_before={self.n_before}, n_after={self.n_after}, {self.method})")
 
 
@@ -94,7 +101,8 @@ def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
     period. One Generator seeded with `seed` draws every resample at once,
     a `(bootstrap_n, days)` index matrix for the before period and then one
     for the after period, so the estimate is bit-reproducible for a fixed
-    seed.
+    seed. A period of one day block has no spread to resample, so then no
+    interval is drawn and the estimate says why.
     """
     before, after = data.before, data.after
     if not before.values:
@@ -106,6 +114,15 @@ def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
 
     sums_b, counts_b = _day_blocks(before.times, before.values)
     sums_a, counts_a = _day_blocks(after.times, after.values)
+    single = [name for name, sums in (("before", sums_b), ("after", sums_a)) if len(sums) < 2]
+    if single:
+        periods = (f"the {single[0]} period holds" if len(single) == 1
+                   else "the before and after periods each hold")
+        return EffectEstimate(
+            effect=effect, ci_low=None, ci_high=None,
+            n_before=len(before.values), n_after=len(after.values),
+            ci_unavailable=f"{periods} one day block, and a day-block bootstrap "
+                           "needs two or more")
 
     rng = np.random.default_rng(seed)
     ib = rng.integers(0, len(sums_b), (bootstrap_n, len(sums_b)))

@@ -414,14 +414,13 @@ def ucp(cfg: RunConfig):
     except (GridError, DomainError) as exc:
         log(f"UCP computation failed: {exc}")
         sys.exit(EXIT_MISSING)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     raster_mod.write_ascii_grid(result, buf)
-    text = buf.getvalue()
+    grid = buf.getvalue()
     grid_path = cfg.output_dir / "ucp.asc"
-    write_atomic(grid_path, text)
-    # the grid text is ASCII, so its encoding is the file's bytes
+    _replace_file(grid_path, grid)
     _replace_file(raster_mod.cells_sidecar_path(grid_path),
-                  raster_mod.cells_sidecar(text.encode(), result))
+                  raster_mod.cells_sidecar(grid, result))
     log(f"wrote {grid_path}")
     sys.exit(EXIT_OK)
 

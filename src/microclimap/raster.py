@@ -45,10 +45,14 @@ cell, with exactly the values `float()` reads and the text `repr()` writes:
   in a rounding go through `repr()`. Only exact float64 and int64
   operations are used, so this runs everywhere.
 
-Grids of at least `_FORK_MIN_CELLS` cells are parsed and written on two
-cores where Linux offers them: a forked child converts one half of the
-cells while this process converts the other. Values and written bytes are
-identical to the one-core path, which also runs whenever a worker fails.
+Grid text stays bytes from end to end: a file is read as bytes, the header
+comes from its leading lines and the cells are cut into blocks of about
+`_BLOCK_BYTES` at a whitespace byte. The blocks, and on writing the row
+blocks of about `_BLOCK_CELLS` cells, are converted on a thread pool with
+one worker per CPU this process may run on, up to two; numpy's text reader
+and ufuncs release the GIL, so two workers use two cores. Every grid size
+and platform takes this one path, one worker included. The text is decoded
+as UTF-8 only to word an error or to convert the cells one at a time.
 
 A grid the program computes gets a binary sidecar beside it: `.NAME.cells`
 holds a SHA-256 over the grid file's bytes followed by the cell bytes, then
@@ -66,10 +70,8 @@ import hashlib
 import json
 import math
 import os
-import pickle
-import signal
+import re
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -83,16 +85,8 @@ from .thermal import heat_stress_category
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 
-#: Smallest grid parsed and written on two cores. A fork round trip costs
-#: about 5 ms; one core parses or writes a million cells in about 0.3 s with
-#: the block codec (2-vCPU x86-64 VM).
-_FORK_MIN_CELLS = 250_000
-
 _CELLS_DTYPE = np.dtype("<f8")
 _DIGEST_BYTES = 32  # SHA-256
-#: Leading bytes of a grid decoded to find its header when the sidecar is
-#: used; a header that runs past them sends the read to the full parse.
-_HEADER_BYTES = 4096
 
 #: Whether the parse kernel can run: numpy's long double must be the x87
 #: 80-bit format, whose 64-bit significand holds every operand exactly and
@@ -101,10 +95,12 @@ _EXACT_PARSE = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
 #: Grid text parsed per block (about 50,000 cells of 20 bytes).
 _BLOCK_BYTES = 1 << 20
 #: Cells written per block of whole rows. A block's temporaries take about
-#: 300 bytes a cell; larger blocks write no faster and raise the peak RSS of
-#: the forked writer, which starts from this process's pages.
-_BLOCK_CELLS = 1 << 14
+#: 300 bytes a cell, and each worker holds one block's.
+_BLOCK_CELLS = 1 << 15
+#: Most threads that convert grid blocks; two is the only count measured.
+_MAX_WORKERS = 2
 #: Cells converted one at a time by `float()` or `repr()`; only tests read it.
+#: Workers return their counts and the mapping thread adds them up.
 _per_cell_conversions = {"float": 0, "repr": 0}
 
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
@@ -113,6 +109,9 @@ _INT64 = np.iinfo(np.int64)
 _UINT64_MAX = np.iinfo(np.uint64).max
 
 _SPACES = (b" ", b"\t", b"\n", b"\r")  # the whitespace `_MARKS` keeps
+_SPACE = re.compile(b"[%s]" % b"".join(_SPACES))
+#: A line end as universal newlines read it.
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def _token_marks() -> bytes:
@@ -216,63 +215,41 @@ class RasterLayer:
                 and self.cellsize == other.cellsize)
 
 
-def _fork_possible(cells: int) -> bool:
-    """Whether a grid of `cells` cells is worth splitting with a forked child.
+def _map_blocks(convert, blocks):
+    """`convert(block)` for each block, in order, yielded as the workers finish them.
 
-    Forking is only safe with no other thread that could hold a lock the
-    child would need.
+    The blocks run on one worker per CPU this process may run on, up to
+    `_MAX_WORKERS`; one worker runs the same code.
     """
-    return (cells >= _FORK_MIN_CELLS and sys.platform.startswith("linux")
-            and hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
-            and threading.active_count() == 1)
+    from concurrent.futures import ThreadPoolExecutor  # only grid I/O needs it
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(cpus or 1, _MAX_WORKERS)) as pool:
+        yield from pool.map(convert, blocks)
 
 
-def _in_forked_child(child_part, parent_part):
-    """Run `child_part()` in a forked child while this process runs `parent_part()`.
-
-    Returns `(child result, parent result)`, or None when the child failed
-    in any way. The child sends its result back pickled over a pipe and
-    leaves through `os._exit`, so it flushes no buffer it inherited. An
-    exception from `parent_part` propagates; the child is always reaped.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(child_part(), pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
+def _utf8(data: bytes, start: int, end: int) -> str:
+    """`data[start:end]` decoded as UTF-8; a GridError names the first bad byte."""
     try:
-        with open(read_fd, "rb") as pipe:
-            parent_result = parent_part()
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return None
-    return pickle.loads(payload), parent_result
+        return data[start:end].decode()
+    except UnicodeDecodeError as exc:
+        raise GridError(f"grid is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                        f"at offset {start + exc.start}") from None
 
 
-def _read_header(text: str) -> tuple[dict[str, float], float, int]:
+def _read_header(data: bytes) -> tuple[dict[str, float], float, int]:
     """Header values, the nodata value and the offset where the cell values start.
 
-    The header is every leading line whose first word is a header key;
-    blank lines are skipped. A key may appear once.
+    The header is every leading line of the grid bytes `data` whose first
+    word is a header key; blank lines are skipped. A key may appear once.
+    Lines end as universal newlines end them, and each is read as UTF-8.
     """
     header: dict[str, float] = {}
     start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end + 1
-        line = text[start:end]
+    while start < len(data):
+        end = _LINE_END.search(data, start)
+        end = len(data) if end is None else end.end()
+        line = _utf8(data, start, end)
         parts = line.split(None, 2)  # a cell row is not split further
         if parts:
             key = parts[0].lower()
@@ -332,7 +309,6 @@ def _token_texts(text: bytes, marks: bytes, indices: np.ndarray) -> list[bytes]:
 
 def _floats(tokens: list[bytes]) -> list[float] | None:
     """`float()` of each token, or None when one does not convert."""
-    _per_cell_conversions["float"] += len(tokens)
     try:
         return [float(token) for token in tokens]
     except ValueError:
@@ -345,23 +321,25 @@ def _dashes_lead_tokens(text: bytes) -> bool:
     return leading == text.count(b"-")
 
 
-def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
-    """Cells of tokens made of digits, '.' and '-'; None when one is malformed."""
+def _decode_run(text: bytes, marks: bytes) -> tuple[np.ndarray, int] | None:
+    """Cells of tokens made of digits, '.' and '-', and how many `float()` read alone.
+
+    None when a token is malformed. A numpy that warns, rather than raises,
+    where it cannot read on must run this under a filter that makes its
+    DeprecationWarning an error (`_decode_cells` sets one).
+    """
     if marks.isspace() or not marks:
-        return np.empty(0)  # np.fromstring reads whitespace alone as one 0
+        return np.empty(0), 0  # np.fromstring reads whitespace alone as one 0
     if b"-" in text and not _dashes_lead_tokens(text):
         return None
     digits = text.replace(b".", b"")
     if digits.isspace():
         return None  # np.fromstring would read this token without a digit as 0
-    # older numpy warns, rather than raises, and stops where it cannot read on
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            mantissa = np.fromstring(digits, np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-    power = np.fromstring(marks, np.uint64, sep=" ")  # 10**k
+    try:
+        mantissa = np.fromstring(digits, np.int64, sep=" ")
+        power = np.fromstring(marks, np.uint64, sep=" ")  # 10**k
+    except (ValueError, DeprecationWarning):
+        return None
     if mantissa.size != power.size:
         return None  # a token without a digit
     # saturated reads: a mantissa beyond int64, or 20 or more fraction digits
@@ -377,16 +355,16 @@ def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
         alone[zeros[signed]] = True
     values, midpoint = _exact_double(np.abs(mantissa).view(np.uint64), k)
     np.negative(values, out=values, where=negative)
-    for i in np.flatnonzero(midpoint & ~alone).tolist():
-        _per_cell_conversions["float"] += 1
+    redo = np.flatnonzero(midpoint & ~alone).tolist()
+    for i in redo:
         values[i] = int(mantissa[i]) / 10 ** int(k[i])  # a correctly rounded quotient
-    if alone.any():
-        indices = np.flatnonzero(alone)
+    indices = np.flatnonzero(alone)
+    if indices.size:
         floats = _floats(_token_texts(text, marks, indices))
         if floats is None:
             return None
         values[indices] = floats
-    return values
+    return values, len(redo) + indices.size
 
 
 def _odd_token_spans(marks: bytes) -> list[tuple[int, int]]:
@@ -399,95 +377,69 @@ def _odd_token_spans(marks: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def _decode_block(text: bytes, marks: bytes) -> np.ndarray | None:
-    """Cells of one block of grid text, whose `_MARKS` translation is `marks`.
+def _decode_block(text: bytes) -> tuple[np.ndarray, int] | None:
+    """Cells of one block of grid text, and how many `float()` read alone.
 
     None where the per-cell path must convert the text: a control byte
     `str.split()` may split on, or a token `float()` rejects.
     """
+    marks = text.translate(_MARKS)
     if b"!" in marks:
         return None
-    parts, pos = [], 0
+    parts, alone, pos = [], 0, 0
     for start, end in _odd_token_spans(marks):
         run = _decode_run(text[pos:start], marks[pos:start])
         odd = _floats([text[start:end]])
         if run is None or odd is None:
             return None
-        parts += [run, odd]
+        parts += [run[0], odd]
+        alone += run[1] + 1
         pos = end
     run = _decode_run(text[pos:], marks[pos:])
     if run is None:
         return None
-    return np.concatenate(parts + [run]) if parts else run
+    return (np.concatenate(parts + [run[0]]) if parts else run[0]), alone + run[1]
 
 
-def _decode_cells(text: str) -> np.ndarray | None:
-    """The numbers in `text` as `float()` reads them, converted block by block.
+def _decode_cells(data: bytes, start: int = 0) -> np.ndarray | None:
+    """The numbers in `data[start:]` as `float()` reads them, converted block by block.
 
-    None when the per-cell path must convert `text`: to split it exactly as
-    `str.split()` does, to word an error, or because this platform's long
-    double cannot run the kernel.
+    None when the per-cell path must convert the text: to split it exactly
+    as `str.split()` does, to word an error, or because this platform's
+    long double cannot run the kernel.
     """
     if not _EXACT_PARSE:
         return None
-    try:
-        data = text.encode("ascii")
-    except UnicodeEncodeError:
+    spans = []
+    while start < len(data):
+        cut = _SPACE.search(data, start + _BLOCK_BYTES)
+        end = len(data) if cut is None else cut.start()
+        spans.append((start, end))
+        start = end
+    # older numpy warns, rather than raises, and stops where it cannot read on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        blocks = list(_map_blocks(lambda span: _decode_block(data[span[0]:span[1]]), spans))
+    if None in blocks:
         return None
-    marks = data.translate(_MARKS)
-    parts, pos = [], 0
-    while pos < len(data):
-        end = _token_end(marks, pos + _BLOCK_BYTES)
-        part = _decode_block(data[pos:end], marks[pos:end])
-        if part is None:
-            return None
-        parts.append(part)
-        pos = end
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _cell_values(text: str) -> np.ndarray:
-    """The whitespace-separated numbers in `text`, converted as `float()` would.
-
-    Raises ValueError for a number `float()` rejects.
-    """
-    cells = _decode_cells(text)
-    if cells is None:
-        tokens = text.split()
-        _per_cell_conversions["float"] += len(tokens)
-        cells = np.array(tokens, dtype=float)
-    return cells
-
-
-def _parse_cells_on_two_cores(text: str, start: int) -> np.ndarray | None:
-    """Cell values of `text[start:]`, converted in two halves cut at a newline.
-
-    None when there is no newline to cut at, when a half holds a value that
-    does not convert, or when the child fails.
-    """
-    cut = text.find("\n", start + (len(text) - start) // 2)
-    if cut < 0:
-        return None
-    try:
-        halves = _in_forked_child(lambda: _cell_values(text[start:cut]),
-                                  lambda: _cell_values(text[cut:]))
-    except ValueError:
-        return None
-    return None if halves is None else np.concatenate(halves)
+    _per_cell_conversions["float"] += sum(alone for _, alone in blocks)
+    return np.concatenate([cells for cells, _ in blocks]) if blocks else np.empty(0)
 
 
 def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
-    """Read an ESRI ASCII grid and validate it against the declared semantic."""
-    with opened(source) as fh:
-        text = fh.read()
-    header, nodata, start = _read_header(text)
+    """Read an ESRI ASCII grid and validate it against the declared semantic.
+
+    `source` is a path or an open file; a text file's str is read as UTF-8.
+    """
+    with opened(source, "rb") as fh:
+        data = fh.read()
+    if isinstance(data, str):
+        data = data.encode()
+    header, nodata, start = _read_header(data)
     ncols, nrows = _grid_shape(header)
-    if _fork_possible(ncols * nrows):
-        cells = _parse_cells_on_two_cores(text, start)
-    else:
-        cells = _decode_cells(text[start:])
+    cells = _decode_cells(data, start)
     if cells is None or cells.size != ncols * nrows:  # this path words every error
-        tokens = text[start:].split()
+        tokens = _utf8(data, start, len(data)).split()
         if len(tokens) != ncols * nrows:
             raise GridError(
                 f"expected {ncols * nrows} cell values, found {len(tokens)}")
@@ -542,14 +494,8 @@ def _layer_from_sidecar(path: Path, semantic: Semantic) -> RasterLayer | None:
         return None
     if _cells_digest(grid, cells) != digest:
         return None
-    head_end = grid.find(b"\n", _HEADER_BYTES) + 1 or len(grid)
     try:
-        header, nodata, start = _read_header(grid[:head_end].decode("ascii"))
-    except (UnicodeDecodeError, GridError):
-        return None
-    if start == head_end and head_end < len(grid):  # header may go on
-        return None
-    try:
+        header, nodata, _ = _read_header(grid)
         ncols, nrows = _grid_shape(header)
     except GridError:
         return None
@@ -646,8 +592,9 @@ def _digit_rows(n: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _encode_rows(rows: np.ndarray) -> str:
-    """Text lines of `rows`, each cell written as `repr` writes it.
+def _encode_rows(rows: np.ndarray) -> tuple[bytes, int]:
+    """ASCII lines of `rows`, each cell written as `repr` writes it, and how
+    many cells `repr()` wrote alone.
 
     Each cell is laid out as byte columns: a sign, "0." and up to three
     zeros before a decimal whose point precedes all 17 digits, the digits
@@ -693,7 +640,6 @@ def _encode_rows(rows: np.ndarray) -> str:
     separator[rows.shape[1] - 1::rows.shape[1]] = ord("\n")
     columns.append(separator)
     texts = [repr(v).encode() for v in x[by_repr].tolist()]
-    _per_cell_conversions["repr"] += len(texts)
     width = max([len(t) + 1 for t in texts], default=0)
     columns += [np.zeros(x.size, np.uint8)] * (width - len(columns))
     layout = np.stack(columns, axis=1)
@@ -702,34 +648,33 @@ def _encode_rows(rows: np.ndarray) -> str:
         fields = b"".join((text + ends[i:i + 1]).ljust(len(columns), b"\0")
                           for i, text in enumerate(texts))
         layout[by_repr] = np.frombuffer(fields, np.uint8).reshape(len(texts), -1)
-    return layout.tobytes().translate(None, b"\0").decode("ascii")
+    return layout.tobytes().translate(None, b"\0"), len(texts)
 
 
-def _grid_rows(values: np.ndarray) -> str:
-    """Rows of cell values as text lines, each cell as `repr` writes it."""
+def _grid_rows(values: np.ndarray):
+    """ASCII lines of the rows of `values`, yielded block by block, each cell
+    as `repr` writes it."""
     if not values.size:
-        return "\n" * len(values)
+        yield b"\n" * len(values)
+        return
     step = max(1, _BLOCK_CELLS // values.shape[1])
-    return "".join(_encode_rows(values[i:i + step]) for i in range(0, len(values), step))
+    blocks = (values[i:i + step] for i in range(0, len(values), step))
+    for text, by_repr in _map_blocks(_encode_rows, blocks):
+        _per_cell_conversions["repr"] += by_repr
+        yield text
 
 
 def write_ascii_grid(layer: RasterLayer, sink) -> None:
-    """Write an ESRI ASCII grid; cell values round-trip bit-exactly."""
-    values = layer.values
-    halves = None
-    if _fork_possible(values.size):
-        middle = layer.nrows // 2
-        halves = _in_forked_child(lambda: _grid_rows(values[:middle]),
-                                  lambda: _grid_rows(values[middle:]))
-    with opened(sink, "w") as fh:
-        fh.write(f"ncols {layer.ncols}\n")
-        fh.write(f"nrows {layer.nrows}\n")
-        fh.write(f"xllcorner {layer.xllcorner!r}\n")
-        fh.write(f"yllcorner {layer.yllcorner!r}\n")
-        fh.write(f"cellsize {layer.cellsize!r}\n")
-        fh.write(f"NODATA_value {layer.nodata!r}\n")
-        for part in halves or (_grid_rows(values),):
-            fh.write(part)
+    """Write an ESRI ASCII grid to a path or a binary file; cell values
+    round-trip bit-exactly."""
+    with opened(sink, "wb") as fh:
+        fh.write(f"ncols {layer.ncols}\n"
+                 f"nrows {layer.nrows}\n"
+                 f"xllcorner {layer.xllcorner!r}\n"
+                 f"yllcorner {layer.yllcorner!r}\n"
+                 f"cellsize {layer.cellsize!r}\n"
+                 f"NODATA_value {layer.nodata!r}\n".encode())
+        fh.writelines(_grid_rows(layer.values))
 
 
 def normalize_irradiance(raw: RasterLayer, clear_sky_max: float) -> RasterLayer:

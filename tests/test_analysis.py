@@ -127,7 +127,7 @@ def loop_resamples(data, bootstrap_n, seed):
 class TestDayBlockBootstrap:
     """One Generator draws a (resamples, days) index matrix per period."""
 
-    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+    @given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 2**32 - 1),
            st.integers(1, 300))
     def test_matches_resample_loop(self, days_b, days_a, seed, bootstrap_n):
         def gen(d, i):
@@ -154,16 +154,15 @@ class TestDayBlockBootstrap:
         assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
         assert (c.ci_low, c.ci_high) != (a.ci_low, a.ci_high)
 
-    @pytest.mark.parametrize("days_b, days_a", [(1, 1), (1, 2), (2, 1), (2, 2)])
     @pytest.mark.parametrize("seed", range(0, 100, 7))
-    def test_two_blocks_give_the_support_extremes(self, days_b, days_a, seed):
-        # 2000 draws hit each extreme pair with probability 1/16 or more, about
-        # 125 times, so both 2.5 % and 97.5 % percentiles land on the extremes
+    def test_two_blocks_give_the_support_extremes(self, seed):
+        # 2000 draws hit each extreme pair with probability 1/16, about 125
+        # times, so both 2.5 % and 97.5 % percentiles land on the extremes
         def gen(d, i):
             return math.cos(5 * d + i) + 0.25 * d
 
-        data = BaciDataset(before=offsets(gen, BEFORE_START, days=days_b, cadence_s=3600.0),
-                           after=offsets(gen, AFTER_START, days=days_a, cadence_s=1800.0))
+        data = BaciDataset(before=offsets(gen, BEFORE_START, days=2, cadence_s=3600.0),
+                           after=offsets(gen, AFTER_START, days=2, cadence_s=1800.0))
 
         def support(series):
             sums, counts = _day_blocks(series.times, series.values)
@@ -174,6 +173,40 @@ class TestDayBlockBootstrap:
         estimate = baci_effect(data, seed=seed)
         assert estimate.ci_low == min(min(after) - max(before), estimate.effect)
         assert estimate.ci_high == max(max(after) - min(before), estimate.effect)
+
+
+@pytest.mark.parametrize("days_b, days_a, periods", [
+    (1, 1, "the before and after periods each hold"),
+    (1, 2, "the before period holds"),
+    (2, 1, "the after period holds"),
+])
+def test_one_block_period_gives_no_interval(days_b, days_a, periods):
+    def gen(d, i):
+        return dyadic(math.cos(5 * d + i) + 0.25 * d)
+
+    data = BaciDataset(before=offsets(gen, BEFORE_START, days=days_b),
+                       after=offsets(lambda d, i: gen(d, i) - 1.0, AFTER_START, days=days_a))
+    estimate = baci_effect(data, seed=3)
+    assert (estimate.ci_low, estimate.ci_high) == (None, None)
+    assert estimate.effect == np.mean(data.after.values) - np.mean(data.before.values)
+    assert estimate.summary() == (
+        f"BACI effect: {estimate.effect:+.3f} degC (CI unavailable: {periods} one day "
+        f"block, and a day-block bootstrap needs two or more, n_before={24 * days_b}, "
+        f"n_after={24 * days_a}, baci-bootstrap)")
+
+
+def test_two_block_periods_give_an_interval():
+    data = BaciDataset(before=offsets(lambda d, i: dyadic(0.1 * d + 0.01 * i), BEFORE_START, 2),
+                       after=offsets(lambda d, i: dyadic(0.3 * d - 0.01 * i), AFTER_START, 2))
+    estimate = baci_effect(data, seed=3)
+    assert estimate.ci_low < estimate.ci_high
+    assert estimate.ci_low <= estimate.effect <= estimate.ci_high
+    assert "95% CI [" in estimate.summary()
+
+
+def test_estimate_without_an_interval_says_why():
+    with pytest.raises(DomainError, match="without an interval must say why"):
+        EffectEstimate(-1.0, None, None, 24, 24)
 
 
 class TestQuantile:

@@ -706,7 +706,7 @@ FIXTURE_DIGESTS = {
     "compare_before_after/point_deltas.csv":
         "657692ea7e4501b115380210977373be8a49e757760c0abd0c6ad69e8bbc4384",
     "compare_before_after/report.txt":
-        "0caac79c964d456e030325a4aca327bc098e0dbab6b30a2802097fc838566787",
+        "44b0df7d948a02c5af29fba55cbce640ad1646bd8be42bb7776f1f56943e2149",
     "compare_before_after/scatter.csv":
         "752053c64c19733a5bb3395f9f130e90f9a38a6e72bcbb7c6125dcfad22b24a5",
     "compare_before_after/scatter.svg":

@@ -4,7 +4,9 @@ import os
 import platform
 import re
 import struct
+import subprocess
 import sys
+import threading
 from datetime import date
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -48,6 +50,9 @@ def grid_text(rows, nodata=NODATA):
 
 #: The parse kernel where this platform can run it, then forced off.
 PARSE_KERNEL_SETTINGS = (raster._EXACT_PARSE, False)
+
+needs_parse_kernel = pytest.mark.skipif(not raster._EXACT_PARSE,
+                                        reason="numpy's long double is not the x87 format")
 
 
 def parse_grid(source, semantic):
@@ -119,15 +124,14 @@ class TestParseAsciiGrid:
     def test_round_trip_bit_exact(self):
         values = [[0.1, 1 / 3, NODATA], [0.7000000000000001, 0.0, 1.0]]
         original = layer(values, Semantic.ALBEDO, xll=652_100.25, yll=6_860_300.5)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_ascii_grid(original, buf)
-        buf.seek(0)
-        again = parse_grid(buf, Semantic.ALBEDO)
+        again = parse_grid(io.StringIO(buf.getvalue().decode()), Semantic.ALBEDO)
         assert np.array_equal(again.values, original.values)
         assert again.xllcorner == original.xllcorner
         assert again.nodata == original.nodata
         # a second write is byte-identical
-        buf2 = io.StringIO()
+        buf2 = io.BytesIO()
         write_ascii_grid(again, buf2)
         assert buf2.getvalue() == buf.getvalue()
 
@@ -176,6 +180,22 @@ class TestParseAsciiGrid:
         with pytest.raises(GridError, match=f"^repeated header key: {again.split()[0]}$"):
             parse_grid(io.StringIO(text), Semantic.ALBEDO)
 
+    @pytest.mark.parametrize("old, new", [(b"0.5", b"0.\xff"), (b"cellsize 1.0", b"cellsize \xff")])
+    def test_grid_that_is_not_utf8(self, tmp_path, old, new):
+        data = grid_text([[0.25, 0.5]]).encode().replace(old, new)
+        path = tmp_path / "grid.asc"
+        path.write_bytes(data)
+        message = f"grid is not UTF-8 text: byte 0xff at offset {data.index(0xFF)}"
+        with pytest.raises(GridError, match=f"^{message}$"):
+            parse_ascii_grid(path, Semantic.ALBEDO)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_line_ends_read_as_universal_newlines(self, tmp_path, newline):
+        path = tmp_path / "grid.asc"
+        path.write_bytes(grid_text([[0.25, 0.5], [0.75, 1.0]]).encode().replace(b"\n", newline))
+        grid = parse_ascii_grid(path, Semantic.ALBEDO)
+        assert grid.values.tolist() == [[0.25, 0.5], [0.75, 1.0]]
+
     def test_integral_header_numbers_in_any_notation(self):
         text = grid_text([[0.25, 0.5]]).replace("ncols 2", "ncols 2.0")
         text = text.replace("nrows 1", "nrows 1e0")
@@ -183,30 +203,18 @@ class TestParseAsciiGrid:
         assert (grid.ncols, grid.nrows) == (2, 1)
 
 
-def parse_both_ways(text, semantic=Semantic.IRRADIANCE_RAW):
-    """Outcomes of the two-core and the one-core parse: a layer or an error text.
-
-    Each is the same with the parse kernel on and forced off.
-    """
-    outcomes = []
-    for cut_off in (1, math.inf):
-        with mock.patch.object(raster, "_FORK_MIN_CELLS", cut_off):
-            try:
-                outcomes.append(parse_grid(io.StringIO(text), semantic))
-            except GridError as exc:
-                outcomes.append(str(exc))
-    return outcomes
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 64 bytes to parse and 7 cells to write: a 40x40 grid spans many."""
+    monkeypatch.setattr(raster, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(raster, "_BLOCK_CELLS", 7)
 
 
-def write_both_ways(grid):
-    """Text written by the two-core and by the one-core path."""
-    texts = []
-    for cut_off in (1, math.inf):
-        sink = io.StringIO()
-        with mock.patch.object(raster, "_FORK_MIN_CELLS", cut_off):
-            write_ascii_grid(grid, sink)
-        texts.append(sink.getvalue())
-    return texts
+def parse_error(text, semantic=Semantic.IRRADIANCE_RAW):
+    """The GridError text of parsing `text`, the same with the kernel on and off."""
+    with pytest.raises(GridError) as info:
+        parse_grid(io.StringIO(text), semantic)
+    return str(info.value)
 
 
 def grid_40(row=None, token=None):
@@ -261,18 +269,22 @@ def grid_parts(draw):
     return head, [fmt(v) for v in cells], seps, draw(st.sampled_from(["", "\n", " \n\n"]))
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestTwoCoreGridIo:
-    """The forked two-core path agrees with the one-core path bit for bit."""
+@pytest.mark.usefixtures("small_blocks")
+class TestBlockBoundaries:
+    """Grids of many blocks read and write as the per-cell path and `repr` do."""
 
     @settings(max_examples=60, deadline=None)
-    @given(parts=grid_parts())
-    def test_parse_matches_one_core(self, parts):
-        assert_same_layer(*parse_both_ways(grid_file(*parts)))
+    @given(parts=grid_parts(), block=st.sampled_from([1, 5, 64]))
+    def test_parse_matches_per_cell_path(self, parts, block):
+        text = grid_file(*parts)
+        with mock.patch.object(raster, "_BLOCK_BYTES", block):
+            grid = parse_grid(io.StringIO(text), Semantic.IRRADIANCE_RAW)
+        want = np.array(text.split()[-grid.values.size:], dtype=float)
+        assert np.array_equal(grid.values.ravel().view(np.int64), want.view(np.int64))
 
     @settings(max_examples=60, deadline=None)
     @given(parts=grid_parts(), data=st.data())
-    def test_errors_match_one_core(self, parts, data):
+    def test_errors_match_per_cell_path(self, parts, data):
         head, tokens, seps, tail = parts
         kind = data.draw(st.sampled_from(["bad", "drop", "extra", "bad+drop"]))
         if "bad" in kind:
@@ -286,76 +298,99 @@ class TestTwoCoreGridIo:
         if kind == "extra":
             tokens.append("0.5")
             seps.append(data.draw(separators))
-        fork, serial = parse_both_ways(grid_file(head, tokens, seps, tail))
-        if isinstance(serial, str):
-            assert fork == serial
-        else:
-            assert_same_layer(fork, serial)
-
-    @pytest.mark.parametrize("row, token", [(0, "x"), (39, "x"), (0, "nan"), (39, "inf")])
-    def test_bad_cell_in_either_half(self, row, token):
-        fork, serial = parse_both_ways(grid_40(row, token))
-        assert fork == serial
-        assert serial.startswith("non-numeric" if token == "x" else "non-finite")
+        try:  # parse_grid compares the kernel with the per-cell path
+            parse_grid(io.StringIO(grid_file(head, tokens, seps, tail)), Semantic.IRRADIANCE_RAW)
+        except GridError:
+            pass
 
     @pytest.mark.parametrize("row", [0, 39])
-    def test_count_checked_before_values_in_either_half(self, row):
+    @pytest.mark.parametrize("token, message", [
+        ("x", "non-numeric cell value: could not convert string to float: 'x'"),
+        ("5-", "non-numeric cell value: could not convert string to float: '5-'"),
+        ("nan", "non-finite cell value nan at row {row}, column 8"),
+        ("inf", "non-finite cell value inf at row {row}, column 8"),
+    ])
+    def test_bad_cell_in_first_or_last_block(self, row, token, message):
+        assert parse_error(grid_40(row, token)) == message.format(row=row + 1)
+
+    @pytest.mark.parametrize("row", [0, 39])
+    @pytest.mark.parametrize("cells, found", [("", 1599), ("0.25 0.25 ", 1601)])
+    def test_dropped_or_extra_cell_in_first_or_last_block(self, row, cells, found):
+        lines = grid_40().splitlines()
+        lines[6 + row] = lines[6 + row].replace("0.25 ", cells, 1)
+        message = f"expected 1600 cell values, found {found}"
+        assert parse_error("\n".join(lines) + "\n") == message
+
+    @pytest.mark.parametrize("row", [0, 39])
+    def test_count_checked_before_values_in_first_or_last_block(self, row):
         lines = grid_40().splitlines()
         lines[6 + row] = lines[6 + row].replace("0.25", "x", 1)
         lines[6 + 39 - row] = lines[6 + 39 - row].replace("0.25 ", "", 1)
-        fork, serial = parse_both_ways("\n".join(lines) + "\n")
-        assert fork == serial == "expected 1600 cell values, found 1599"
+        assert parse_error("\n".join(lines) + "\n") == "expected 1600 cell values, found 1599"
 
     @settings(max_examples=40, deadline=None)
-    @given(shape=st.tuples(st.integers(1, 7), st.integers(1, 7)), data=st.data())
-    def test_write_matches_one_core(self, shape, data):
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)), data=st.data())
+    def test_write_matches_repr(self, shape, data):
         cells = data.draw(st.lists(st.one_of(finite, st.just(NODATA), st.just(-0.0)),
                                    min_size=shape[0] * shape[1],
                                    max_size=shape[0] * shape[1]))
         grid = layer(np.reshape(cells, shape), Semantic.IRRADIANCE_RAW,
                      xll=data.draw(finite), yll=data.draw(finite))
-        fork, serial = write_both_ways(grid)
-        assert fork == serial
-        again = parse_ascii_grid(io.StringIO(fork), Semantic.IRRADIANCE_RAW)
-        assert np.array_equal(again.values.view(np.int64), grid.values.view(np.int64))
+        sink = io.BytesIO()
+        write_ascii_grid(grid, sink)
+        head = (f"ncols {shape[1]}\nnrows {shape[0]}\nxllcorner {grid.xllcorner!r}\n"
+                f"yllcorner {grid.yllcorner!r}\ncellsize 1.0\nNODATA_value {NODATA!r}\n")
+        rows = "".join(" ".join(map(repr, row)) + "\n" for row in grid.values.tolist())
+        assert sink.getvalue() == (head + rows).encode()
 
-    def test_write_to_a_path_matches_one_core(self, tmp_path):
+    def test_write_to_a_path_matches_a_binary_file(self, tmp_path):
         grid = layer(np.linspace(0.0, 1.0, 30 * 20).reshape(30, 20), Semantic.UCP)
-        for cut_off, name in ((1, "fork.asc"), (math.inf, "serial.asc")):
-            with mock.patch.object(raster, "_FORK_MIN_CELLS", cut_off):
-                write_ascii_grid(grid, tmp_path / name)
-        assert (tmp_path / "fork.asc").read_bytes() == (tmp_path / "serial.asc").read_bytes()
+        write_ascii_grid(grid, tmp_path / "grid.asc")
+        sink = io.BytesIO()
+        write_ascii_grid(grid, sink)
+        assert (tmp_path / "grid.asc").read_bytes() == sink.getvalue()
+        assert sink.tell() == len(sink.getvalue())
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
-                        or len(os.sched_getaffinity(0)) < 2, reason="one CPU: no fork")
-    def test_fork_path_taken_and_every_child_reaped(self):
-        children, results = [], []
-        real_fork, real_split = os.fork, raster._in_forked_child
+    @needs_parse_kernel
+    def test_workers_count_every_cell_float_reads_alone(self, monkeypatch):
+        # midpoint quotients and float()-only tokens in many blocks, read by
+        # more workers than this machine may have cores, switching often
+        monkeypatch.setattr(raster, "_MAX_WORKERS", 4)
+        monkeypatch.setattr(raster.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
+        threads = set()
+        real_block = raster._decode_block
 
-        def fork():
-            pid = real_fork()
-            if pid:
-                children.append(pid)
-            return pid
+        def block(text):
+            threads.add(threading.get_ident())
+            return real_block(text)
 
-        def split(child_part, parent_part):
-            results.append(real_split(child_part, parent_part))
-            return results[-1]
+        monkeypatch.setattr(raster, "_decode_block", block)
+        alone = ["1e-05", "nan", "9007199254740993", "-1.0000000000000001110", "+2"]
+        tokens = [alone[i // 7 % 5] if i % 7 == 3 else f"0.{i}" for i in range(4000)]
+        text = " ".join(tokens).encode()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = raster._decode_cells(text)
+        finally:
+            sys.setswitchinterval(interval)
+        want = np.array(text.split(), dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert raster._per_cell_conversions == {"float": sum(i % 7 == 3 for i in range(4000)),
+                                                "repr": 0}
+        assert 1 <= len(threads) <= 4
 
-        with mock.patch.object(raster, "_FORK_MIN_CELLS", 1), \
-                mock.patch.object(os, "fork", fork), \
-                mock.patch.object(raster, "_in_forked_child", split):
-            grid = parse_ascii_grid(io.StringIO(grid_40()), Semantic.ALBEDO)
-            write_ascii_grid(grid, io.StringIO())
-            for row in (0, 39):  # the child's half, then this process's half
-                with pytest.raises(GridError, match="non-numeric"):
-                    parse_ascii_grid(io.StringIO(grid_40(row, "x")), Semantic.ALBEDO)
-        assert len(children) == 4
-        assert results[0] is not None and results[1] is not None  # the good parse and write
-        assert results[2] is None  # the child's half failed
-        for pid in children:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
+    def test_pool_is_imported_only_to_convert_a_grid(self):
+        code = ("import sys, microclimap.cli; "
+                "assert 'concurrent.futures' not in sys.modules, 'imported'")
+        src = Path(raster.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def computed_grid(path, values, nodata=NODATA, header_gap="", edit=("", "")):
@@ -364,12 +399,12 @@ def computed_grid(path, values, nodata=NODATA, header_gap="", edit=("", "")):
     `edit` (old, new) changes the text before the sidecar digests it.
     """
     grid = layer(values, Semantic.UCP, xll=10.0, yll=-3.5, cellsize=0.5, nodata=nodata)
-    sink = io.StringIO()
+    sink = io.BytesIO()
     write_ascii_grid(grid, sink)
-    text = sink.getvalue().replace("NODATA_value", header_gap + "NODATA_value")
-    text = text.replace(*edit, 1)
-    path.write_text(text)
-    raster.cells_sidecar_path(path).write_bytes(raster.cells_sidecar(text.encode(), grid))
+    text = sink.getvalue().replace(b"NODATA_value", header_gap.encode() + b"NODATA_value")
+    text = text.replace(*(part.encode() for part in edit), 1)
+    path.write_bytes(text)
+    raster.cells_sidecar_path(path).write_bytes(raster.cells_sidecar(text, grid))
     return path
 
 
@@ -463,13 +498,12 @@ class TestCellsSidecar:
         assert len(parses) == 1
         assert_same_layer(got, want)
 
-    def test_header_past_the_decoded_prefix_is_parsed(self, tmp_path, parses):
-        # NODATA_value follows 5000 blank lines; a header read from the first
-        # 4096 bytes alone would miss it
+    def test_long_header_is_read_with_the_sidecar(self, tmp_path, parses):
+        # NODATA_value follows 5000 blank lines
         path = computed_grid(tmp_path / "ucp.asc", ucp_values(nodata=-1.0), nodata=-1.0,
                              header_gap="\n" * 5000)
         got = raster.read_ascii_grid(path, Semantic.UCP)
-        assert len(parses) == 1
+        assert parses == []
         assert got.nodata == -1.0
 
     def test_edited_grid_keeps_the_parse_errors(self, tmp_path, monkeypatch):
@@ -796,10 +830,6 @@ def read_until_unreadable(data, dtype, sep):
     return np.array(numbers, dtype=dtype)
 
 
-needs_parse_kernel = pytest.mark.skipif(not raster._EXACT_PARSE,
-                                        reason="numpy's long double is not the x87 format")
-
-
 class TestCodec:
     """The block codec reads as `float()` and writes as `repr()`, bit for bit.
 
@@ -817,7 +847,7 @@ class TestCodec:
         block = data.draw(st.sampled_from([1, 16, 200, 1 << 20]))
         want = np.array(text.split(), dtype=float)
         with mock.patch.object(raster, "_BLOCK_BYTES", block):
-            got = raster._decode_cells(text)
+            got = raster._decode_cells(text.encode())
         assert got is not None
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -829,8 +859,8 @@ class TestCodec:
         grid = np.reshape(cells, shape)
         block = data.draw(st.sampled_from([1, 5, 1 << 16]))
         with mock.patch.object(raster, "_BLOCK_CELLS", block):
-            got = raster._grid_rows(grid)
-        assert got == "".join(" ".join(map(repr, row)) + "\n" for row in grid.tolist())
+            got = b"".join(raster._grid_rows(grid))
+        assert got.decode() == "".join(" ".join(map(repr, row)) + "\n" for row in grid.tolist())
 
     @pytest.mark.parametrize("cells", [
         [2.0 ** e for e in range(-14, 55)],  # every power of two the kernel takes, and past it
@@ -838,8 +868,8 @@ class TestCodec:
     ], ids=["powers of two", "exact ties"])
     def test_write_matches_repr_on(self, cells):
         grid = np.array([cells, [-c for c in cells]])
-        assert raster._grid_rows(grid) == "".join(" ".join(map(repr, row)) + "\n"
-                                                  for row in grid.tolist())
+        assert b"".join(raster._grid_rows(grid)).decode() == "".join(
+            " ".join(map(repr, row)) + "\n" for row in grid.tolist())
 
     @needs_parse_kernel
     @pytest.mark.parametrize("token", ["9007199254740993", "-9007199254740995",
@@ -847,7 +877,7 @@ class TestCodec:
     def test_parse_divides_midpoint_quotients_again(self, token, monkeypatch):
         # each of these long-double quotients lands exactly on a float64 midpoint
         monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
-        got = raster._decode_cells(f"1.5 {token} 2.5")
+        got = raster._decode_cells(f"1.5 {token} 2.5".encode())
         assert got.tolist() == [1.5, float(token), 2.5]
         assert raster._per_cell_conversions["float"] == 1
 
@@ -864,7 +894,7 @@ class TestCodec:
         # and only warns; the kernel must not rely on either behaviour
         if reader == "stops silently":
             monkeypatch.setattr(raster.np, "fromstring", read_until_unreadable)
-        assert raster._decode_cells(text) is None
+        assert raster._decode_cells(text.encode()) is None
 
     def test_decades_are_the_least_doubles_at_or_above_each_power_of_ten(self):
         for e, decade in zip(range(-5, 18), raster._DECADES.tolist()):
@@ -872,12 +902,11 @@ class TestCodec:
 
     def test_random_grid_stays_in_the_kernel(self, monkeypatch):
         """Under 0.1% of a million random cells take `repr()` or `float()` alone."""
-        monkeypatch.setattr(raster, "_FORK_MIN_CELLS", math.inf)
         monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
         grid = layer(np.random.default_rng(10).random((1000, 1000)), Semantic.UCP)
-        sink = io.StringIO()
+        sink = io.BytesIO()
         write_ascii_grid(grid, sink)
-        text = sink.getvalue()
+        text = sink.getvalue().decode()
         assert raster._per_cell_conversions["repr"] < 1000
         rows = text.splitlines()[6:56]
         assert rows == [" ".join(map(repr, row)) for row in grid.values[:50].tolist()]
