@@ -180,13 +180,15 @@ class TestDayBlockBootstrap:
     (1, 2, "the before period holds"),
     (2, 1, "the after period holds"),
 ])
-def test_one_block_period_gives_no_interval(days_b, days_a, periods):
+@pytest.mark.parametrize("seed", range(0, 100, 7))
+def test_one_block_period_gives_no_interval(days_b, days_a, periods, seed):
+    # a one-block period has nothing to resample, so no seed yields an interval
     def gen(d, i):
         return dyadic(math.cos(5 * d + i) + 0.25 * d)
 
     data = BaciDataset(before=offsets(gen, BEFORE_START, days=days_b),
                        after=offsets(lambda d, i: gen(d, i) - 1.0, AFTER_START, days=days_a))
-    estimate = baci_effect(data, seed=3)
+    estimate = baci_effect(data, seed=seed)
     assert (estimate.ci_low, estimate.ci_high) == (None, None)
     assert estimate.effect == np.mean(data.after.values) - np.mean(data.before.values)
     assert estimate.summary() == (
