@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 criterion rejection, 2 data missing or invalid,
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import os
@@ -47,20 +48,24 @@ def write_atomic(path: Path, text: str) -> None:
     _replace_file(path, text)
 
 
-def _replace_file(path: Path, data: str | bytes) -> None:
-    """Write `path` through a temp file in its directory plus rename.
+def _replace_file(path: Path, *chunks) -> None:
+    """Write `chunks` one after another to `path` through a temp file in its
+    directory plus rename.
 
-    The file gets the mode `open` would give a new file under the process
-    umask (0o666 minus the umask bits), not the 0o600 of `mkstemp`.
+    The chunks are all str, or all bytes-like (an array's buffer is written
+    without a copy). The file gets the mode `open` would give a new file
+    under the process umask (0o666 minus the umask bits), not the 0o600 of
+    `mkstemp`.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0o077)  # read the umask; os.umask has no query form
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+        with os.fdopen(fd, "w" if isinstance(chunks[0], str) else "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -420,10 +425,24 @@ def ucp(cfg: RunConfig):
     grid_path = cfg.output_dir / "ucp.asc"
     _replace_file(grid_path, grid)
     _replace_file(raster_mod.cells_sidecar_path(grid_path),
-                  raster_mod.cells_sidecar(grid, result))
+                  *raster_mod.cells_sidecar(grid, result))
     log(f"wrote {grid_path}")
     sys.exit(EXIT_OK)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: `main` with the import-time objects frozen.
+
+    The modules, functions and classes imported so far live until exit, so
+    `gc.freeze()` moves them out of the cyclic collector's generations:
+    collections during the command and at interpreter shutdown no longer
+    traverse them. Objects the command creates are collected as before, and
+    the interpreter exits normally. `main` itself never freezes, so
+    in-process callers (tests, `CliRunner`) keep their collector as it was.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

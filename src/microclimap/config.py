@@ -152,6 +152,8 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
         resolved = (base / p).resolve()
         if not resolved.exists():
             raise ConfigError(f"configured path does not exist: {resolved}")
+        if not resolved.is_file():
+            raise ConfigError(f"configured path is not a regular file: {resolved}")
         return resolved
 
     stations = {}

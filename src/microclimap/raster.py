@@ -48,10 +48,11 @@ cell, with exactly the values `float()` reads and the text `repr()` writes:
 Grid text stays bytes from end to end: a file is read as bytes, the header
 comes from its leading lines and the cells are cut into blocks of about
 `_BLOCK_BYTES` at a whitespace byte. The blocks, and on writing the row
-blocks of about `_BLOCK_CELLS` cells, are converted on a thread pool with
-one worker per CPU this process may run on, up to two; numpy's text reader
-and ufuncs release the GIL, so two workers use two cores. Every grid size
-and platform takes this one path, one worker included. The text is decoded
+blocks of about `_BLOCK_CELLS` cells, are converted by one block codec on
+every grid size and platform. Several blocks run on a thread pool with one
+worker per CPU this process may run on, up to two; numpy's text reader and
+ufuncs release the GIL, so two workers use two cores. A grid of one block
+is converted in the calling thread and starts no pool. The text is decoded
 as UTF-8 only to word an error or to convert the cells one at a time.
 
 A grid the program computes gets a binary sidecar beside it: `.NAME.cells`
@@ -215,13 +216,17 @@ class RasterLayer:
                 and self.cellsize == other.cellsize)
 
 
-def _map_blocks(convert, blocks):
-    """`convert(block)` for each block, in order, yielded as the workers finish them.
+def _map_blocks(convert, blocks: list):
+    """`convert(block)` for each block, in order.
 
-    The blocks run on one worker per CPU this process may run on, up to
-    `_MAX_WORKERS`; one worker runs the same code.
+    A single block is converted in the calling thread. More run on one
+    worker per CPU this process may run on, up to `_MAX_WORKERS`, and are
+    yielded as the workers finish them; one worker runs the same code.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only grid I/O needs it
+    if len(blocks) < 2:
+        yield from map(convert, blocks)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a grid of many blocks needs it
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(min(cpus or 1, _MAX_WORKERS)) as pool:
@@ -468,10 +473,15 @@ def _cells_digest(grid: bytes, cells: np.ndarray) -> bytes:
     return digest.digest()
 
 
-def cells_sidecar(grid: bytes, layer: RasterLayer) -> bytes:
-    """The sidecar content for `layer`, whose grid file holds the bytes `grid`."""
+def cells_sidecar(grid: bytes, layer: RasterLayer) -> tuple[bytes, np.ndarray]:
+    """The sidecar content for `layer`, whose grid file holds the bytes `grid`:
+    the digest and the cells, to be written one after the other.
+
+    The cells are `layer.values` itself when that is already contiguous
+    little-endian float64, so writing them copies nothing.
+    """
     cells = np.ascontiguousarray(layer.values, dtype=_CELLS_DTYPE)
-    return _cells_digest(grid, cells) + cells.tobytes()
+    return _cells_digest(grid, cells), cells
 
 
 def _layer_from_sidecar(path: Path, semantic: Semantic) -> RasterLayer | None:
@@ -658,7 +668,7 @@ def _grid_rows(values: np.ndarray):
         yield b"\n" * len(values)
         return
     step = max(1, _BLOCK_CELLS // values.shape[1])
-    blocks = (values[i:i + step] for i in range(0, len(values), step))
+    blocks = [values[i:i + step] for i in range(0, len(values), step)]
     for text, by_repr in _map_blocks(_encode_rows, blocks):
         _per_cell_conversions["repr"] += by_repr
         yield text

@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import math
+import os
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
+import microclimap
 from microclimap.campaign import MobileLog
 from microclimap.series import FIELDS, Gap, StationSeries, epoch_us
 
 UTC = timezone.utc
 T0 = datetime(2019, 7, 25, 8, 0, tzinfo=UTC)
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = Path(microclimap.__file__).parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 # CI runs the property tests that set no example count of their own, the
 # parser and kernel parity tests among them, with `--hypothesis-profile=ci`,

@@ -1,6 +1,8 @@
 import csv
+import gc
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -10,9 +12,8 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
-from conftest import UTC, V15_FOR_HALF, globe_for_offset
+from conftest import UTC, V15_FOR_HALF, globe_for_offset, src_env
 
-import microclimap
 from microclimap import config as config_mod
 from microclimap import raster as raster_mod
 from microclimap.cli import main
@@ -417,6 +418,21 @@ class TestMalformedConfigExitsTwo:
         assert str(caught.value).startswith(f"malformed YAML in plan file {plan}: ")
         assert str(caught.value).endswith(" at line 3, column 5")
 
+    @pytest.mark.parametrize("entry, args", [
+        ("control: control.csv", ("check-day", BEFORE_DAY.isoformat())),
+        ("plan: before_plan.yaml", ("process", "before")),
+        ("mobile_log: before_mobile.csv", ("process", "before")),
+        ("albedo: albedo.asc", ("ucp",)),
+    ])
+    def test_configured_path_that_is_a_directory(self, site, entry, args):
+        (site / "adir").mkdir()
+        config = site / "run.yaml"
+        key = entry.split(":")[0]
+        config.write_text(config.read_text().replace(entry, f"{key}: adir", 1))
+        adir = (site / "adir").resolve()
+        self.assert_one_line_exit_two(
+            run(site, *args), f"config error: configured path is not a regular file: {adir}")
+
     def test_plan_without_points_under_compare(self, site):
         plan = site / "before_plan.yaml"
         kept = plan.read_text().split("points:")[0]
@@ -641,13 +657,10 @@ for args in (["check-day", day], ["ucp"], ["process", "before"],
 
 
 def test_no_command_imports_scipy(site):
-    src = Path(microclimap.__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, str(site / "run.yaml"),
          BEFORE_DAY.isoformat()],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (site / "out" / "compare_before_after" / "scatter.csv").exists()
 
@@ -657,18 +670,32 @@ FIXTURE_COMMANDS = (("ucp",), ("process", "before"), ("process", "after"),
                     ("compare", "before", "after"))
 
 
-def fixture_digests(site):
-    """SHA-256 of the check-day stdout and of every file the fixture commands write."""
-    digests = {"check-day stdout": hashlib.sha256(
-        run(site, "check-day", BEFORE_DAY.isoformat()).stdout.encode()).hexdigest()}
-    for args in FIXTURE_COMMANDS:
-        run(site, *args)
+def in_process(site, *args):
+    """Exit code and stdout of one command run through `CliRunner`."""
+    result = run(site, *args)
+    return result.exit_code, result.stdout
+
+
+def in_subprocess(site, *args):
+    """Exit code and stdout of one command run as `python -m microclimap.cli`."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "microclimap.cli", "-c", str(site / "run.yaml"), *args],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def fixture_runs(site, invoke=in_process):
+    """Exit codes of check-day and the fixture commands, and the SHA-256 of
+    the check-day stdout and of every file the commands write."""
+    code, stdout = invoke(site, "check-day", BEFORE_DAY.isoformat())
+    codes = [code] + [invoke(site, *args)[0] for args in FIXTURE_COMMANDS]
+    digests = {"check-day stdout": hashlib.sha256(stdout.encode()).hexdigest()}
     out = site / "out"
     for path in sorted(out.rglob("*")):
         if path.is_file():
             digests[path.relative_to(out).as_posix()] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
-    return digests
+    return codes, digests
 
 
 #: Digests of the fixture outputs; any change to an output byte fails here.
@@ -715,4 +742,42 @@ FIXTURE_DIGESTS = {
 
 
 def test_fixture_outputs_byte_identical(site):
-    assert fixture_digests(site) == FIXTURE_DIGESTS
+    assert fixture_runs(site)[1] == FIXTURE_DIGESTS
+
+
+#: `run` called as the console script calls it, on the config in argv[1].
+RUN_FREEZES = """
+import gc, sys
+from microclimap import cli
+
+assert gc.get_freeze_count() == 0
+sys.argv[1:] = ["-c", sys.argv[1], "ucp"]
+try:
+    cli.run()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert gc.get_freeze_count() > 0
+"""
+
+
+class TestEntryPoint:
+    """`run`, the process entry, freezes the import-time objects; `main` never does."""
+
+    @pytest.mark.parametrize("args", [("check-day", BEFORE_DAY.isoformat()), ("ucp",),
+                                      ("process", "before")])
+    def test_main_leaves_the_collector_as_it_was(self, site, args):
+        frozen = gc.get_freeze_count()
+        assert run(site, *args).exit_code == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes(self, site):
+        proc = subprocess.run([sys.executable, "-c", RUN_FREEZES, str(site / "run.yaml")],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (site / "out" / "ucp.asc").exists()
+
+    def test_module_entry_matches_cli_runner(self, site):
+        codes, digests = fixture_runs(site, in_subprocess)
+        assert digests == FIXTURE_DIGESTS
+        shutil.rmtree(site / "out")
+        assert fixture_runs(site) == (codes, FIXTURE_DIGESTS)

@@ -1,12 +1,13 @@
+import hashlib
 import io
 import math
-import os
 import platform
 import re
 import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from datetime import date
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import T0, UTC
+from conftest import T0, UTC, src_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from microclimap import raster
 
 from microclimap.campaign import (AggregatedDrivers, CampaignPlan, Environment,
                                   Phase, PointResult, TraversePoint)
+from microclimap.cli import _replace_file
 from microclimap.errors import DomainError, GridError
 from microclimap.raster import (RasterLayer, Semantic, compute_ucp,
                                 export_heat_map, geojson_dumps,
@@ -355,6 +357,7 @@ class TestBlockBoundaries:
     def test_workers_count_every_cell_float_reads_alone(self, monkeypatch):
         # midpoint quotients and float()-only tokens in many blocks, read by
         # more workers than this machine may have cores, switching often
+        monkeypatch.setattr(raster, "_BLOCK_BYTES", 256)
         monkeypatch.setattr(raster, "_MAX_WORKERS", 4)
         monkeypatch.setattr(raster.os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
@@ -385,12 +388,48 @@ class TestBlockBoundaries:
     def test_pool_is_imported_only_to_convert_a_grid(self):
         code = ("import sys, microclimap.cli; "
                 "assert 'concurrent.futures' not in sys.modules, 'imported'")
-        src = Path(raster.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
+
+    def test_one_block_grid_is_converted_without_a_pool(self, tmp_path):
+        proc = run_python(ONE_BLOCK_GRID, str(tmp_path / "grid.asc"))
+        assert proc.returncode == 0, proc.stderr
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    return subprocess.run([sys.executable, "-c", code, *args], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+#: An 80x80 grid is one block to write and one to parse: both run in the
+#: calling thread. Shrunk blocks send the same grid through the pool, which
+#: must give the same bytes and values.
+ONE_BLOCK_GRID = """
+import sys
+from pathlib import Path
+import numpy as np
+from microclimap import raster
+
+path = Path(sys.argv[1])
+values = np.random.default_rng(5).random((80, 80))
+grid = raster.RasterLayer(ncols=80, nrows=80, xllcorner=0.0, yllcorner=0.0,
+                          cellsize=1.0, nodata=-9999.0, values=values,
+                          semantic=raster.Semantic.ALBEDO)
+
+def round_trip():
+    raster.write_ascii_grid(grid, path)
+    return path.read_bytes(), raster.parse_ascii_grid(path, raster.Semantic.ALBEDO).values
+
+text, cells = round_trip()
+assert "concurrent.futures" not in sys.modules, "one block started a pool"
+raster._BLOCK_BYTES, raster._BLOCK_CELLS = 4096, 500
+pooled_text, pooled_cells = round_trip()
+assert "concurrent.futures" in sys.modules, "many blocks ran without a pool"
+assert pooled_text == text
+assert np.array_equal(pooled_cells.view(np.int64), cells.view(np.int64))
+assert np.array_equal(cells.view(np.int64), values.view(np.int64))
+"""
 
 
 def computed_grid(path, values, nodata=NODATA, header_gap="", edit=("", "")):
@@ -404,7 +443,7 @@ def computed_grid(path, values, nodata=NODATA, header_gap="", edit=("", "")):
     text = sink.getvalue().replace(b"NODATA_value", header_gap.encode() + b"NODATA_value")
     text = text.replace(*(part.encode() for part in edit), 1)
     path.write_bytes(text)
-    raster.cells_sidecar_path(path).write_bytes(raster.cells_sidecar(text, grid))
+    raster.cells_sidecar_path(path).write_bytes(b"".join(raster.cells_sidecar(text, grid)))
     return path
 
 
@@ -446,7 +485,7 @@ def short_cells_with_matching_digest(path):
     grid = parse_ascii_grid(path, Semantic.UCP)
     fewer = layer(grid.values[:-1], Semantic.UCP)
     raster.cells_sidecar_path(path).write_bytes(
-        raster.cells_sidecar(path.read_bytes(), fewer))
+        b"".join(raster.cells_sidecar(path.read_bytes(), fewer)))
 
 
 def remove_sidecar(path):
@@ -528,6 +567,21 @@ class TestCellsSidecar:
         with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
             raster.read_ascii_grid(path, Semantic.UCP)
         assert len(parses) == 1
+
+    def test_sidecar_is_written_without_copying_the_cells(self, tmp_path):
+        grid = layer(np.random.default_rng(3).random((1000, 1000)), Semantic.UCP)
+        text = b"ncols 1000\n"  # the digest covers whatever the grid file holds
+        path = tmp_path / ".ucp.asc.cells"
+        tracemalloc.start()
+        try:
+            _replace_file(path, *raster.cells_sidecar(text, grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.values.nbytes  # 8 MB; digest + tobytes() took 16 MB
+        data = path.read_bytes()
+        assert data[32:] == grid.values.astype("<f8").tobytes()
+        assert data[:32] == hashlib.sha256(text + data[32:]).digest()
 
     def test_grid_without_sidecar_loads(self, tmp_path):
         path = tmp_path / "given.asc"
