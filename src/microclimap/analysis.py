@@ -10,30 +10,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import timedelta
 
 import numpy as np
 
 from .errors import DomainError
 from .series import OffsetSeries
 
+_DAY_US = 86_400_000_000
+
 
 @dataclass
 class BaciDataset:
-    """Offsets for one parameter split into before/after periods."""
+    """Offsets for one parameter split into before/after periods, with the
+    fixed UTC offset of the local days the bootstrap blocks on."""
 
     before: OffsetSeries
     after: OffsetSeries
+    utc_offset: timedelta = timedelta(0)
 
     def __post_init__(self):
         if self.before.parameter != self.after.parameter:
             raise DomainError(
                 f"parameter mismatch: {self.before.parameter} vs {self.after.parameter}")
-        if self.before.times and self.after.times:
-            b_lo, b_hi = min(self.before.times), max(self.before.times)
-            a_lo, a_hi = min(self.after.times), max(self.after.times)
-            if b_hi >= a_lo and a_hi >= b_lo:
-                raise DomainError("before and after periods overlap in time")
+        before, after = self.before.t_us, self.after.t_us
+        if (len(before) and len(after)
+                and before.max() >= after.min() and after.max() >= before.min()):
+            raise DomainError("before and after periods overlap in time")
 
 
 @dataclass(frozen=True)
@@ -64,17 +67,10 @@ class EffectEstimate:
                 f"n_before={self.n_before}, n_after={self.n_after}, {self.method})")
 
 
-def _day_blocks(times: list[datetime], values: list[float]):
-    """Group values by calendar date (UTC), returning per-day sums and counts."""
-    days: dict = {}
-    for t, v in zip(times, values):
-        key = t.date()
-        total, count = days.get(key, (0.0, 0))
-        days[key] = (total + v, count + 1)
-    ordered = sorted(days)
-    sums = np.array([days[d][0] for d in ordered])
-    counts = np.array([days[d][1] for d in ordered], dtype=float)
-    return sums, counts
+def _day_blocks(t_us: np.ndarray, values: np.ndarray, utc_offset_us: int):
+    """Sums (added in input order) and counts of `values` per local date, in date order."""
+    _, day = np.unique((t_us + utc_offset_us) // _DAY_US, return_inverse=True)
+    return np.bincount(day, weights=values), np.bincount(day).astype(float)
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:
@@ -97,23 +93,24 @@ def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
                 ci_level: float = 0.95) -> EffectEstimate:
     """Mean after-minus-before offset with a day-block percentile bootstrap CI.
 
-    Days (not samples) are resampled with replacement independently in each
-    period. One Generator seeded with `seed` draws every resample at once,
-    a `(bootstrap_n, days)` index matrix for the before period and then one
-    for the after period, so the estimate is bit-reproducible for a fixed
-    seed. A period of one day block has no spread to resample, so then no
-    interval is drawn and the estimate says why.
+    Days (not samples), local dates at `data.utc_offset`, are resampled
+    independently in each period with replacement. One Generator seeded with
+    `seed` draws every resample at once, a `(bootstrap_n, days)` index matrix
+    for the before period and then one for the after period, so the estimate
+    is bit-reproducible for a fixed seed. A period of one day block has no
+    spread to resample, so no interval is drawn and the estimate says why.
     """
     before, after = data.before, data.after
-    if not before.values:
+    if not len(before.values):
         raise DomainError("before period is empty")
-    if not after.values:
+    if not len(after.values):
         raise DomainError("after period is empty")
 
     effect = float(np.mean(after.values) - np.mean(before.values))
 
-    sums_b, counts_b = _day_blocks(before.times, before.values)
-    sums_a, counts_a = _day_blocks(after.times, after.values)
+    offset_us = data.utc_offset // timedelta(microseconds=1)
+    sums_b, counts_b = _day_blocks(before.t_us, before.values, offset_us)
+    sums_a, counts_a = _day_blocks(after.t_us, after.values, offset_us)
     single = [name for name, sums in (("before", sums_b), ("after", sums_a)) if len(sums) < 2]
     if single:
         periods = (f"the {single[0]} period holds" if len(single) == 1

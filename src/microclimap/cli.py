@@ -361,13 +361,17 @@ def compare(cfg: RunConfig, before_id, after_id):
     for point_id in unmatched:
         report_lines.append(f"unmatched after point: {point_id}")
 
-    # BACI on the fixed stations over the two campaign days
+    # BACI on the fixed stations over the two campaign days, in local day blocks
     try:
+        if before_plan.tz != after_plan.tz:  # fixed offsets, equal when the offsets are
+            raise ConfigError(f"before and after plans use different time zones "
+                              f"({before_plan.tz} and {after_plan.tz})")
         case = load_station(cfg, "case")
         control = load_station(cfg, "control")
         estimate = analysis.baci_effect(
             analysis.BaciDataset(before=day_offsets(cfg, case, control, before_plan),
-                                 after=day_offsets(cfg, case, control, after_plan)),
+                                 after=day_offsets(cfg, case, control, after_plan),
+                                 utc_offset=before_plan.tz.utcoffset(None)),
             seed=cfg.seed)
         report_lines.append(estimate.summary())
     except (ConfigError, DomainError, MatchError, SchemaError, ValidityError) as exc:

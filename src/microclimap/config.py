@@ -112,7 +112,6 @@ class CampaignConfig:
 
 @dataclass
 class RunConfig:
-    config_dir: Path
     stations: dict[str, StationConfig]     # keys: control, case, onsite, ...
     campaigns: dict[str, CampaignConfig]
     rasters: dict[str, Path]               # keys: albedo, vegetation, irradiance, ucp
@@ -210,7 +209,6 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
 
     output_dir = (base / raw.get("output_dir", "out")).resolve()
     return RunConfig(
-        config_dir=base,
         stations=stations,
         campaigns=campaigns,
         rasters=rasters,

@@ -47,8 +47,8 @@ cell, with exactly the values `float()` reads and the text `repr()` writes:
 
 Grid text stays bytes from end to end: a file is read as bytes, the header
 comes from its leading lines and the cells are cut into blocks of about
-`_BLOCK_BYTES` at a whitespace byte. The blocks, and on writing the row
-blocks of about `_BLOCK_CELLS` cells, are converted by one block codec on
+`_BLOCK_BYTES` at a whitespace byte. The blocks, and on writing one row
+block per full `_BLOCK_CELLS` cells, are converted by one block codec on
 every grid size and platform. Several blocks run on a thread pool with one
 worker per CPU this process may run on, up to two; numpy's text reader and
 ufuncs release the GIL, so two workers use two cores. A grid of one block
@@ -95,8 +95,8 @@ _DIGEST_BYTES = 32  # SHA-256
 _EXACT_PARSE = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
 #: Grid text parsed per block (about 50,000 cells of 20 bytes).
 _BLOCK_BYTES = 1 << 20
-#: Cells written per block of whole rows. A block's temporaries take about
-#: 300 bytes a cell, and each worker holds one block's.
+#: Cells that make one more block of whole rows to write. A block's
+#: temporaries take about 300 bytes a cell, and each worker holds one block's.
 _BLOCK_CELLS = 1 << 15
 #: Most threads that convert grid blocks; two is the only count measured.
 _MAX_WORKERS = 2
@@ -287,6 +287,15 @@ def _grid_shape(header: dict[str, float]) -> tuple[int, int]:
     return int(header["ncols"]), int(header["nrows"])
 
 
+def _grid_layer(header: dict[str, float], nodata: float, cells: np.ndarray,
+                semantic: Semantic) -> RasterLayer:
+    """The layer a checked header describes, holding `cells` in row-major order."""
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    return RasterLayer(ncols=ncols, nrows=nrows, xllcorner=header["xllcorner"],
+                       yllcorner=header["yllcorner"], cellsize=header["cellsize"],
+                       nodata=nodata, values=cells.reshape(nrows, ncols), semantic=semantic)
+
+
 def _exact_double(mantissa: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """float64 of mantissa / 10**k (uint64, k < 20), and where it may be off.
 
@@ -453,12 +462,7 @@ def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
             cells = np.array(tokens, dtype=float)
         except ValueError as exc:
             raise GridError(f"non-numeric cell value: {exc}") from exc
-    return RasterLayer(
-        ncols=ncols, nrows=nrows,
-        xllcorner=header["xllcorner"], yllcorner=header["yllcorner"],
-        cellsize=header["cellsize"], nodata=nodata,
-        values=cells.reshape(nrows, ncols), semantic=semantic,
-    )
+    return _grid_layer(header, nodata, cells, semantic)
 
 
 def cells_sidecar_path(grid_path) -> Path:
@@ -511,12 +515,7 @@ def _layer_from_sidecar(path: Path, semantic: Semantic) -> RasterLayer | None:
         return None
     if cells.size != ncols * nrows:
         return None
-    return RasterLayer(
-        ncols=ncols, nrows=nrows,
-        xllcorner=header["xllcorner"], yllcorner=header["yllcorner"],
-        cellsize=header["cellsize"], nodata=nodata,
-        values=cells.reshape(nrows, ncols), semantic=semantic,
-    )
+    return _grid_layer(header, nodata, cells, semantic)
 
 
 def read_ascii_grid(path, semantic: Semantic) -> RasterLayer:
@@ -662,12 +661,12 @@ def _encode_rows(rows: np.ndarray) -> tuple[bytes, int]:
 
 
 def _grid_rows(values: np.ndarray):
-    """ASCII lines of the rows of `values`, yielded block by block, each cell
-    as `repr` writes it."""
+    """ASCII lines of the rows of `values`, each cell as `repr` writes it, yielded
+    in even blocks of rows, one per whole `_BLOCK_CELLS` cells (at least one)."""
     if not values.size:
         yield b"\n" * len(values)
         return
-    step = max(1, _BLOCK_CELLS // values.shape[1])
+    step = -(-len(values) // max(1, values.size // _BLOCK_CELLS))
     blocks = [values[i:i + step] for i in range(0, len(values), step)]
     for text, by_repr in _map_blocks(_encode_rows, blocks):
         _per_cell_conversions["repr"] += by_repr
@@ -733,14 +732,7 @@ def compute_ucp(albedo: RasterLayer, vegetation: RasterLayer,
     else:
         raise DomainError(f"unknown UCP formula {formula!r}")
     ucp = np.clip(ucp, 0.0, 1.0)
-    nodata = albedo.nodata
-    out = np.where(mask, ucp, nodata)
-    return RasterLayer(
-        ncols=albedo.ncols, nrows=albedo.nrows,
-        xllcorner=albedo.xllcorner, yllcorner=albedo.yllcorner,
-        cellsize=albedo.cellsize, nodata=nodata,
-        values=out, semantic=Semantic.UCP,
-    )
+    return replace(albedo, values=np.where(mask, ucp, albedo.nodata), semantic=Semantic.UCP)
 
 
 def sample_at(layer: RasterLayer, x: float, y: float) -> float | None:

@@ -521,15 +521,27 @@ def _smooth_values(t_us: np.ndarray, values: list[float],
     return [sum(values[a:b]) / (b - a) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-@dataclass
+@dataclass(eq=False)
 class OffsetSeries:
-    """Case-minus-control time series for one parameter."""
+    """Case-minus-control time series for one parameter, as two columns: the
+    times in `t_us` (int64 epoch microseconds) and the offsets in `values`
+    (float64). A `t_us` that is not an array is read as aware datetimes."""
 
     parameter: str
     case_id: str
     control_id: str
-    times: list[datetime]
-    values: list[float]
+    t_us: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.t_us, np.ndarray):
+            self.t_us = np.array(list(map(epoch_us, self.t_us)), dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=float)
+
+    @property
+    def times(self) -> list[datetime]:
+        """The sample times as UTC datetimes, built from `t_us` on each access."""
+        return list(map(from_epoch_us, self.t_us.tolist()))
 
 
 def match_indices(times_us: np.ndarray, query_us: np.ndarray,
@@ -576,9 +588,8 @@ def offset_series(case: StationSeries, control: StationSeries, parameter: str,
     """
     if parameter not in PARAMETERS:
         raise DomainError(f"unknown parameter {parameter!r}")
-    if not len(case.t_us):
-        return OffsetSeries(parameter, case.station_id, control.station_id, [], [])
-    if case.t_us[-1] < control.t_us[0] or control.t_us[-1] < case.t_us[0]:
+    if len(case.t_us) and (case.t_us[-1] < control.t_us[0]
+                           or control.t_us[-1] < case.t_us[0]):
         raise MatchError(
             f"series {case.station_id} and {control.station_id} do not overlap in time"
         )
@@ -588,8 +599,7 @@ def offset_series(case: StationSeries, control: StationSeries, parameter: str,
             - parameter_values(control, parameter, matched[rows], globe, z0))
     defined = ~np.isnan(diff)
     return OffsetSeries(parameter, case.station_id, control.station_id,
-                        list(map(from_epoch_us, case.t_us[rows[defined]].tolist())),
-                        diff[defined].tolist())
+                        case.t_us[rows[defined]], diff[defined])
 
 
 @dataclass(frozen=True)
@@ -635,22 +645,21 @@ def drift_diagnostic(offsets: OffsetSeries, window: tuple[datetime, datetime],
     deliberately does not hide a steady monotone drift.
     """
     start, end = window
-    if not offsets.times:
+    if not len(offsets.t_us):
         raise DomainError("empty offset series")
-    if end < offsets.times[0] or start > offsets.times[-1]:
+    start_us, end_us = epoch_us(start), epoch_us(end)
+    if end_us < offsets.t_us[0] or start_us > offsets.t_us[-1]:
         raise DomainError("window lies outside the offset series range")
-    idx = [i for i, t in enumerate(offsets.times) if start <= t <= end]
-    if len(idx) < 10:
-        raise DomainError(f"need at least 10 samples in the window, found {len(idx)}")
-    times = [offsets.times[i] for i in idx]
-    values = [offsets.values[i] for i in idx]
+    inside = (start_us <= offsets.t_us) & (offsets.t_us <= end_us)
+    t_us, values = offsets.t_us[inside], offsets.values[inside]
+    if len(t_us) < 10:
+        raise DomainError(f"need at least 10 samples in the window, found {len(t_us)}")
 
-    smoothed = _smooth_values(np.array([epoch_us(t) for t in times], dtype=np.int64),
-                              values, thresholds.smoothing_seconds)
+    smoothed = _smooth_values(t_us, values.tolist(), thresholds.smoothing_seconds)
     amplitude = max(smoothed) - min(smoothed)
 
-    hours = np.array([(t - start).total_seconds() / 3600.0 for t in times])
-    slope = float(np.polyfit(hours, np.array(values), 1)[0])
+    hours = (t_us - start_us) / 1e6 / 3600.0
+    slope = float(np.polyfit(hours, values, 1)[0])
 
     duration_h = (end - start).total_seconds() / 3600.0
     threshold = (thresholds.short_window_amplitude
@@ -669,5 +678,5 @@ def drift_diagnostic(offsets: OffsetSeries, window: tuple[datetime, datetime],
         trend_slope=slope,
         verdict=verdict,
         threshold=threshold,
-        n_samples=len(idx),
+        n_samples=len(t_us),
     )

@@ -114,8 +114,8 @@ class TestBaciEffect:
 
 def loop_resamples(data, bootstrap_n, seed):
     """The bootstrap distribution one resample at a time, from the same two draws."""
-    sums_b, counts_b = _day_blocks(data.before.times, data.before.values)
-    sums_a, counts_a = _day_blocks(data.after.times, data.after.values)
+    sums_b, counts_b = _day_blocks(data.before.t_us, data.before.values, 0)
+    sums_a, counts_a = _day_blocks(data.after.t_us, data.after.values, 0)
     rng = np.random.default_rng(seed)
     ib = rng.integers(0, len(sums_b), (bootstrap_n, len(sums_b)))
     ia = rng.integers(0, len(sums_a), (bootstrap_n, len(sums_a)))
@@ -165,7 +165,7 @@ class TestDayBlockBootstrap:
                            after=offsets(gen, AFTER_START, days=2, cadence_s=1800.0))
 
         def support(series):
-            sums, counts = _day_blocks(series.times, series.values)
+            sums, counts = _day_blocks(series.t_us, series.values, 0)
             return [(sums[i] + sums[j]) / (counts[i] + counts[j])
                     for i in range(len(sums)) for j in range(len(sums))]
 
@@ -204,6 +204,49 @@ def test_two_block_periods_give_an_interval():
     assert estimate.ci_low < estimate.ci_high
     assert estimate.ci_low <= estimate.effect <= estimate.ci_high
     assert "95% CI [" in estimate.summary()
+
+
+class TestLocalDayBlocks:
+    """Day blocks are local dates at the dataset's UTC offset."""
+
+    PLUS_TWO = timezone(timedelta(hours=2))
+
+    def local_day(self, day, level):
+        """Every half hour of one local day at +02:00, which starts at 22:00 UTC."""
+        start = datetime.combine(day, datetime.min.time(), self.PLUS_TWO)
+        return OffsetSeries("utci", "case", "ctrl",
+                            [start + timedelta(minutes=m) for m in range(0, 1440, 30)],
+                            [dyadic(level + 0.01 * i) for i in range(48)])
+
+    def test_local_day_straddling_utc_midnight_is_one_block(self):
+        series = self.local_day(BEFORE_START.date(), 0.5)
+        sums, counts = _day_blocks(series.t_us, series.values, 2 * 3600 * 10**6)
+        assert counts.tolist() == [48.0]
+        assert sums.tolist() == [sum(series.values.tolist())]
+        # on UTC dates the same day is cut at UTC midnight (02:00 local), after 4 samples
+        sums, counts = _day_blocks(series.t_us, series.values, 0)
+        assert counts.tolist() == [4.0, 44.0]
+        assert sums.tolist() == [sum(series.values[:4].tolist()),
+                                 sum(series.values[4:].tolist())]
+
+    def test_baci_blocks_on_the_dataset_offset(self):
+        before = self.local_day(BEFORE_START.date(), 0.5)
+        after = self.local_day(AFTER_START.date(), -0.5)
+        local = baci_effect(BaciDataset(before, after, utc_offset=timedelta(hours=2)), seed=3)
+        assert (local.ci_low, local.ci_high) == (None, None)
+        assert "the before and after periods each hold one day block" in local.summary()
+        utc = baci_effect(BaciDataset(before, after), seed=3)  # UTC dates by default
+        assert utc.ci_low < utc.effect < utc.ci_high
+        assert local.effect == utc.effect == -1.0
+
+
+def test_offset_series_holds_columns():
+    series = offsets(lambda d, i: 0.25 * i, BEFORE_START, days=1)
+    assert series.t_us.dtype == np.int64 and series.values.dtype == np.float64
+    assert series.t_us[1] - series.t_us[0] == 3600 * 10**6
+    assert series.times == [BEFORE_START + timedelta(hours=i) for i in range(24)]
+    again = OffsetSeries("utci", "onsite", "ctrl", series.t_us, series.values.tolist())
+    assert again.t_us is series.t_us and again.values.tolist() == series.values.tolist()
 
 
 def test_estimate_without_an_interval_says_why():

@@ -1,6 +1,8 @@
 import csv
 import gc
 import hashlib
+import importlib.util
+import inspect
 import os
 import shutil
 import subprocess
@@ -24,16 +26,21 @@ AFTER_DAY = date(2020, 7, 22)
 BEFORE_TARGETS = {"P1": 5.0, "P2": 1.0, "P3": 0.0}
 AFTER_TARGETS = {"P1": 4.0, "P2": 0.5, "P3": 0.0}
 
+PLAN_TZ = timezone(timedelta(hours=2))  # the zone of the fixture's plans
 STATION_HEADER = "timestamp,t_air,rh,t_globe,wind,net_radiation\n"
 MOBILE_HEADER = "timestamp,point_id,t_air,rh,t_globe,wind\n"
 
 
-def write_station(path, t_air_for):
-    """Fixed-station CSV covering 09:00-15:00 UTC on both campaign days."""
+def write_station(path, t_air_for, whole_local_days=False):
+    """Fixed-station CSV covering 09:00-15:00 UTC on both campaign days, or
+    every minute of both campaign days in local time (+02:00)."""
     rows = [STATION_HEADER]
     for day in (BEFORE_DAY, AFTER_DAY):
-        start = datetime.combine(day, time(9, 0), UTC)
-        for i in range(361):
+        if whole_local_days:
+            start, minutes = datetime.combine(day, time(0, 0), PLAN_TZ).astimezone(UTC), 1440
+        else:
+            start, minutes = datetime.combine(day, time(9, 0), UTC), 361
+        for i in range(minutes):
             t = start + timedelta(minutes=i)
             rn = 650.0 if 10 <= t.hour < 12 else 300.0
             rows.append(f"{t.isoformat()},{t_air_for(day, t)!r},40.0,,1.0,{rn!r}\n")
@@ -52,12 +59,12 @@ def write_mobile(path, day, targets):
     path.write_text("".join(rows))
 
 
-def write_plan(path, campaign_id, phase, day, onsite="onsite"):
+def write_plan(path, campaign_id, phase, day, onsite="onsite", tz="+02:00"):
     path.write_text(textwrap.dedent(f"""\
         campaign_id: {campaign_id}
         phase: {phase}
         date: {day.isoformat()}
-        timezone: "+02:00"
+        timezone: "{tz}"
         control_station: control
         onsite_station: {onsite}
         points:
@@ -266,6 +273,27 @@ class TestCompare:
         line = next(l for l in report.splitlines() if l.startswith("BACI effect"))
         assert "-" in line.split("(")[0]  # cooler offsets after the works
 
+    def baci_line(self, site):
+        assert run(site, "process", "before").exit_code == 0
+        assert run(site, "process", "after").exit_code == 0
+        result = run(site, "compare", "before", "after")
+        assert result.exit_code == 0, result.output
+        return next(l for l in result.stdout.splitlines() if l.startswith("BACI effect"))
+
+    def test_whole_local_day_is_one_day_block(self, site):
+        # each campaign day runs from 22:00 UTC the day before: two UTC dates
+        write_station(site / "control.csv", lambda day, t: 30.0, whole_local_days=True)
+        write_station(site / "case.csv", lambda day, t: 30.8 if day == BEFORE_DAY else 29.8,
+                      whole_local_days=True)
+        line = self.baci_line(site)
+        assert "CI unavailable: the before and after periods each hold one day block" in line
+        assert "n_before=1440, n_after=1440" in line
+
+    def test_plans_in_different_zones_give_no_baci(self, site):
+        write_plan(site / "after_plan.yaml", "after", "after", AFTER_DAY, tz="+01:00")
+        assert self.baci_line(site) == ("BACI effect unavailable: before and after plans "
+                                        "use different time zones (UTC+02:00 and UTC+01:00)")
+
     def test_missing_processed_results_exit_two(self, site):
         result = run(site, "compare", "before", "after")
         assert result.exit_code == 2
@@ -376,6 +404,54 @@ class TestBaciWindow:
         for field in ("effect", "ci_low", "ci_high"):
             assert getattr(got, field) == pytest.approx(getattr(ref, field), abs=1e-9)
         assert (got.n_before, got.n_after) == (ref.n_before, ref.n_after)
+
+
+def load_tracer():
+    """`perfbench/tracer.py` as a module, loaded from the checkout as it is."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerHooks:
+    """The benchmark tracer's count hooks read what the traced functions take and return."""
+
+    @staticmethod
+    def hook_counts(hooks, name, fn, *args, **kwargs):
+        """Call `fn`, then apply the hook for `name` to the bound arguments and
+        the result, as the tracer does after a traced call."""
+        result = fn(*args, **kwargs)
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        return hooks[name](bound.arguments, result)
+
+    def test_hooks_count_the_fixture(self, site):
+        from microclimap import analysis, series
+        from microclimap.config import load_config, load_plan
+
+        hooks = load_tracer().HOOKS
+        cfg = load_config(site / "run.yaml")
+        stations = {}
+        for name in ("case", "control"):
+            path = cfg.station(name).path
+            assert self.hook_counts(hooks, "series.parse_station_csv", series.parse_station_csv,
+                                    path, station_id=name) == {
+                "rows": 722, "dropped": 0, "station": name}
+            stations[name] = series.parse_station_csv(path, station_id=name)
+        periods = []
+        for campaign in ("before", "after"):
+            plan = load_plan(cfg.campaigns[campaign].plan_path)
+            case = stations["case"].window(datetime.combine(plan.day, time(0, 0), plan.tz),
+                                           datetime.combine(plan.day, time(23, 59, 59), plan.tz))
+            assert self.hook_counts(hooks, "series.offset_series", series.offset_series, case,
+                                    stations["control"], "utci") == {
+                "case_samples": 361, "matched": 361}
+            periods.append(series.offset_series(case, stations["control"], "utci"))
+        assert self.hook_counts(hooks, "analysis.baci_effect", analysis.baci_effect,
+                                analysis.BaciDataset(*periods), seed=cfg.seed) == {
+            "resamples": 2000}
 
 
 class TestMalformedConfigExitsTwo:

@@ -391,9 +391,21 @@ class TestBlockBoundaries:
         proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
 
-    def test_one_block_grid_is_converted_without_a_pool(self, tmp_path):
-        proc = run_python(ONE_BLOCK_GRID, str(tmp_path / "grid.asc"))
+    @pytest.mark.parametrize("nrows, ncols", [(80, 80), (200, 200)], ids=["80x80", "200x200"])
+    def test_one_block_grid_is_converted_without_a_pool(self, tmp_path, nrows, ncols):
+        proc = run_python(ONE_BLOCK_GRID, str(tmp_path / "grid.asc"), str(nrows), str(ncols))
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("shape, rows", [
+    ((80, 80), [80]), ((200, 200), [200]), ((1, 100_000), [1]), ((3, 40_000), [1, 1, 1]),
+    ((1000, 1000), [34] * 29 + [14]),  # 30 full blocks of 32,768 cells
+])
+def test_write_blocks_are_whole_rows_one_per_full_block(monkeypatch, shape, rows):
+    blocks = []
+    monkeypatch.setattr(raster, "_map_blocks", lambda convert, b: blocks.extend(b) or [])
+    list(raster._grid_rows(np.zeros(shape)))
+    assert [len(block) for block in blocks] == rows
 
 
 def run_python(code, *args):
@@ -402,9 +414,10 @@ def run_python(code, *args):
                           capture_output=True, text=True, timeout=120)
 
 
-#: An 80x80 grid is one block to write and one to parse: both run in the
-#: calling thread. Shrunk blocks send the same grid through the pool, which
-#: must give the same bytes and values.
+#: A grid of argv[2] rows and argv[3] columns under two full write blocks and
+#: one parse block (80x80 and 200x200, the grids of season-baci and
+#: dense-traverse) is converted in the calling thread. Shrunk blocks send the
+#: same grid through the pool, which must give the same bytes and values.
 ONE_BLOCK_GRID = """
 import sys
 from pathlib import Path
@@ -412,8 +425,9 @@ import numpy as np
 from microclimap import raster
 
 path = Path(sys.argv[1])
-values = np.random.default_rng(5).random((80, 80))
-grid = raster.RasterLayer(ncols=80, nrows=80, xllcorner=0.0, yllcorner=0.0,
+nrows, ncols = int(sys.argv[2]), int(sys.argv[3])
+values = np.random.default_rng(5).random((nrows, ncols))
+grid = raster.RasterLayer(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0,
                           cellsize=1.0, nodata=-9999.0, values=values,
                           semantic=raster.Semantic.ALBEDO)
 

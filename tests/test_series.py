@@ -255,12 +255,12 @@ class TestOffsetSeries:
         a = make_series([25.0, 26.0, 27.0], station_id="case")
         b = make_series([25.0, 26.0, 27.0], station_id="ctrl")
         offsets = offset_series(a, b, "t_air")
-        assert offsets.values == [0.0, 0.0, 0.0]
+        assert offsets.values.tolist() == [0.0, 0.0, 0.0]
 
     def test_constant_shift(self):
         case = make_series([25.0, 26.0, 27.0], station_id="case")
         control = make_series([26.0, 27.0, 28.0], station_id="ctrl")
-        assert offset_series(case, control, "t_air").values == [-1.0, -1.0, -1.0]
+        assert offset_series(case, control, "t_air").values.tolist() == [-1.0, -1.0, -1.0]
 
     def test_sample_outside_tolerance_skipped(self):
         case = make_series([{"t_air": 25.0, "timestamp": T0},
@@ -286,7 +286,7 @@ class TestOffsetSeries:
         b = make_series([26.0, 25.5, 25.0, 26.1], station_id="b", rh=55.0)
         fwd = offset_series(a, b, "vapor_pressure")
         bwd = offset_series(b, a, "vapor_pressure")
-        assert fwd.values == [-v for v in bwd.values]
+        assert fwd.values.tolist() == [-v for v in bwd.values.tolist()]
 
     def test_derived_parameter_differencing(self):
         from microclimap.thermal import vapor_pressure
@@ -446,7 +446,7 @@ class TestWindowedOffsets:
         control = self.station("ctrl", 20, 1.0)
         empty = case.window(T0 + timedelta(days=1), T0 + timedelta(days=2))
         offsets = offset_series(empty, control, "utci")
-        assert offsets.times == [] and offsets.values == []
+        assert offsets.times == [] and offsets.values.tolist() == []
 
     def test_array_utci_agrees_with_scalar_per_sample(self):
         from microclimap.thermal import (UtciInput, mrt_from_globe, utci,
@@ -469,7 +469,7 @@ class TestWindowedOffsets:
             offset_series(case, control, "utci")
         # the hot sample lies outside both windows, so it is never evaluated
         early = case.window(T0, T0 + timedelta(minutes=9))
-        assert offset_series(early, control, "utci").values == [0.0] * 10
+        assert offset_series(early, control, "utci").values.tolist() == [0.0] * 10
         # an unmatched hot sample is not evaluated either: this control
         # ends at minute 9, so case minutes 0-10 match and minute 12 does not
         short = make_series([30.0] * 10, station_id="ctrl")
