@@ -239,8 +239,8 @@ class CampaignReport:
 
 def pasquill_class(wind_10m: float, insolation: Insolation) -> StabilityClass:
     """Daytime Pasquill stability class from surface wind and insolation."""
-    if wind_10m < 0:
-        raise DomainError(f"wind speed must be >= 0, got {wind_10m}")
+    if not 0 <= wind_10m < math.inf:  # a mean of huge winds can overflow
+        raise DomainError(f"wind speed must be finite and >= 0, got {wind_10m}")
     column = _INSOLATION_COLUMN[insolation]
     for upper, row in _PASQUILL_DAYTIME:
         if wind_10m < upper:
@@ -281,9 +281,8 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
     """
     def cut(column, hour, hours):
         """The non-missing values of `column` from `hour` local time for `hours`."""
-        start = datetime.combine(day, time(hour), tz)
-        lo, hi = np.searchsorted(control.t_us, [epoch_us(start),
-                                                epoch_us(start + timedelta(hours=hours))])
+        start = epoch_us(datetime.combine(day, time(hour), tz))
+        lo, hi = np.searchsorted(control.t_us, [start, start + hours * 3_600_000_000])
         values = control.columns[column][lo:hi]
         return values[~np.isnan(values)].tolist()
 

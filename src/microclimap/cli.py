@@ -6,7 +6,8 @@ output file is written atomically (temp + rename) so interrupted runs
 never leave corrupt partial files.
 
 Exit codes: 0 ok, 1 criterion rejection, 2 data missing or invalid,
-3 drift detected.
+3 drift detected. `ExitCodes.invoke` is the one place an error becomes an
+exit code.
 """
 
 from __future__ import annotations
@@ -18,16 +19,14 @@ import math
 import os
 import sys
 import tempfile
-from datetime import date as date_cls
-from datetime import datetime, time, timezone
+from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
 
 import click
 
 from . import analysis, campaign as campaign_mod, raster as raster_mod, series as series_mod
-from .config import RunConfig, load_config, load_plan, _parse_tz
-from .errors import (ConfigError, DayRejectedError, DomainError, GridError,
-                     MatchError, SchemaError, ValidityError)
+from .config import RunConfig, load_config, load_plan, _parse_date, _parse_tz
+from .errors import ConfigError, DayRejectedError, DomainError, MicroclimapError, SchemaError
 from .series import DriftVerdict
 from .thermal import heat_stress_category
 
@@ -77,6 +76,35 @@ def log(message: str) -> None:
     click.echo(message, err=True)
 
 
+def doing(what: str) -> None:
+    """Name the step the running command takes next: a package error or an
+    OSError in it exits 2 with the one line "<what>: <error>"."""
+    click.get_current_context().meta["microclimap.doing"] = what
+
+
+class ExitCodes(click.Group):
+    """A group whose commands exit by one map of errors to exit codes.
+
+    A rejected campaign day exits 1 with its reasons. Any other package
+    error, or an OSError, exits 2 with one line led by the step named by
+    `doing` ("config error" while the config loads). Any other exception is
+    a bug and keeps its traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DayRejectedError as exc:
+            log("campaign day rejected:")
+            for reason in exc.reasons:
+                log(f"  - {reason}")
+            log("use --force-day to process anyway")
+            ctx.exit(EXIT_REJECTED)
+        except (MicroclimapError, OSError) as exc:
+            log(f"{ctx.meta.get('microclimap.doing', 'config error')}: {exc}")
+            ctx.exit(EXIT_MISSING)
+
+
 def load_station(cfg: RunConfig, name: str) -> series_mod.StationSeries:
     entry = cfg.station(name)
     return series_mod.parse_station_csv(
@@ -114,57 +142,47 @@ def read_point_results_csv(path: Path) -> list[dict]:
     """Rows of a points.csv with the numbers `compare` reads as floats.
 
     A missing column, a missing or non-numeric number, a non-finite number
-    or an unreadable file is a `SchemaError`.
+    or an unreadable file is a `SchemaError`; a missing file is a `ConfigError`.
     """
+    if not path.exists():
+        raise ConfigError(f"missing processed results {path}; run `process` first")
     rows = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh, restval="")
-            missing = [c for c in ("point_id", "environment") + _POINT_NUMBERS
-                       if c not in (reader.fieldnames or ())]
-            if missing and reader.fieldnames:
-                raise SchemaError(f"{path} lacks column(s) {', '.join(missing)}")
-            for row in reader:
-                for key in _POINT_NUMBERS:
-                    try:
-                        row[key] = float(row[key])
-                    except ValueError:
-                        raise SchemaError(f"{path} line {reader.line_num}: {key} "
-                                          f"{row[key]!r} is not a number") from None
-                    if not math.isfinite(row[key]):
-                        raise SchemaError(f"{path} line {reader.line_num}: {key} "
-                                          f"{row[key]!r} is not finite")
-                rows.append(row)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
+    with series_mod.opened(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in ("point_id", "environment") + _POINT_NUMBERS
+                   if c not in (reader.fieldnames or ())]
+        if missing and reader.fieldnames:
+            raise SchemaError(f"{path} lacks column(s) {', '.join(missing)}")
+        for row in reader:
+            for key in _POINT_NUMBERS:
+                try:
+                    row[key] = float(row[key])
+                except ValueError:
+                    raise SchemaError(f"{path} line {reader.line_num}: {key} "
+                                      f"{row[key]!r} is not a number") from None
+                if not math.isfinite(row[key]):
+                    raise SchemaError(f"{path} line {reader.line_num}: {key} "
+                                      f"{row[key]!r} is not finite")
+            rows.append(row)
     if not rows:
         raise SchemaError(f"no point results in {path}")
     return rows
 
 
 def _load_ucp_raster(cfg: RunConfig) -> raster_mod.RasterLayer | None:
-    ucp_path = cfg.rasters.get("ucp")
-    if ucp_path is None:
-        computed = cfg.output_dir / "ucp.asc"
-        if computed.exists():
-            ucp_path = computed
-    if ucp_path is None:
-        return None
-    return raster_mod.read_ascii_grid(ucp_path, raster_mod.Semantic.UCP)
+    """The configured UCP raster, else the one `ucp` wrote, else None."""
+    path = cfg.rasters.get("ucp", cfg.output_dir / "ucp.asc")
+    return raster_mod.read_ascii_grid(path, raster_mod.Semantic.UCP) if path.exists() else None
 
 
-@click.group()
+@click.group(cls=ExitCodes)
 @click.option("--config", "-c", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Run configuration YAML.")
 @click.pass_context
 def main(ctx, config_path):
     """Pedestrian heat-stress mapping from fixed and mobile microclimate logs."""
-    try:
-        ctx.obj = load_config(config_path)
-    except (ConfigError, OSError) as exc:
-        log(f"config error: {exc}")
-        ctx.exit(EXIT_MISSING)
+    ctx.obj = load_config(config_path)
 
 
 @main.command("check-day")
@@ -176,27 +194,22 @@ def main(ctx, config_path):
 @click.pass_obj
 def check_day(cfg: RunConfig, day, oktas, tz_offset):
     """Report whether DAY (YYYY-MM-DD) qualifies as a warm radiative day."""
-    try:
-        day = date_cls.fromisoformat(day)
-        tz = _parse_tz(tz_offset) if tz_offset else None
-        control_id = "control"
-        for entry in cfg.campaigns.values():
-            plan = load_plan(entry.plan_path)
-            if plan.day == day:
-                oktas = entry.cloud_cover_oktas if oktas is None else oktas
-                tz = plan.tz if tz is None else tz
-                control_id = plan.control_station_id
-                break
-        if oktas is None:
-            raise ConfigError(f"no campaign on {day}; pass --oktas explicitly")
-        if tz is None:
-            tz = timezone.utc
-        control = load_station(cfg, control_id)
-        summary = campaign_mod.derive_day_summary(control, day, oktas, tz, z0=cfg.z0)
-    except (MatchError, SchemaError, ConfigError, ValueError) as exc:
-        log(f"cannot evaluate day: {exc}")
-        sys.exit(EXIT_MISSING)
-
+    doing("cannot evaluate day")
+    day = _parse_date(day)
+    tz = _parse_tz(tz_offset) if tz_offset else None
+    control_id = "control"
+    for entry in cfg.campaigns.values():
+        plan = load_plan(entry.plan_path)
+        if plan.day == day:
+            oktas = entry.cloud_cover_oktas if oktas is None else oktas
+            tz = plan.tz if tz is None else tz
+            control_id = plan.control_station_id
+            break
+    if oktas is None:
+        raise ConfigError(f"no campaign on {day}; pass --oktas explicitly")
+    control = load_station(cfg, control_id)
+    summary = campaign_mod.derive_day_summary(control, day, oktas, tz or timezone.utc,
+                                              z0=cfg.z0)
     result = campaign_mod.day_filter(summary, cfg.day_thresholds)
     click.echo(f"day {day.isoformat()}: t_max={summary.t_max:.1f} degC, "
                f"t_min={summary.t_min:.1f} degC, "
@@ -218,53 +231,31 @@ def check_day(cfg: RunConfig, day, oktas, tz_offset):
 @click.pass_obj
 def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
     """Run the mobile pipeline for one campaign and write its outputs."""
-    try:
-        entry = cfg.campaigns[campaign_id]
-    except KeyError:
-        log(f"unknown campaign {campaign_id!r}")
-        sys.exit(EXIT_MISSING)
-    try:
-        plan = load_plan(entry.plan_path)
-        control = load_station(cfg, plan.control_station_id)
-        onsite = (load_station(cfg, plan.onsite_station_id)
-                  if plan.onsite_station_id else None)
-        mobile_log = campaign_mod.parse_mobile_csv(entry.mobile_log_path)
-        summary = campaign_mod.derive_day_summary(control, plan.day,
-                                                  entry.cloud_cover_oktas, plan.tz,
-                                                  z0=cfg.z0)
-    except (ConfigError, SchemaError, MatchError, DomainError) as exc:
-        log(f"cannot process campaign: {exc}")
-        sys.exit(EXIT_MISSING)
+    doing("cannot process campaign")
+    entry = cfg.campaign(campaign_id)
+    plan = load_plan(entry.plan_path)
+    control = load_station(cfg, plan.control_station_id)
+    onsite = load_station(cfg, plan.onsite_station_id) if plan.onsite_station_id else None
+    mobile_log = campaign_mod.parse_mobile_csv(entry.mobile_log_path)
+    summary = campaign_mod.derive_day_summary(control, plan.day, entry.cloud_cover_oktas,
+                                              plan.tz, z0=cfg.z0)
     mobile_report = mobile_log.load_report
     if mobile_report.dropped_rows:
         log(f"mobile log: dropped {mobile_report.dropped_rows} of "
             f"{mobile_report.rows_read} rows (first: {mobile_report.drop_reasons[0]})")
 
-    try:
-        results, report = campaign_mod.process_campaign(
-            plan, mobile_log, control,
-            day_summary=summary, onsite=onsite,
-            override_day_filter=force_day,
-            day_thresholds=cfg.day_thresholds,
-            globe=cfg.globe, z0=cfg.z0,
-            stabilization_delta_c=cfg.stabilization_delta_c,
-            drift_thresholds=cfg.drift_thresholds,
-        )
-    except DayRejectedError as exc:
-        log(f"campaign day rejected:")
-        for reason in exc.reasons:
-            log(f"  - {reason}")
-        log("use --force-day to process anyway")
-        sys.exit(EXIT_REJECTED)
-    except (DomainError, MatchError) as exc:
-        log(f"campaign failed: {exc}")
-        sys.exit(EXIT_MISSING)
-
-    try:
-        collection = raster_mod.export_heat_map(results, plan, _load_ucp_raster(cfg))
-    except (GridError, DomainError) as exc:
-        log(f"cannot use UCP raster: {exc}")
-        sys.exit(EXIT_MISSING)
+    results, report = campaign_mod.process_campaign(
+        plan, mobile_log, control,
+        day_summary=summary, onsite=onsite,
+        override_day_filter=force_day,
+        day_thresholds=cfg.day_thresholds,
+        globe=cfg.globe, z0=cfg.z0,
+        stabilization_delta_c=cfg.stabilization_delta_c,
+        drift_thresholds=cfg.drift_thresholds,
+    )
+    doing("cannot use UCP raster")
+    collection = raster_mod.export_heat_map(results, plan, _load_ucp_raster(cfg))
+    doing("cannot write outputs")
     out = cfg.output_dir / campaign_id
     write_atomic(out / "points.csv", point_results_csv(results, plan))
     write_atomic(out / "points.geojson", raster_mod.geojson_dumps(collection))
@@ -278,7 +269,6 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
             and not allow_drift):
         log("drift detected on the on-site station: " + report.drift.summary())
         sys.exit(EXIT_DRIFT)
-    sys.exit(EXIT_OK)
 
 
 def _match_points(before_rows, after_rows, after_plan):
@@ -302,7 +292,7 @@ def day_offsets(cfg: RunConfig, case, control, plan) -> series_mod.OffsetSeries:
     whole, so matches at the day's edges are those of the whole record.
     """
     start = datetime.combine(plan.day, time(0, 0), plan.tz)
-    end = datetime.combine(plan.day, time(23, 59, 59), plan.tz)
+    end = start + timedelta(days=1, microseconds=-1)  # [00:00, 24:00) in whole microseconds
     return series_mod.offset_series(case.window(start, end), control, cfg.baci_parameter,
                                     globe=cfg.globe, z0=cfg.z0)
 
@@ -313,40 +303,23 @@ def day_offsets(cfg: RunConfig, case, control, plan) -> series_mod.OffsetSeries:
 @click.pass_obj
 def compare(cfg: RunConfig, before_id, after_id):
     """Before/after comparison: per-point deltas, BACI effect, UCP correlation."""
-    try:
-        before_plan = load_plan(cfg.campaigns[before_id].plan_path)
-        after_plan = load_plan(cfg.campaigns[after_id].plan_path)
-    except KeyError as exc:
-        log(f"unknown campaign {exc}")
-        sys.exit(EXIT_MISSING)
-    except ConfigError as exc:
-        log(f"cannot compare campaigns: {exc}")
-        sys.exit(EXIT_MISSING)
-    before_csv = cfg.output_dir / before_id / "points.csv"
-    after_csv = cfg.output_dir / after_id / "points.csv"
-    for p in (before_csv, after_csv):
-        if not p.exists():
-            log(f"missing processed results {p}; run `process` first")
-            sys.exit(EXIT_MISSING)
-    try:
-        before_rows = read_point_results_csv(before_csv)
-        after_rows = read_point_results_csv(after_csv)
-        matched, unmatched = _match_points(before_rows, after_rows, after_plan)
-    except (SchemaError, DomainError) as exc:
-        log(f"cannot compare campaigns: {exc}")
-        sys.exit(EXIT_MISSING)
-    try:
-        ucp = _load_ucp_raster(cfg)
-        samples = [] if ucp is None else [
-            (row["offset_c"], raster_mod.sample_at(ucp, row["lon"], row["lat"]))
-            for row in before_rows + after_rows]
-    except (GridError, DomainError) as exc:
-        log(f"cannot use UCP raster: {exc}")
-        sys.exit(EXIT_MISSING)
+    doing("cannot compare campaigns")
+    before_plan = load_plan(cfg.campaign(before_id).plan_path)
+    after_plan = load_plan(cfg.campaign(after_id).plan_path)
+    before_rows = read_point_results_csv(cfg.output_dir / before_id / "points.csv")
+    after_rows = read_point_results_csv(cfg.output_dir / after_id / "points.csv")
+    matched, unmatched = _match_points(before_rows, after_rows, after_plan)
+    doing("cannot use UCP raster")
+    ucp = _load_ucp_raster(cfg)
+    samples = [] if ucp is None else [
+        (row["offset_c"], raster_mod.sample_at(ucp, row["lon"], row["lat"]))
+        for row in before_rows + after_rows]
+    doing("cannot write outputs")
     pairs = [(offset, value) for offset, value in samples if value is not None]
 
     out = cfg.output_dir / f"compare_{before_id}_{after_id}"
-    report_lines = [f"comparison {before_id} -> {after_id}"]
+    report_lines = [f"comparison {before_id} -> {after_id}", f"matched points: {len(matched)}"]
+    report_lines += [f"unmatched after point: {point_id}" for point_id in unmatched]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -357,9 +330,6 @@ def compare(cfg: RunConfig, before_id, after_id):
                          repr(b["offset_c"]), repr(a["offset_c"]),
                          repr(a["offset_c"] - b["offset_c"])])
     write_atomic(out / "point_deltas.csv", buf.getvalue())
-    report_lines.append(f"matched points: {len(matched)}")
-    for point_id in unmatched:
-        report_lines.append(f"unmatched after point: {point_id}")
 
     # BACI on the fixed stations over the two campaign days, in local day blocks
     try:
@@ -374,7 +344,7 @@ def compare(cfg: RunConfig, before_id, after_id):
                                  utc_offset=before_plan.tz.utcoffset(None)),
             seed=cfg.seed)
         report_lines.append(estimate.summary())
-    except (ConfigError, DomainError, MatchError, SchemaError, ValidityError) as exc:
+    except MicroclimapError as exc:
         report_lines.append(f"BACI effect unavailable: {exc}")
 
     # Figure-5 style association against the configured UCP raster
@@ -394,35 +364,28 @@ def compare(cfg: RunConfig, before_id, after_id):
 
     write_atomic(out / "report.txt", "\n".join(report_lines) + "\n")
     click.echo("\n".join(report_lines))
-    sys.exit(EXIT_OK)
 
 
 @main.command("ucp")
 @click.pass_obj
 def ucp(cfg: RunConfig):
     """Compute the Urban Cooling Potential raster from the configured layers."""
-    needed = ("albedo", "vegetation", "irradiance")
-    missing = [n for n in needed if n not in cfg.rasters]
+    doing("UCP computation failed")
+    missing = [n for n in ("albedo", "vegetation", "irradiance") if n not in cfg.rasters]
     if missing:
-        log(f"missing raster layers in config: {', '.join(missing)}")
-        sys.exit(EXIT_MISSING)
-    try:
-        albedo = raster_mod.parse_ascii_grid(cfg.rasters["albedo"],
-                                             raster_mod.Semantic.ALBEDO)
-        vegetation = raster_mod.parse_ascii_grid(cfg.rasters["vegetation"],
-                                                 raster_mod.Semantic.VEGETATION_FRACTION)
-        if cfg.irradiance_clear_sky_max is not None:
-            raw = raster_mod.parse_ascii_grid(cfg.rasters["irradiance"],
-                                              raster_mod.Semantic.IRRADIANCE_RAW)
-            irradiance = raster_mod.normalize_irradiance(raw, cfg.irradiance_clear_sky_max)
-        else:
-            irradiance = raster_mod.parse_ascii_grid(
-                cfg.rasters["irradiance"], raster_mod.Semantic.IRRADIANCE_NORMALIZED)
-        result = raster_mod.compute_ucp(albedo, vegetation, irradiance,
-                                        formula=cfg.ucp_formula)
-    except (GridError, DomainError) as exc:
-        log(f"UCP computation failed: {exc}")
-        sys.exit(EXIT_MISSING)
+        raise ConfigError(f"missing raster layers in config: {', '.join(missing)}")
+    albedo = raster_mod.parse_ascii_grid(cfg.rasters["albedo"], raster_mod.Semantic.ALBEDO)
+    vegetation = raster_mod.parse_ascii_grid(cfg.rasters["vegetation"],
+                                             raster_mod.Semantic.VEGETATION_FRACTION)
+    if cfg.irradiance_clear_sky_max is not None:
+        raw = raster_mod.parse_ascii_grid(cfg.rasters["irradiance"],
+                                          raster_mod.Semantic.IRRADIANCE_RAW)
+        irradiance = raster_mod.normalize_irradiance(raw, cfg.irradiance_clear_sky_max)
+    else:
+        irradiance = raster_mod.parse_ascii_grid(
+            cfg.rasters["irradiance"], raster_mod.Semantic.IRRADIANCE_NORMALIZED)
+    result = raster_mod.compute_ucp(albedo, vegetation, irradiance, formula=cfg.ucp_formula)
+    doing("cannot write outputs")
     buf = io.BytesIO()
     raster_mod.write_ascii_grid(result, buf)
     grid = buf.getvalue()
@@ -431,7 +394,6 @@ def ucp(cfg: RunConfig):
     _replace_file(raster_mod.cells_sidecar_path(grid_path),
                   *raster_mod.cells_sidecar(grid, result))
     log(f"wrote {grid_path}")
-    sys.exit(EXIT_OK)
 
 
 def run() -> None:

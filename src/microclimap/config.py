@@ -8,6 +8,7 @@ default value so a run is fully reproducible from one file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta, timezone, tzinfo
 from pathlib import Path
@@ -16,7 +17,7 @@ import yaml
 
 from .campaign import CampaignPlan, DayFilterThresholds, Environment, Phase, TraversePoint
 from .errors import ConfigError
-from .series import DriftThresholds
+from .series import FIELDS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, DriftThresholds, opened
 from .thermal import GlobeFormula, GlobeSpec
 
 
@@ -36,9 +37,17 @@ def _parse_tz(value) -> tzinfo:
         raise ConfigError(f"cannot parse timezone offset {value!r}") from exc
 
 
+def _parse_date(value) -> date:
+    """A YAML date, or its YYYY-MM-DD text."""
+    try:
+        return value if isinstance(value, date) else date.fromisoformat(str(value))
+    except ValueError:
+        raise ConfigError(f"invalid date {value!r}; expected YYYY-MM-DD") from None
+
+
 # What reading fields of a hand-written mapping raises on a missing key or
-# a value of the wrong type or form.
-_FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+# a value of the wrong type or form (`int(inf)` raises OverflowError).
+_FIELD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 # libyaml's loader builds the same documents several times faster; its
@@ -47,17 +56,22 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _read_yaml(path: Path, kind: str):
-    with open(path) as fh:
-        try:
-            return yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            problem = getattr(exc, "problem", None)
-            if mark is None or problem is None:
-                reason = " ".join(str(exc).split())
-            else:
-                reason = f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
-            raise ConfigError(f"malformed YAML in {kind} file {path}: {reason}") from exc
+    with opened(path, error=ConfigError) as fh:
+        text = fh.read()
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date no calendar holds
+        mark = getattr(exc, "problem_mark", None)
+        problem = getattr(exc, "problem", None)
+        if mark is None or problem is None:
+            reason = " ".join(str(exc).split())
+        else:
+            reason = f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
+        raise ConfigError(f"malformed YAML in {kind} file {path}: {reason}") from exc
+
+
+def _optional_str(value) -> str | None:
+    return None if value is None else str(value)
 
 
 def _invalid(kind: str, path: Path, exc: Exception) -> ConfigError:
@@ -76,21 +90,18 @@ def load_plan(path) -> CampaignPlan:
             TraversePoint(
                 str(p["point_id"]), (float(p["lon"]), float(p["lat"])),
                 environment=Environment(p["environment"]),
-                displaced_from=p.get("displaced_from"),
+                displaced_from=_optional_str(p.get("displaced_from")),
             )
             for p in raw["points"]
         ]
-        day = raw["date"]
-        if not isinstance(day, date):
-            day = date.fromisoformat(str(day))
         return CampaignPlan(
             campaign_id=str(raw["campaign_id"]),
             phase=Phase(raw["phase"]),
-            day=day,
+            day=_parse_date(raw["date"]),
             tz=_parse_tz(raw.get("timezone")),
             points=points,
             control_station_id=str(raw["control_station"]),
-            onsite_station_id=raw.get("onsite_station"),
+            onsite_station_id=_optional_str(raw.get("onsite_station")),
         )
     except _FIELD_ERRORS as exc:
         raise _invalid("plan", path, exc) from exc
@@ -131,6 +142,11 @@ class RunConfig:
             raise ConfigError(f"no station {name!r} configured")
         return self.stations[name]
 
+    def campaign(self, name: str) -> CampaignConfig:
+        if name not in self.campaigns:
+            raise ConfigError(f"unknown campaign {name!r}")
+        return self.campaigns[name]
+
 
 def load_config(path) -> RunConfig:
     """Load and validate a run configuration file."""
@@ -155,16 +171,21 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
             raise ConfigError(f"configured path is not a regular file: {resolved}")
         return resolved
 
+    columns = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
     stations = {}
     for name, entry in (raw.get("stations") or {}).items():
-        if isinstance(entry, str):
-            stations[name] = StationConfig(path=resolve(entry))
-        else:
-            stations[name] = StationConfig(
-                path=resolve(entry["path"]),
-                column_map=entry.get("column_map"),
-                sensor_heights=entry.get("sensor_heights"),
-            )
+        entry = {"path": entry} if isinstance(entry, str) else entry
+        column_map = entry.get("column_map") or {}
+        heights = entry.get("sensor_heights") or {}
+        if not (isinstance(column_map, dict) and set(column_map) <= set(columns)
+                and all(isinstance(v, str) for v in column_map.values())):
+            raise ConfigError(f"station {name!r}: column_map must map column names "
+                              f"({', '.join(columns)}) to header names")
+        if not (isinstance(heights, dict) and set(heights) <= set(FIELDS) and all(
+                type(h) in (int, float) and math.isfinite(h) and h > 0 for h in heights.values())):
+            raise ConfigError(f"station {name!r}: sensor_heights must map fields "
+                              f"({', '.join(FIELDS)}) to finite heights above 0 m")
+        stations[name] = StationConfig(resolve(entry["path"]), column_map, heights)
     if "control" not in stations:
         raise ConfigError("a control station must be configured")
 
@@ -193,9 +214,11 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
     stabilization_delta_c = float(th.get("stabilization_delta_c", 0.15))
     for name, value in (("drift_amplitude_short_c", drift_thresholds.short_window_amplitude),
                         ("drift_amplitude_long_c", drift_thresholds.long_window_amplitude),
+                        ("drift_short_window_hours", drift_thresholds.short_window_hours),
+                        ("drift_smoothing_seconds", drift_thresholds.smoothing_seconds),
                         ("stabilization_delta_c", stabilization_delta_c)):
-        if value <= 0:
-            raise ConfigError(f"threshold {name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"threshold {name} must be positive and finite, got {value}")
 
     g = raw.get("globe") or {}
     globe = GlobeSpec(

@@ -84,13 +84,28 @@ def from_epoch_us(us: int) -> datetime:
 
 
 @contextmanager
-def opened(source, mode: str = "r", newline: str | None = None):
-    """The open file `source` names when it is a path, else `source` itself."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, mode, newline=newline) as fh:
-            yield fh
-    else:
+def opened(source, mode: str = "r", newline: str | None = None, error=SchemaError):
+    """The open file `source` names when it is a path, else `source` itself.
+
+    A path opened as text reads as UTF-8. A byte that is not UTF-8, or a
+    line `csv` cannot read, raises `error` naming the file.
+    """
+    if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
         yield source
+        return
+    with open(source, mode, encoding=None if "b" in mode else "utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            try:  # the decoder's offset counts from its chunk, not the file
+                with open(source, "rb") as raw:
+                    raw.read().decode()
+            except UnicodeDecodeError as exc:
+                raise error(f"{source} is not UTF-8 text: byte "
+                            f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
+            raise
+        except csv.Error as exc:
+            raise error(f"cannot read {source}: {exc}") from None
 
 
 class DriftVerdict(Enum):
@@ -515,7 +530,8 @@ def _smooth_values(t_us: np.ndarray, values: list[float],
     window. `t_us` is sorted, so each window is one contiguous run, averaged
     as a left-to-right `sum` over its length.
     """
-    half = timedelta(seconds=window_seconds / 2.0) // _MICROSECOND
+    # past 1e12 s, a half window reaches every instant a datetime can hold
+    half = timedelta(seconds=min(window_seconds / 2.0, 1e12)) // _MICROSECOND
     lo = np.searchsorted(t_us, t_us - half, side="left")
     hi = np.searchsorted(t_us, t_us + half, side="right")
     return [sum(values[a:b]) / (b - a) for a, b in zip(lo.tolist(), hi.tolist())]

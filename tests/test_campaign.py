@@ -58,6 +58,11 @@ class TestPasquillClass:
         with pytest.raises(DomainError):
             pasquill_class(-0.1, Insolation.STRONG)
 
+    @pytest.mark.parametrize("wind", [float("inf"), float("nan")])
+    def test_non_finite_wind_rejected(self, wind):
+        with pytest.raises(DomainError, match="must be finite"):
+            pasquill_class(wind, Insolation.STRONG)
+
 
 class TestDayFilter:
     def test_warm_clear_unstable_day_accepted(self):

@@ -1,19 +1,25 @@
 import csv
+import functools
 import gc
 import hashlib
 import importlib.util
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
+import traceback
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import UTC, V15_FOR_HALF, globe_for_offset, src_env
 
 from microclimap import config as config_mod
@@ -85,6 +91,11 @@ def write_grid(path, rows, nodata=-9999.0):
 @pytest.fixture
 def site(tmp_path):
     """A complete synthetic study site in a temporary directory."""
+    return build_site(tmp_path)
+
+
+def build_site(tmp_path):
+    """Write a complete synthetic study site into the directory `tmp_path`."""
     write_station(tmp_path / "control.csv", lambda day, t: 30.0)
     write_station(tmp_path / "onsite.csv", lambda day, t: 30.0)
     # on-site logger with a strong warm trend: +3 degC per hour
@@ -857,3 +868,237 @@ class TestEntryPoint:
         assert digests == FIXTURE_DIGESTS
         shutil.rmtree(site / "out")
         assert fixture_runs(site) == (codes, FIXTURE_DIGESTS)
+
+
+assert_one_line_exit_two = TestMalformedConfigExitsTwo.assert_one_line_exit_two
+
+
+def insert_byte(path, byte=0xFF, at=None):
+    """Insert one byte into a file, by default in the middle; returns its offset."""
+    blob = path.read_bytes()
+    at = len(blob) // 2 if at is None else at
+    path.write_bytes(blob[:at] + bytes([byte]) + blob[at:])
+    return at
+
+
+class TestExitCodeMap:
+    """Inputs that once ended in a traceback exit 2 with one line."""
+
+    @pytest.mark.parametrize("name, args", [
+        ("control.csv", ("check-day", BEFORE_DAY.isoformat())),
+        ("control.csv", ("process", "before")),
+        ("onsite.csv", ("process", "before")),
+        ("before_mobile.csv", ("process", "before")),
+        ("before_plan.yaml", ("process", "before")),
+    ])
+    def test_bad_byte(self, site, name, args):
+        at = insert_byte(site / name)
+        assert_one_line_exit_two(
+            run(site, *args), f"{site / name} is not UTF-8 text: byte 0xff at offset {at}")
+
+    def test_bad_byte_in_plan_under_compare(self, site):
+        for args in (("process", "before"), ("process", "after")):
+            assert run(site, *args).exit_code == 0
+        at = insert_byte(site / "after_plan.yaml", 0x85, at=3)
+        assert_one_line_exit_two(
+            run(site, "compare", "before", "after"),
+            f"cannot compare campaigns: {site / 'after_plan.yaml'} is not UTF-8 text: "
+            f"byte 0x85 at offset {at}")
+
+    def test_bad_byte_in_case_station_reported_by_compare(self, site):
+        for args in (("process", "before"), ("process", "after")):
+            assert run(site, *args).exit_code == 0
+        at = insert_byte(site / "case.csv", 0xC3)
+        result = run(site, "compare", "before", "after")
+        assert result.exit_code == 0, result.output
+        assert (f"BACI effect unavailable: {site / 'case.csv'} is not UTF-8 text: "
+                f"byte 0xc3 at offset {at}") in result.stdout
+
+    def test_bad_byte_in_config(self, site):
+        at = insert_byte(site / "run.yaml")
+        assert_one_line_exit_two(
+            run(site, "ucp"), f"config error: {site / 'run.yaml'} is not UTF-8 text: "
+                              f"byte 0xff at offset {at}")
+
+    @pytest.mark.parametrize("args", [("ucp",), ("process", "before")])
+    def test_output_dir_that_is_a_file(self, site, args):
+        (site / "out").write_text("not a directory\n")
+        assert_one_line_exit_two(run(site, *args), "cannot write outputs: [Errno")
+
+    def test_compare_output_dir_that_is_a_file(self, site):
+        for args in (("process", "before"), ("process", "after")):
+            assert run(site, *args).exit_code == 0
+        (site / "out" / "compare_before_after").write_text("not a directory\n")
+        assert_one_line_exit_two(run(site, "compare", "before", "after"),
+                                 "cannot write outputs: [Errno")
+
+    @pytest.mark.parametrize("entry, phrase", [
+        ("{path: control.csv, column_map: [1, 2]}", "column_map must map column names"),
+        ("{path: control.csv, column_map: {t_air: 1}}", "column_map must map column names"),
+        ("{path: control.csv, column_map: {temp: t_air}}", "column_map must map column names"),
+        ("{path: control.csv, sensor_heights: {wind: abc}}", "sensor_heights must map fields"),
+        ("{path: control.csv, sensor_heights: {wind: .nan}}", "sensor_heights must map fields"),
+        ("{path: control.csv, sensor_heights: {wind: 0}}", "sensor_heights must map fields"),
+        ("{path: control.csv, sensor_heights: {gust: 4}}", "sensor_heights must map fields"),
+        ("{path: control.csv, sensor_heights: [4]}", "sensor_heights must map fields"),
+    ])
+    def test_malformed_station_entry(self, site, entry, phrase):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("control: control.csv",
+                                                     f"control: {entry}"))
+        for args in (("check-day", BEFORE_DAY.isoformat()), ("process", "before")):
+            assert_one_line_exit_two(
+                run(site, *args), f"config error: station 'control': {phrase}")
+
+    def test_valid_station_entry_is_used(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace(
+            "control: control.csv",
+            "control: {path: control.csv, column_map: {t_air: t_air}, "
+            "sensor_heights: {wind: 10}}"))
+        result = run(site, "check-day", BEFORE_DAY.isoformat())
+        assert result.exit_code == 0, result.output
+        assert "mean daytime wind=1.00 m/s" in result.stdout  # measured at 10 m
+
+    def test_overflowing_mean_wind(self, site):
+        path = site / "control.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        cells = [row.split(",") for row in rows]
+        path.write_text(header + "".join(",".join(c[:4] + ["1e308"] + c[5:]) for c in cells))
+        assert_one_line_exit_two(
+            run(site, "check-day", BEFORE_DAY.isoformat()),
+            "cannot evaluate day: wind speed must be finite and >= 0, got inf")
+
+    @pytest.mark.parametrize("value", ["2019-02-30", "2019-13-01"])
+    def test_plan_date_no_calendar_holds(self, site, value):
+        plan = site / "before_plan.yaml"
+        plan.write_text(plan.read_text().replace("campaign_id: before",
+                                                 f"campaign_id: {value}"))
+        assert_one_line_exit_two(
+            run(site, "process", "before"), f"malformed YAML in plan file {plan}: ")
+
+    def test_plan_station_of_another_type(self, site):
+        plan = site / "before_plan.yaml"
+        plan.write_text(plan.read_text().replace("onsite_station: onsite",
+                                                 "onsite_station: [1]"))
+        assert_one_line_exit_two(
+            run(site, "process", "before"), "no station '[1]' configured")
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "0", "-1"])
+    def test_unusable_drift_smoothing(self, site, value):
+        config = site / "run.yaml"
+        config.write_text(config.read_text()
+                          + f"thresholds: {{drift_smoothing_seconds: {value}}}\n")
+        assert_one_line_exit_two(
+            run(site, "process", "before"),
+            "threshold drift_smoothing_seconds must be positive and finite")
+
+    def test_smoothing_wider_than_any_record(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text() + "thresholds: {drift_smoothing_seconds: 1e20}\n")
+        result = run(site, "process", "before")
+        assert result.exit_code == 0, result.output
+        assert "drift check on utci offset" in (site / "out" / "before" / "report.txt").read_text()
+
+    def test_infinite_seed(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("seed: 3", "seed: .inf"))
+        assert_one_line_exit_two(
+            run(site, "ucp"), "cannot convert float infinity to integer")
+
+    def test_bad_check_day_date(self, site):
+        assert_one_line_exit_two(
+            run(site, "check-day", "2019-13-40"),
+            "cannot evaluate day: invalid date '2019-13-40'; expected YYYY-MM-DD")
+
+
+def test_day_offsets_keep_the_last_half_second_of_the_local_day(site):
+    from microclimap.cli import day_offsets, load_station
+    from microclimap.config import load_config, load_plan
+    from microclimap.series import epoch_us
+
+    last = datetime.combine(BEFORE_DAY, time(23, 59, 59, 500_000), PLAN_TZ)
+    midnight = datetime.combine(BEFORE_DAY + timedelta(days=1), time(0, 0), PLAN_TZ)
+    for name in ("case.csv", "control.csv"):
+        with open(site / name, "a") as fh:
+            for t in (last, midnight):
+                fh.write(f"{t.astimezone(UTC).isoformat()},30.0,40.0,,1.0,300.0\n")
+    cfg = load_config(site / "run.yaml")
+    case, control = load_station(cfg, "case"), load_station(cfg, "control")
+    offsets = day_offsets(cfg, case, control, load_plan(cfg.campaigns["before"].plan_path))
+    assert offsets.t_us[-1] == epoch_us(last)  # kept, as the day screen counts it
+    assert epoch_us(midnight) not in offsets.t_us  # the next day's first instant
+
+
+#: The commands the fuzz test runs, in pipeline order.
+FUZZ_COMMANDS = (("check-day", BEFORE_DAY.isoformat()), ("ucp",), ("process", "before"),
+                 ("process", "after"), ("compare", "before", "after"))
+
+#: Every kind of input; outputs read by later commands are spoiled once written.
+FUZZ_TARGETS = ("control.csv", "case.csv", "onsite.csv", "before_mobile.csv",
+                "after_mobile.csv", "before_plan.yaml", "after_plan.yaml", "run.yaml",
+                "albedo.asc", "veg.asc", "irr.asc", "out/ucp.asc", "out/.ucp.asc.cells",
+                "out/before/points.csv", "out/after/points.csv")
+
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+YAML_VALUE = re.compile(rb"(?<=: )[^,}\n]+")
+
+@functools.cache
+def fuzz_site() -> dict[str, bytes]:
+    """The files of the fixture site, built once; callers only read them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {p.name: p.read_bytes() for p in build_site(Path(tmp)).iterdir()}
+
+
+def mutate(blob: bytes, data) -> bytes:
+    """`blob` with one mutation drawn from `data`."""
+    lines = blob.splitlines(keepends=True) or [b""]
+    kind = data.draw(st.sampled_from(["byte", "truncate", "drop", "duplicate", "swap",
+                                      "field", "number", "yaml type"]))
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(blob)))
+        byte = data.draw(st.sampled_from([0xFF, 0x85, 0xC3]) | st.integers(0, 255))
+        return blob[:at] + bytes([byte]) + blob[at:]
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob)))]
+    if kind in ("drop", "duplicate", "swap", "field"):
+        i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = lines[i].rstrip(b"\r\n") + b",1\n"
+        return b"".join(lines)
+    pattern, tokens = ((NUMBER, [b"nan", b"inf", b"-1e308", b"x", b""]) if kind == "number"
+                       else (YAML_VALUE, [b"[1]", b"{a: 1}"]))
+    matches = list(pattern.finditer(blob))
+    if not matches:
+        return blob
+    m = matches[data.draw(st.integers(0, len(matches) - 1))]
+    return blob[:m.start()] + data.draw(st.sampled_from(tokens)) + blob[m.end():]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(FUZZ_TARGETS), data=st.data())
+def test_mutated_input_exits_by_the_map(target, data):
+    """One mutated input never ends in a traceback or an exit code outside the map."""
+    with tempfile.TemporaryDirectory() as tmp:
+        site = Path(tmp)
+        for name, blob in fuzz_site().items():
+            (site / name).write_bytes(blob)
+        mutated = False
+        for args in FUZZ_COMMANDS:
+            path = site / target
+            if not mutated and path.is_file():
+                path.write_bytes(mutate(path.read_bytes(), data))
+                mutated = True
+            result = run(site, *args)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args, "".join(traceback.format_exception(result.exception)))
+            assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+            if result.exit_code == 1:
+                assert ("campaign day rejected:" in result.stderr
+                        or "verdict: rejected" in result.stdout), (args, result.output)

@@ -9,9 +9,9 @@ from conftest import T0, make_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microclimap.errors import DomainError, MatchError, SchemaError
+from microclimap.errors import ConfigError, DomainError, MatchError, SchemaError
 from microclimap.series import (FIELDS, DriftVerdict, Gap, _smooth_values,
-                                drift_diagnostic, epoch_us, offset_series,
+                                drift_diagnostic, epoch_us, offset_series, opened,
                                 parse_station_csv)
 
 HEADER = "timestamp,t_air,rh,t_globe,wind,net_radiation\n"
@@ -106,6 +106,42 @@ BAD_ROWS = [
     (("9999-12-31T23:59:59-01:00", "25.0", "50", "", "", ""),
      "timestamp out of range: 9999-12-31T23:59:59-01:00"),
 ]
+
+
+class TestOpened:
+    """`opened` reads a path as UTF-8 and words what it cannot read."""
+
+    @pytest.mark.parametrize("at", [0, 100, 8191, 8192, 20_000])
+    def test_bad_byte_named_with_its_offset_in_the_file(self, tmp_path, at):
+        rows = [f"2019-07-25T08:{i // 60:02d}:{i % 60:02d}+02:00,25.0,50,,,\n"
+                for i in range(600)]
+        data = (HEADER + "".join(rows)).encode()
+        path = tmp_path / "station.csv"
+        path.write_bytes(data[:at] + b"\xc3(" + data[at:])
+        with pytest.raises(SchemaError) as caught:
+            parse_station_csv(path, "s")
+        assert str(caught.value) == (f"{path} is not UTF-8 text: byte 0xc3 at offset {at}")
+
+    def test_error_class_is_the_callers(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_bytes(b"a: \x85\n")
+        with pytest.raises(ConfigError, match="byte 0x85 at offset 3"):
+            with opened(path, error=ConfigError) as fh:
+                fh.read()
+
+    def test_unreadable_csv_field(self, tmp_path):
+        path = tmp_path / "station.csv"
+        path.write_text(HEADER + '"' + "x" * 200_000 + '"\n')
+        with pytest.raises(SchemaError, match=f"cannot read {path}: field larger than"):
+            parse_station_csv(path, "s")
+
+    def test_other_decode_errors_pass_through(self, tmp_path):
+        path = tmp_path / "plain.txt"
+        path.write_text("fine\n")
+        with pytest.raises(UnicodeDecodeError):
+            with opened(path) as fh:
+                fh.read()
+                b"\xff".decode()
 
 
 def messy_station_rows(seed):
