@@ -48,7 +48,6 @@ class EffectEstimate:
     ci_high: float | None
     n_before: int
     n_after: int
-    method: str = "baci-bootstrap"
     ci_unavailable: str | None = None  # why the data support no interval
 
     def __post_init__(self):
@@ -64,7 +63,7 @@ class EffectEstimate:
         interval = (f"CI unavailable: {self.ci_unavailable}" if self.ci_low is None
                     else f"95% CI [{self.ci_low:+.3f}, {self.ci_high:+.3f}]")
         return (f"BACI effect: {self.effect:+.3f} degC ({interval}, "
-                f"n_before={self.n_before}, n_after={self.n_after}, {self.method})")
+                f"n_before={self.n_before}, n_after={self.n_after}, baci-bootstrap)")
 
 
 def _day_blocks(t_us: np.ndarray, values: np.ndarray, utc_offset_us: int):
@@ -89,9 +88,8 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
-                ci_level: float = 0.95) -> EffectEstimate:
-    """Mean after-minus-before offset with a day-block percentile bootstrap CI.
+def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0) -> EffectEstimate:
+    """Mean after-minus-before offset with a day-block 95% percentile bootstrap CI.
 
     Days (not samples), local dates at `data.utc_offset`, are resampled
     independently in each period with replacement. One Generator seeded with
@@ -126,7 +124,7 @@ def baci_effect(data: BaciDataset, bootstrap_n: int = 2000, seed: int = 0,
     ia = rng.integers(0, len(sums_a), (bootstrap_n, len(sums_a)))
     resampled = (sums_a[ia].sum(axis=1) / counts_a[ia].sum(axis=1)
                  - sums_b[ib].sum(axis=1) / counts_b[ib].sum(axis=1))
-    alpha = (1.0 - ci_level) / 2.0
+    alpha = (1.0 - 0.95) / 2.0  # 0.025000000000000022, the tail each bound cuts
     resampled.sort()
     ci_low = _quantile(resampled, alpha)
     ci_high = _quantile(resampled, 1.0 - alpha)
@@ -192,8 +190,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / (_SVG_TICKS - 1) for i in range(_SVG_TICKS)]
 
 
-def scatter_svg(pairs: list[tuple[float, float]],
-                x_label: str = "ucp", y_label: str = "utci_offset_c") -> str:
+def scatter_svg(pairs: list[tuple[float, float]]) -> str:
     """Minimal static SVG scatter plot; byte-deterministic for fixed input."""
     if not pairs:
         raise DomainError("no pairs to plot")
@@ -236,10 +233,10 @@ def scatter_svg(pairs: list[tuple[float, float]],
         lines.append(f'<text x="{_SVG_MARGIN - 8}" y="{y + 3:.2f}" '
                      f'font-size="10" text-anchor="end">{tick:.3f}</text>')
     lines.append(f'<text x="{_SVG_WIDTH / 2:.0f}" y="{_SVG_HEIGHT - 10}" '
-                 f'font-size="12" text-anchor="middle">{x_label}</text>')
+                 f'font-size="12" text-anchor="middle">ucp</text>')
     lines.append(f'<text x="15" y="{_SVG_HEIGHT / 2:.0f}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 15 {_SVG_HEIGHT / 2:.0f})">'
-                 f'{y_label}</text>')
+                 'utci_offset_c</text>')
     for offset, ucp in pairs:
         lines.append(f'<circle cx="{px(ucp):.2f}" cy="{py(offset):.2f}" r="3" '
                      f'fill="steelblue" fill-opacity="0.8"/>')

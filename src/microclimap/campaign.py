@@ -15,7 +15,6 @@ those of a per-sample scan, bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, tzinfo
@@ -24,11 +23,10 @@ from enum import Enum
 import numpy as np
 
 from . import thermal
-from .errors import (DayRejectedError, DomainError, MatchError, SchemaError,
-                     ValidityError)
+from .errors import DayRejectedError, DomainError, MatchError, ValidityError
 from .series import (FIELDS, DriftReport, DriftThresholds, LoadReport, StationSeries,
                      drift_diagnostic, epoch_us, from_epoch_us, nearest_sample,
-                     offset_series, opened, parse_rows)
+                     offset_series, parse_rows)
 from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset, utci_offset,
                       vapor_pressure, wind_to_10m)
 
@@ -36,7 +34,6 @@ SEGMENT_SPLIT_GAP_S = 60.0
 MIN_SEGMENT_S = 300.0
 STABILIZATION_WINDOW_S = 180.0
 STABILIZATION_DELTA_C = 0.15  # globe sensor uncertainty
-CONTROL_MATCH_TOLERANCE_S = 60.0
 MOBILE_SENSOR_HEIGHT_M = 1.5  # height of the mobile wind sensor
 
 # Net radiation above which a day counts as strongly insolated
@@ -141,8 +138,12 @@ class StopSegment:
     t_us: np.ndarray = field(repr=False)
     columns: dict[str, np.ndarray] = field(repr=False)
     stabilization_window: tuple[datetime, datetime] | None = None
-    stabilized: bool = False
     too_short: bool = False
+
+    @property
+    def stabilized(self) -> bool:
+        """Whether `detect_stabilization` found a window."""
+        return self.stabilization_window is not None
 
 
 @dataclass(frozen=True)
@@ -296,8 +297,7 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
 
     winds = cut("wind", 12, 4)
     if winds:
-        mean_wind_10m = wind_to_10m(sum(winds) / len(winds),
-                                    control.sensor_heights["wind"], z0)
+        mean_wind_10m = wind_to_10m(sum(winds) / len(winds), control.wind_height, z0)
     else:
         mean_wind_10m = 0.0
 
@@ -317,33 +317,16 @@ MOBILE_REQUIRED = ("t_air", "t_globe", "wind")
 def parse_mobile_csv(source) -> MobileLog:
     """Parse a point-tagged mobile log (timestamp, point_id, drivers).
 
-    Rows go through the station parser's bulk reader, `series.parse_rows`,
-    with the same validation (UTC offset, finite numbers, sample domain
-    checks); point_id, t_air, t_globe and wind must be present, rh may be
-    blank. Bad rows are dropped and counted in the log's load report; a
-    SchemaError is raised when no row survives. Samples are ordered by time,
-    rows at the same time in file order.
+    The log is read by the station parser's reader, `series.parse_rows`,
+    with the same checks (header columns, UTC offset, finite numbers,
+    sample domain checks); point_id, t_air, t_globe and wind must be
+    present, rh may be blank. Bad rows are dropped and counted in the log's
+    load report; a SchemaError is raised when no row survives. Samples are
+    ordered by time, rows at the same time in file order.
     """
-    with opened(source, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "point_id" not in header:
-            raise SchemaError("mobile log must carry a point_id column")
-        required = {"timestamp", "t_air", "rh", "t_globe", "wind"}
-        missing = required - set(header)
-        if missing:
-            raise SchemaError(f"mobile log missing columns: {', '.join(sorted(missing))}")
-        parsed = parse_rows(header, reader, {name: name for name in required},
-                            MOBILE_REQUIRED, label="point_id")
-    report = parsed.report
-    if not report.rows_read:
-        raise SchemaError("mobile log contains no rows")
-    if not report.rows_kept:
-        raise SchemaError(f"no valid rows in mobile log ({report.drop_reasons[0]})")
-    order = np.argsort(parsed.t_us, kind="stable")
-    return MobileLog(parsed.t_us[order], parsed.labels[order],
-                     {name: parsed.table[order, k] for k, name in enumerate(FIELDS)},
-                     report)
+    parsed = parse_rows(source, "mobile log", required=MOBILE_REQUIRED, label="point_id")
+    return MobileLog(parsed.t_us, parsed.labels, dict(zip(FIELDS, parsed.table)),
+                     parsed.report)
 
 
 def segment_stops(log: MobileLog, plan: CampaignPlan) -> list[StopSegment]:
@@ -394,9 +377,8 @@ def detect_stabilization(segment: StopSegment,
         window = values[lo[i]:hi[i]]
         if max(window) - min(window) <= delta_c:
             start = from_epoch_us(int(t[i]))
-            return replace(segment, stabilization_window=(start, start + span),
-                           stabilized=True)
-    return replace(segment, stabilization_window=None, stabilized=False)
+            return replace(segment, stabilization_window=(start, start + span))
+    return replace(segment, stabilization_window=None)
 
 
 def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
@@ -408,7 +390,7 @@ def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
     values; the wind speed is converted from the sensor height to 10 m with
     a neutral log profile for the UTCI evaluation.
     """
-    if not segment.stabilized or segment.stabilization_window is None:
+    if not segment.stabilized:
         raise DomainError(
             f"segment at {segment.point_id} never stabilized; point is unusable")
     lo, hi = segment.stabilization_window
@@ -441,7 +423,7 @@ def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
 
 def match_control(timestamp: datetime, control: StationSeries) -> ReferenceConditions:
     """Reference conditions from the nearest control sample."""
-    i = nearest_sample(control, timestamp, CONTROL_MATCH_TOLERANCE_S)
+    i = nearest_sample(control, timestamp)
     return ReferenceConditions(t_air=float(control.columns["t_air"][i]),
                                rh=float(control.columns["rh"][i]),
                                matched_at=from_epoch_us(int(control.t_us[i])))

@@ -107,11 +107,9 @@ class ExitCodes(click.Group):
 
 def load_station(cfg: RunConfig, name: str) -> series_mod.StationSeries:
     entry = cfg.station(name)
-    return series_mod.parse_station_csv(
-        entry.path, station_id=name,
-        column_map=entry.column_map,
-        sensor_heights=entry.sensor_heights,
-    )
+    return series_mod.parse_station_csv(entry.path, station_id=name,
+                                        column_map=entry.column_map,
+                                        wind_height=entry.wind_height)
 
 
 def point_results_csv(results, plan) -> str:

@@ -17,7 +17,8 @@ import yaml
 
 from .campaign import CampaignPlan, DayFilterThresholds, Environment, Phase, TraversePoint
 from .errors import ConfigError
-from .series import FIELDS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, DriftThresholds, opened
+from .series import (DEFAULT_WIND_HEIGHT_M, OPTIONAL_COLUMNS, REQUIRED_COLUMNS,
+                     DriftThresholds, opened)
 from .thermal import GlobeFormula, GlobeSpec
 
 
@@ -110,8 +111,8 @@ def load_plan(path) -> CampaignPlan:
 @dataclass
 class StationConfig:
     path: Path
-    column_map: dict[str, str] | None = None
-    sensor_heights: dict[str, float] | None = None
+    column_map: dict[str, str]
+    wind_height: float  # m
 
 
 @dataclass
@@ -181,11 +182,12 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
                 and all(isinstance(v, str) for v in column_map.values())):
             raise ConfigError(f"station {name!r}: column_map must map column names "
                               f"({', '.join(columns)}) to header names")
-        if not (isinstance(heights, dict) and set(heights) <= set(FIELDS) and all(
+        if not (isinstance(heights, dict) and set(heights) <= {"wind"} and all(
                 type(h) in (int, float) and math.isfinite(h) and h > 0 for h in heights.values())):
             raise ConfigError(f"station {name!r}: sensor_heights must map fields "
-                              f"({', '.join(FIELDS)}) to finite heights above 0 m")
-        stations[name] = StationConfig(resolve(entry["path"]), column_map, heights)
+                              "(wind) to finite heights above 0 m")
+        stations[name] = StationConfig(resolve(entry["path"]), column_map,
+                                       heights.get("wind", DEFAULT_WIND_HEIGHT_M))
     if "control" not in stations:
         raise ConfigError("a control station must be configured")
 
@@ -212,13 +214,18 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
         smoothing_seconds=float(th.get("drift_smoothing_seconds", 300.0)),
     )
     stabilization_delta_c = float(th.get("stabilization_delta_c", 0.15))
-    for name, value in (("drift_amplitude_short_c", drift_thresholds.short_window_amplitude),
-                        ("drift_amplitude_long_c", drift_thresholds.long_window_amplitude),
-                        ("drift_short_window_hours", drift_thresholds.short_window_hours),
-                        ("drift_smoothing_seconds", drift_thresholds.smoothing_seconds),
-                        ("stabilization_delta_c", stabilization_delta_c)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"threshold {name} must be positive and finite, got {value}")
+    for name, value, positive in (
+            ("day_t_max_above_c", day_thresholds.t_max_above, False),
+            ("day_t_min_above_c", day_thresholds.t_min_above, False),
+            ("day_max_cloud_oktas", day_thresholds.max_cloud_oktas, False),
+            ("drift_amplitude_short_c", drift_thresholds.short_window_amplitude, True),
+            ("drift_amplitude_long_c", drift_thresholds.long_window_amplitude, True),
+            ("drift_short_window_hours", drift_thresholds.short_window_hours, True),
+            ("drift_smoothing_seconds", drift_thresholds.smoothing_seconds, True),
+            ("stabilization_delta_c", stabilization_delta_c, True)):
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            rule = "positive and finite" if positive else "finite"
+            raise ConfigError(f"threshold {name} must be {rule}, got {value}")
 
     g = raw.get("globe") or {}
     globe = GlobeSpec(
@@ -229,6 +236,10 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
 
     wind = raw.get("wind_profile") or {}
     irr = raw.get("irradiance") or {}
+
+    seed = int(raw.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
     output_dir = (base / raw.get("output_dir", "out")).resolve()
     return RunConfig(
@@ -245,5 +256,5 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
         ucp_formula=str(raw.get("ucp_formula", "product")),
         baci_parameter=str(raw.get("baci_parameter", "utci")),
         output_dir=output_dir,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
     )

@@ -701,15 +701,13 @@ def normalize_irradiance(raw: RasterLayer, clear_sky_max: float) -> RasterLayer:
 
 
 def compute_ucp(albedo: RasterLayer, vegetation: RasterLayer,
-                irradiance: RasterLayer, formula: str = "product",
-                weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-                ) -> RasterLayer:
+                irradiance: RasterLayer, formula: str = "product") -> RasterLayer:
     """Cellwise Urban Cooling Potential from co-registered input layers.
 
     The default product form UCP = S * (1 - albedo) * (1 - vegetation)
     reproduces both anchors: 1 on sunlit zero-albedo bare pavement, 0 under
-    full vegetation cover. The weighted-sum alternative uses `weights` for
-    (irradiance, 1 - albedo, 1 - vegetation), normalized to sum to one.
+    full vegetation cover. The weighted-sum alternative is the mean of
+    irradiance, 1 - albedo and 1 - vegetation, each weighted 1/3.
     Nodata in any input propagates to the output.
     """
     for name, layer, semantic in (("albedo", albedo, Semantic.ALBEDO),
@@ -724,11 +722,8 @@ def compute_ucp(albedo: RasterLayer, vegetation: RasterLayer,
     if formula == "product":
         ucp = s * (1.0 - albedo.values) * (1.0 - vegetation.values)
     elif formula == "weighted_sum":
-        w = np.array(weights, dtype=float)
-        if w.min() < 0 or w.sum() <= 0:
-            raise DomainError(f"weights must be non-negative with positive sum: {weights}")
-        w = w / w.sum()
-        ucp = w[0] * s + w[1] * (1.0 - albedo.values) + w[2] * (1.0 - vegetation.values)
+        w = 1 / 3
+        ucp = w * s + w * (1.0 - albedo.values) + w * (1.0 - vegetation.values)
     else:
         raise DomainError(f"unknown UCP formula {formula!r}")
     ucp = np.clip(ucp, 0.0, 1.0)

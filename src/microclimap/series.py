@@ -12,10 +12,11 @@ NaN where a value is missing. `StationSeries.samples` builds one
 records. Derived parameters, matching, differencing and the day screen
 read the columns, one array pass per series.
 
-Ingest: station and mobile logs share one bulk reader, `parse_rows`. It
-reads every row once with `csv.reader`, as `csv.DictReader` would see it
-(blank lines skipped and not numbered, short rows read as blanks, extra
-fields ignored, the last of repeated headers wins), and checks the rows
+Ingest: station and mobile logs share one reader, `parse_rows`. It opens
+the log, checks its header, reads every row once with `csv.reader`, as
+`csv.DictReader` would see it (blank lines skipped and not numbered, short
+rows read as blanks, extra fields ignored, the last of repeated headers
+wins), and checks the rows
 column by column: timestamps of exactly the form `YYYY-MM-DDTHH:MM:SS+HH:MM`
 (or `-HH:MM`) are converted from their digits, and each value column goes
 through `float()` in one `np.fromiter` pass. A row the column checks
@@ -25,11 +26,12 @@ back to `parse_row`, the one row validator, which keeps it or words why it
 is dropped; a row whose only odd cell is a timestamp of another form goes
 through `parse_timestamp`, the first step of `parse_row`. So the drop
 reasons, their order and every kept value are those of a row-by-row parse.
+The kept rows come back in time order, rows at one time in file order.
 
 Matching: `match_indices` pairs every query time with its nearest sample
 in one `np.searchsorted`. The earlier sample wins an exact tie, and a pair
-needs |dt| <= tolerance (inclusive). `nearest_sample` is the one-element
-case and returns the sample's index.
+needs |dt| <= `MATCH_TOLERANCE_S` (inclusive). `nearest_sample` is the
+one-element case and returns the sample's index.
 
 Smoothing: `_smooth_values` is the centered moving average the drift check
 applies to an offset series, each window found by `np.searchsorted`.
@@ -65,9 +67,14 @@ FIELDS = ("t_air", "rh", "t_globe", "wind", "net_radiation")
 #: Parameters that can be extracted or derived from a series.
 PARAMETERS = FIELDS + ("vapor_pressure", "t_mrt", "utci")
 
-DEFAULT_SENSOR_HEIGHTS = {
-    "t_air": 1.5, "rh": 1.5, "t_globe": 1.5, "wind": 4.0, "net_radiation": 4.0,
-}
+#: Height of a station's wind sensor (m) when its config gives none.
+DEFAULT_WIND_HEIGHT_M = 4.0
+
+#: Sample spacing (s) every station log must keep.
+STATION_CADENCE_S = 60.0
+
+#: Largest |dt| (s) at which a sample matches a time.
+MATCH_TOLERANCE_S = 60.0
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -147,21 +154,16 @@ class StationSeries:
     """Sorted, gap-annotated time series for one station, held as columns.
 
     `t_us` holds strictly increasing int64 epoch microseconds and `columns`
-    one float64 array per field in `FIELDS`, all of the same length.
-    `sensor_heights` is completed from `DEFAULT_SENSOR_HEIGHTS` at
-    construction; the series is not meant to be mutated afterwards.
+    one float64 array per field in `FIELDS`, all of the same length. The
+    series is not meant to be mutated after construction.
     """
 
     station_id: str
     t_us: np.ndarray = field(repr=False)
     columns: dict[str, np.ndarray] = field(repr=False)
-    cadence: float = 60.0  # seconds
-    sensor_heights: dict[str, float] | None = None
+    wind_height: float = DEFAULT_WIND_HEIGHT_M  # m, read to convert wind to 10 m
     gaps: list[Gap] = field(default_factory=list)
     load_report: LoadReport | None = None
-
-    def __post_init__(self):
-        self.sensor_heights = {**DEFAULT_SENSOR_HEIGHTS, **(self.sensor_heights or {})}
 
     @property
     def samples(self) -> list[WeatherSample]:
@@ -311,20 +313,27 @@ def _float_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ParsedRows:
-    """The rows of a log that passed validation, in file order, as columns."""
+    """The rows of a log that passed validation, in time order, as columns.
 
-    t_us: np.ndarray         # int64 epoch microseconds (UTC)
-    table: np.ndarray        # float64, one column per field in FIELDS, NaN where blank
+    Rows at one time keep their file order.
+    """
+
+    t_us: np.ndarray         # int64 epoch microseconds (UTC), sorted
+    table: np.ndarray        # float64, one row per field in FIELDS, NaN where blank
     labels: np.ndarray | None  # the stripped label (str) of each row, when one was asked for
     report: LoadReport
 
 
-def parse_rows(header: list[str], rows, colmap: dict[str, str],
+def parse_rows(source, log_name: str, column_map: dict[str, str] | None = None,
                required: tuple[str, ...] = ("t_air", "rh"),
                label: str | None = None) -> ParsedRows:
-    """Validate the data rows of a log CSV as `parse_row` would, column by column.
+    """Read a log CSV and validate its rows as `parse_row` would, column by column.
 
-    `rows` yields the `csv.reader` rows after `header`. A row is read as
+    `log_name` names the log in its errors ("station 'control'", "mobile log")
+    and `column_map` remaps canonical column names to the file's header
+    names. The header must carry the columns of `REQUIRED_COLUMNS` and of
+    the `required` fields, and the `label` column; a log lacking one,
+    holding no row or no valid row is a SchemaError. A row is read as
     `csv.DictReader` reads it: empty rows are skipped and not numbered, a
     short row reads blanks for its missing fields, extra fields are ignored
     and the last of repeated header names wins. `label` names a text column
@@ -335,19 +344,32 @@ def parse_rows(header: list[str], rows, colmap: dict[str, str],
     dropped row gets the reason a row-by-row parse gives, in file order
     ("line N: ...", the header being line 1).
     """
-    names = [colmap["timestamp"], *(colmap.get(name, name) for name in FIELDS)]
-    n, cells = _read_cells(header, rows, names + ([label] if label is not None else []))
+    colmap = {name: name for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
+    colmap.update(column_map or {})
+    extra = [] if label is None else [label]
+    needed = [colmap[c] for c in dict.fromkeys(REQUIRED_COLUMNS + required)] + extra
+    with opened(source, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"no rows in {log_name}")
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise SchemaError(f"{log_name} lacks column(s): {', '.join(missing)}")
+        n, cells = _read_cells(header, reader, [*colmap.values(), *extra])
+    if not n:
+        raise SchemaError(f"no rows in {log_name}")
     stamps = cells[colmap["timestamp"]]
     t_us, clean_stamps = _timestamps_us(stamps)
     clean = np.ones(n, dtype=bool)  # rows whose values and label are clean
-    table = np.empty((n, len(FIELDS)))
+    table = np.empty((len(FIELDS), n))
     for k, name in enumerate(FIELDS):
-        values, blank = _float_column(cells[colmap.get(name, name)])
+        values, blank = _float_column(cells[colmap[name]])
         if name in required:
             clean &= ~blank
         clean &= blank | np.isfinite(values)
-        table[:, k] = values
-    rh, wind = table[:, FIELDS.index("rh")], table[:, FIELDS.index("wind")]
+        table[k] = values
+    rh, wind = table[FIELDS.index("rh")], table[FIELDS.index("wind")]
     clean &= ~((rh < 0) | (rh > 100) | (wind < 0))
     labels = None
     if label is not None:
@@ -367,14 +389,19 @@ def parse_rows(header: list[str], rows, colmap: dict[str, str],
                 ts, row_values = parse_row(
                     {name: column[i] for name, column in cells.items()}, colmap, required)
                 t_us[i] = epoch_us(ts)
-                table[i] = [math.nan if v is None else v for v in row_values]
+                table[:, i] = [math.nan if v is None else v for v in row_values]
         except (ValueError, DomainError) as exc:
             report.dropped_rows += 1
             report.drop_reasons.append(f"line {i + 2}: {exc}")
             continue
         kept[i] = True
     report.rows_kept = int(kept.sum())
-    return ParsedRows(t_us[kept], table[kept], None if labels is None else labels[kept], report)
+    if not report.rows_kept:
+        raise SchemaError(f"no valid rows in {log_name} ({report.drop_reasons[0]})")
+    rows = np.flatnonzero(kept)
+    rows = rows[np.argsort(t_us[rows], kind="stable")]
+    return ParsedRows(t_us[rows], table[:, rows], None if labels is None else labels[rows],
+                      report)
 
 
 # Rows held at once while reading. Rows freed while few are alive never
@@ -408,45 +435,30 @@ def _read_cells(header: list[str], rows, names: list[str]) -> tuple[int, dict[st
     return n, columns
 
 
-def parse_station_csv(source, station_id: str, cadence: float = 60.0,
-                      column_map: dict[str, str] | None = None,
-                      sensor_heights: dict[str, float] | None = None) -> StationSeries:
+def parse_station_csv(source, station_id: str, column_map: dict[str, str] | None = None,
+                      wind_height: float = DEFAULT_WIND_HEIGHT_M) -> StationSeries:
     """Parse a station log CSV into a validated series.
 
-    `column_map` remaps canonical column names to the file's header names.
-    Rows are read by `parse_rows`; rows with unparseable or out-of-range
-    values are dropped and counted in the series' load report, and so is
-    every row repeating an earlier row's timestamp; holes longer than twice
-    the cadence become gap annotations.
+    `column_map` remaps canonical column names to the file's header names,
+    and `wind_height` is the wind sensor's height in metres. The log is read
+    by `parse_rows`; rows with unparseable or out-of-range values are
+    dropped and counted in the series' load report, and so is every row
+    repeating an earlier row's timestamp. Samples must be about
+    `STATION_CADENCE_S` apart; holes longer than twice that become gap
+    annotations.
     """
-    colmap = {name: name for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
-    if column_map:
-        colmap.update(column_map)
+    parsed = parse_rows(source, f"station {station_id!r}", column_map)
+    report, t_us, table = parsed.report, parsed.t_us, parsed.table
+    repeated = np.diff(t_us) == 0  # rows at the time of the row before them
+    if repeated.any():
+        for t in t_us[1:][repeated].tolist():
+            report.dropped_rows += 1
+            report.drop_reasons.append(f"duplicate timestamp {from_epoch_us(t).isoformat()}")
+        first = np.append(True, ~repeated)
+        t_us, table = t_us[first], table[:, first]
+        report.rows_kept = len(t_us)
 
-    with opened(source, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("missing header row")
-        missing = [colmap[c] for c in REQUIRED_COLUMNS if colmap[c] not in header]
-        if missing:
-            raise SchemaError(f"missing mandatory columns: {', '.join(missing)}")
-        parsed = parse_rows(header, reader, colmap)
-    if not len(parsed.t_us):
-        raise SchemaError(f"no valid rows in station file for {station_id}")
-
-    report = parsed.report
-    order = np.argsort(parsed.t_us, kind="stable")
-    t_us = parsed.t_us[order]
-    first = np.diff(t_us, prepend=t_us[0] - 1) != 0  # first row at each timestamp
-    for t in t_us[~first].tolist():
-        report.dropped_rows += 1
-        report.drop_reasons.append(f"duplicate timestamp {from_epoch_us(t).isoformat()}")
-    t_us = t_us[first]
-    report.rows_kept = len(t_us)
-    table = parsed.table
-    kept = order[first]
-
+    cadence = STATION_CADENCE_S
     deltas = np.diff(t_us) / 1e6
     # ignore gap deltas and require enough spacings for a meaningful median,
     # so isolated dropped rows do not masquerade as a cadence change
@@ -470,9 +482,8 @@ def parse_station_csv(source, station_id: str, cadence: float = 60.0,
     return StationSeries(
         station_id=station_id,
         t_us=t_us,
-        columns={name: table[kept, k] for k, name in enumerate(FIELDS)},
-        cadence=cadence,
-        sensor_heights=sensor_heights,
+        columns=dict(zip(FIELDS, table)),
+        wind_height=wind_height,
         gaps=gaps,
         load_report=report,
     )
@@ -516,8 +527,7 @@ def parameter_values(series: StationSeries, parameter: str, rows=None,
     wind_10m = np.full(len(t_air), 0.5)
     has_wind = ~np.isnan(wind)
     if has_wind.any():
-        wind_10m[has_wind] = thermal.wind_to_10m(wind[has_wind],
-                                                 series.sensor_heights["wind"], z0)
+        wind_10m[has_wind] = thermal.wind_to_10m(wind[has_wind], series.wind_height, z0)
     out[ok] = thermal.utci_values(t_air, t_mrt, wind_10m, thermal.vapor_pressure(t_air, rh))
     return out
 
@@ -561,7 +571,7 @@ class OffsetSeries:
 
 
 def match_indices(times_us: np.ndarray, query_us: np.ndarray,
-                  tolerance_s: float = 60.0) -> np.ndarray:
+                  tolerance_s: float = MATCH_TOLERANCE_S) -> np.ndarray:
     """Index of the nearest sample for each query time, or -1 if none is in tolerance.
 
     `times_us` must be sorted. The earlier sample wins an exact tie, and a
@@ -581,23 +591,22 @@ def match_indices(times_us: np.ndarray, query_us: np.ndarray,
     return np.where(np.minimum(dt_before, dt_after) <= tolerance_s, nearest, -1)
 
 
-def nearest_sample(series: StationSeries, when: datetime, tolerance_s: float = 60.0) -> int:
-    """Index of the nearest sample within the tolerance, or a MatchError."""
-    (i,) = match_indices(series.t_us, np.array([epoch_us(when)]), tolerance_s)
+def nearest_sample(series: StationSeries, when: datetime) -> int:
+    """Index of the nearest sample within `MATCH_TOLERANCE_S`, or a MatchError."""
+    (i,) = match_indices(series.t_us, np.array([epoch_us(when)]))
     if i < 0:
         raise MatchError(
-            f"no {series.station_id} sample within {tolerance_s}s of {when.isoformat()}"
+            f"no {series.station_id} sample within {MATCH_TOLERANCE_S}s of {when.isoformat()}"
         )
     return int(i)
 
 
 def offset_series(case: StationSeries, control: StationSeries, parameter: str,
-                  tolerance_s: float = 60.0, globe: GlobeSpec = GlobeSpec(),
-                  z0: float = 0.01) -> OffsetSeries:
+                  globe: GlobeSpec = GlobeSpec(), z0: float = 0.01) -> OffsetSeries:
     """Case-minus-control differences at case timestamps.
 
-    Each case sample is paired with the nearest control sample within the
-    tolerance; unmatched samples are skipped, and so are pairs where either
+    Each case sample is paired with the nearest control sample within
+    `MATCH_TOLERANCE_S`; unmatched samples are skipped, and so are pairs where either
     side lacks a field the parameter needs. Derived parameters are computed
     on each side before differencing. An empty case series (say, a window
     without samples) gives an empty offset series.
@@ -609,7 +618,7 @@ def offset_series(case: StationSeries, control: StationSeries, parameter: str,
         raise MatchError(
             f"series {case.station_id} and {control.station_id} do not overlap in time"
         )
-    matched = match_indices(control.t_us, case.t_us, tolerance_s)
+    matched = match_indices(control.t_us, case.t_us)
     rows = np.flatnonzero(matched >= 0)
     diff = (parameter_values(case, parameter, rows, globe, z0)
             - parameter_values(control, parameter, matched[rows], globe, z0))

@@ -34,7 +34,7 @@ settings.register_profile("codec", max_examples=10_000, deadline=None)
 
 def make_series(values, start=T0, cadence_s=60.0, station_id="case",
                 rh=50.0, t_globe=None, wind=None,
-                net_radiation=None, sensor_heights=None):
+                net_radiation=None):
     """Station series from a list of air temperatures (other fields constant).
 
     `values` may also be a list of dicts overriding individual sample fields
@@ -56,7 +56,7 @@ def make_series(values, start=T0, cadence_s=60.0, station_id="case",
     return StationSeries(station_id=station_id,
                          t_us=np.array([epoch_us(t) for t in times], dtype=np.int64),
                          columns={name: table[:, k] for k, name in enumerate(FIELDS)},
-                         cadence=cadence_s, sensor_heights=sensor_heights, gaps=gaps)
+                         gaps=gaps)
 
 
 def make_mobile_log(point_blocks, start=T0, cadence_s=15.0):

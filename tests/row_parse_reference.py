@@ -30,10 +30,10 @@ def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
     with opened(source, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise SchemaError("missing header row")
+            raise SchemaError(f"no rows in station {station_id!r}")
         missing = [colmap[c] for c in REQUIRED_COLUMNS if colmap[c] not in reader.fieldnames]
         if missing:
-            raise SchemaError(f"missing mandatory columns: {', '.join(missing)}")
+            raise SchemaError(f"station {station_id!r} lacks column(s): {', '.join(missing)}")
 
         report = LoadReport()
         times: list[int] = []
@@ -48,8 +48,10 @@ def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
                 continue
             times.append(epoch_us(ts))
             values.append(row_values)
+    if not report.rows_read:
+        raise SchemaError(f"no rows in station {station_id!r}")
     if not times:
-        raise SchemaError(f"no valid rows in station file for {station_id}")
+        raise SchemaError(f"no valid rows in station {station_id!r} ({report.drop_reasons[0]})")
 
     t_us = np.array(times, dtype=np.int64)
     order = np.argsort(t_us, kind="stable")
@@ -80,19 +82,19 @@ def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
                                deltas[big].tolist())]
     return StationSeries(station_id=station_id, t_us=t_us,
                          columns={name: table[kept, k] for k, name in enumerate(FIELDS)},
-                         cadence=cadence, gaps=gaps, load_report=report)
+                         gaps=gaps, load_report=report)
 
 
 def parse_mobile_csv_rows(source) -> MobileLog:
     """`campaign.parse_mobile_csv`, one `DictReader` row at a time."""
     with opened(source, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "point_id" not in reader.fieldnames:
-            raise SchemaError("mobile log must carry a point_id column")
-        required = {"timestamp", "t_air", "rh", "t_globe", "wind"}
-        missing = required - set(reader.fieldnames)
+        if reader.fieldnames is None:
+            raise SchemaError("no rows in mobile log")
+        required = ("timestamp", "t_air", "rh", "t_globe", "wind", "point_id")
+        missing = [c for c in required if c not in reader.fieldnames]
         if missing:
-            raise SchemaError(f"mobile log missing columns: {', '.join(sorted(missing))}")
+            raise SchemaError(f"mobile log lacks column(s): {', '.join(missing)}")
         colmap = {name: name for name in required}
         report = LoadReport()
         out = []
@@ -108,7 +110,7 @@ def parse_mobile_csv_rows(source) -> MobileLog:
                 report.dropped_rows += 1
                 report.drop_reasons.append(f"line {lineno}: {exc}")
     if not report.rows_read:
-        raise SchemaError("mobile log contains no rows")
+        raise SchemaError("no rows in mobile log")
     if not out:
         raise SchemaError(f"no valid rows in mobile log ({report.drop_reasons[0]})")
     report.rows_kept = len(out)

@@ -941,6 +941,7 @@ class TestExitCodeMap:
         ("{path: control.csv, sensor_heights: {wind: 0}}", "sensor_heights must map fields"),
         ("{path: control.csv, sensor_heights: {gust: 4}}", "sensor_heights must map fields"),
         ("{path: control.csv, sensor_heights: [4]}", "sensor_heights must map fields"),
+        ("{path: control.csv, sensor_heights: {t_air: 2}}", "sensor_heights must map fields"),
     ])
     def test_malformed_station_entry(self, site, entry, phrase):
         config = site / "run.yaml"
@@ -1005,6 +1006,28 @@ class TestExitCodeMap:
         config.write_text(config.read_text().replace("seed: 3", "seed: .inf"))
         assert_one_line_exit_two(
             run(site, "ucp"), "cannot convert float infinity to integer")
+
+    def test_negative_seed(self, site):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("seed: 3", "seed: -1"))
+        assert_one_line_exit_two(
+            run(site, "ucp"), "config error: seed must be a non-negative integer, got -1")
+
+    @pytest.mark.parametrize("name", ["day_t_max_above_c", "day_t_min_above_c",
+                                      "day_max_cloud_oktas"])
+    def test_non_finite_day_threshold(self, site, name):
+        config = site / "run.yaml"
+        config.write_text(config.read_text() + f"thresholds: {{{name}: .nan}}\n")
+        for args in (("check-day", BEFORE_DAY.isoformat()), ("process", "before")):
+            assert_one_line_exit_two(
+                run(site, *args), f"config error: threshold {name} must be finite, got nan")
+
+    def test_station_header_without_timestamp(self, site):
+        path = site / "onsite.csv"
+        path.write_text(path.read_text().replace("timestamp", "time", 1))
+        assert_one_line_exit_two(
+            run(site, "process", "before"),
+            "cannot process campaign: station 'onsite' lacks column(s): timestamp")
 
     def test_bad_check_day_date(self, site):
         assert_one_line_exit_two(

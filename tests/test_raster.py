@@ -677,10 +677,6 @@ class TestComputeUcp:
         sun = layer([[1.0]], Semantic.IRRADIANCE_NORMALIZED)
         out = compute_ucp(albedo, veg, sun, formula="weighted_sum")
         assert out.values[0, 0] == 1.0
-        # non-normalized weights are rescaled to sum to one
-        out = compute_ucp(albedo, veg, sun, formula="weighted_sum",
-                          weights=(2.0, 1.0, 1.0))
-        assert out.values[0, 0] == 1.0
 
     def test_unknown_formula(self):
         a = layer([[0.2]], Semantic.ALBEDO)

@@ -62,6 +62,18 @@ class TestParseStationCsv:
         with pytest.raises(SchemaError, match="no valid rows"):
             parse_station_csv(src, station_id="s")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no rows in station 's'"),
+        (HEADER, "no rows in station 's'"),
+        ("time,rh\n", "station 's' lacks column(s): timestamp, t_air"),
+        (HEADER + "bad,25,50,,,\n",
+         "no valid rows in station 's' (line 2: Invalid isoformat string: 'bad')"),
+    ])
+    def test_schema_errors_name_the_station(self, text, message):
+        with pytest.raises(SchemaError) as raised:
+            parse_station_csv(io.StringIO(text), station_id="s")
+        assert str(raised.value) == message
+
     def test_out_of_range_humidity_dropped(self):
         src = csv_rows([
             "2019-07-25T08:00:00+00:00,25.0,50,,,\n",
@@ -75,7 +87,7 @@ class TestParseStationCsv:
     def test_cadence_mismatch_rejected(self):
         rows = [f"2019-07-25T08:{2 * m:02d}:00+00:00,25.0,50,,,\n" for m in range(10)]
         with pytest.raises(SchemaError, match="cadence"):
-            parse_station_csv(csv_rows(rows), station_id="s", cadence=60)
+            parse_station_csv(csv_rows(rows), station_id="s")
 
     def test_column_remapping(self):
         src = io.StringIO("time,Ta,RH\n2019-07-25T08:00:00+00:00,25.0,50\n"
