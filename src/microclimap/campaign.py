@@ -152,8 +152,8 @@ class DaySummary:
     t_max: float
     t_min: float
     cloud_cover_oktas: float
-    stability_class: StabilityClass
-    mean_daytime_wind: float  # m/s at 10 m
+    stability_class: StabilityClass | None  # None: no wind readings, 12:00-16:00 local
+    mean_daytime_wind: float | None  # m/s at 10 m; None as above
 
     def __post_init__(self):
         if not (0 <= self.cloud_cover_oktas <= 8):
@@ -218,19 +218,15 @@ class PointResult:
 @dataclass
 class CampaignReport:
     campaign_id: str
-    day_filter: DayFilterResult | None
-    day_filter_overridden: bool
+    day_filter: DayFilterResult  # a rejected day was processed by override
     failures: list[tuple[str, str]]  # (point_id, reason)
     drift: DriftReport | None
 
     def summary(self) -> str:
-        lines = [f"campaign {self.campaign_id}"]
-        if self.day_filter is not None:
-            status = "accepted" if self.day_filter.accepted else "REJECTED"
-            if self.day_filter_overridden:
-                status += " (override)"
-            lines.append(f"day filter: {status}")
-            lines.extend(f"  - {r}" for r in self.day_filter.reasons)
+        lines = [f"campaign {self.campaign_id}",
+                 "day filter: " + ("accepted" if self.day_filter.accepted
+                                   else "REJECTED (override)")]
+        lines.extend(f"  - {r}" for r in self.day_filter.reasons)
         for point_id, reason in self.failures:
             lines.append(f"point {point_id} unusable: {reason}")
         if self.drift is not None:
@@ -267,7 +263,9 @@ def day_filter(day: DaySummary,
                      f"cloud cover {day.cloud_cover_oktas} oktas exceeds {t.max_cloud_oktas}"),
         DayCriterion("stability class in {A, A-B}",
                      day.stability_class in (StabilityClass.A, StabilityClass.AB),
-                     f"stability class {day.stability_class.value} is not A or A-B"),
+                     "stability class unknown: no wind readings between 12:00 and 16:00 local"
+                     if day.stability_class is None
+                     else f"stability class {day.stability_class.value} is not A or A-B"),
     ))
 
 
@@ -278,7 +276,9 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
     Insolation is classed as strong when net radiation averaged over the
     12:00-14:00 local window exceeds 500 W/m2, else moderate (heuristic);
     the mean daytime wind is taken over 12:00-16:00 local and converted to
-    10 m for the Pasquill lookup.
+    10 m for the Pasquill lookup. Without a wind reading in that window the
+    wind and the stability class are unknown (None), and the day filter
+    rejects the day on stability.
     """
     def cut(column, hour, hours):
         """The non-missing values of `column` from `hour` local time for `hours`."""
@@ -296,17 +296,16 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
     insolation = Insolation.STRONG if strong else Insolation.MODERATE
 
     winds = cut("wind", 12, 4)
-    if winds:
-        mean_wind_10m = wind_to_10m(sum(winds) / len(winds), control.wind_height, z0)
-    else:
-        mean_wind_10m = 0.0
+    mean_wind_10m = (wind_to_10m(sum(winds) / len(winds), control.wind_height, z0)
+                     if winds else None)
 
     return DaySummary(
         day=day,
         t_max=max(t_values),
         t_min=min(t_values),
         cloud_cover_oktas=cloud_cover_oktas,
-        stability_class=pasquill_class(mean_wind_10m, insolation),
+        stability_class=(None if mean_wind_10m is None
+                         else pasquill_class(mean_wind_10m, insolation)),
         mean_daytime_wind=mean_wind_10m,
     )
 
@@ -324,9 +323,9 @@ def parse_mobile_csv(source) -> MobileLog:
     load report; a SchemaError is raised when no row survives. Samples are
     ordered by time, rows at the same time in file order.
     """
-    parsed = parse_rows(source, "mobile log", required=MOBILE_REQUIRED, label="point_id")
-    return MobileLog(parsed.t_us, parsed.labels, dict(zip(FIELDS, parsed.table)),
-                     parsed.report)
+    t_us, table, point_ids, report = parse_rows(source, "mobile log", required=MOBILE_REQUIRED,
+                                                label="point_id")
+    return MobileLog(t_us, point_ids, dict(zip(FIELDS, table)), report)
 
 
 def segment_stops(log: MobileLog, plan: CampaignPlan) -> list[StopSegment]:
@@ -431,7 +430,7 @@ def match_control(timestamp: datetime, control: StationSeries) -> ReferenceCondi
 
 def process_campaign(plan: CampaignPlan, log: MobileLog,
                      control: StationSeries,
-                     day_summary: DaySummary | None = None,
+                     day_summary: DaySummary,
                      onsite: StationSeries | None = None,
                      override_day_filter: bool = False,
                      day_thresholds: DayFilterThresholds = DayFilterThresholds(),
@@ -441,20 +440,17 @@ def process_campaign(plan: CampaignPlan, log: MobileLog,
                      ) -> tuple[list[PointResult], CampaignReport]:
     """Run the full per-point pipeline for one campaign.
 
-    Per-point failures are collected and reported; the campaign only fails
-    outright when no point is usable. A stop flagged too short is unusable
-    before its stabilization is tried. When an on-site fixed station is
-    supplied, its UTCI offset against the control is drift-checked over the
-    traverse span; when the check cannot run, the reason is reported as a
-    `__drift__` failure.
+    A day the filter rejects raises DayRejectedError unless
+    `override_day_filter` is set. Per-point failures are collected and
+    reported; the campaign only fails outright when no point is usable. A
+    stop flagged too short is unusable before its stabilization is tried.
+    When an on-site fixed station is supplied, its UTCI offset against the
+    control is drift-checked over the traverse span; when the check cannot
+    run, the reason is reported as a `__drift__` failure.
     """
-    filter_result = (day_filter(day_summary, day_thresholds)
-                     if day_summary is not None else None)
-    overridden = False
-    if filter_result is not None and not filter_result.accepted:
-        if not override_day_filter:
-            raise DayRejectedError(filter_result.reasons)
-        overridden = True
+    filter_result = day_filter(day_summary, day_thresholds)
+    if not (filter_result.accepted or override_day_filter):
+        raise DayRejectedError(filter_result.reasons)
 
     segments = segment_stops(log, plan)
     results: dict[str, PointResult] = {}
@@ -503,7 +499,6 @@ def process_campaign(plan: CampaignPlan, log: MobileLog,
     report = CampaignReport(
         campaign_id=plan.campaign_id,
         day_filter=filter_result,
-        day_filter_overridden=overridden,
         failures=failures,
         drift=drift,
     )

@@ -209,13 +209,14 @@ def check_day(cfg: RunConfig, day, oktas, tz_offset):
     summary = campaign_mod.derive_day_summary(control, day, oktas, tz or timezone.utc,
                                               z0=cfg.z0)
     result = campaign_mod.day_filter(summary, cfg.day_thresholds)
+    stability, wind = summary.stability_class, summary.mean_daytime_wind
     click.echo(f"day {day.isoformat()}: t_max={summary.t_max:.1f} degC, "
                f"t_min={summary.t_min:.1f} degC, "
                f"cloud cover={summary.cloud_cover_oktas:g} oktas, "
-               f"stability class={summary.stability_class.value}, "
-               f"mean daytime wind={summary.mean_daytime_wind:.2f} m/s")
-    for criterion in result.criteria:
-        click.echo(f"  [{'pass' if criterion.passed else 'FAIL'}] {criterion.label}")
+               f"stability class={'n/a' if stability is None else stability.value}, "
+               f"mean daytime wind={'n/a' if wind is None else f'{wind:.2f} m/s'}")
+    for c in result.criteria:
+        click.echo(f"  [pass] {c.label}" if c.passed else f"  [FAIL] {c.label}: {c.reason}")
     click.echo("verdict: " + ("accepted" if result.accepted else "rejected"))
     sys.exit(EXIT_OK if result.accepted else EXIT_REJECTED)
 

@@ -17,7 +17,8 @@ import yaml
 
 from .campaign import CampaignPlan, DayFilterThresholds, Environment, Phase, TraversePoint
 from .errors import ConfigError
-from .series import (DEFAULT_WIND_HEIGHT_M, OPTIONAL_COLUMNS, REQUIRED_COLUMNS,
+from .raster import UCP_FORMULAS
+from .series import (DEFAULT_WIND_HEIGHT_M, OPTIONAL_COLUMNS, PARAMETERS, REQUIRED_COLUMNS,
                      DriftThresholds, opened)
 from .thermal import GlobeFormula, GlobeSpec
 
@@ -69,6 +70,53 @@ def _read_yaml(path: Path, kind: str):
         else:
             reason = f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
         raise ConfigError(f"malformed YAML in {kind} file {path}: {reason}") from exc
+
+
+# The keys each config mapping may hold; plans are read leniently.
+_CONFIG_KEYS = ("stations", "campaigns", "rasters", "thresholds", "globe", "wind_profile",
+                "irradiance", "ucp_formula", "baci_parameter", "output_dir", "seed")
+_STATION_KEYS = ("path", "column_map", "sensor_heights")
+_CAMPAIGN_KEYS = ("plan", "mobile_log", "cloud_cover_oktas")
+_RASTER_KEYS = ("albedo", "vegetation", "irradiance", "ucp")
+_THRESHOLD_KEYS = ("day_t_max_above_c", "day_t_min_above_c", "day_max_cloud_oktas",
+                   "drift_amplitude_short_c", "drift_amplitude_long_c",
+                   "drift_short_window_hours", "drift_smoothing_seconds",
+                   "stabilization_delta_c")
+
+
+def _known(mapping, where: str, keys: tuple[str, ...]) -> dict:
+    """`mapping`, a ConfigError naming `where` if it holds a key not in `keys`."""
+    if not isinstance(mapping, dict):
+        raise TypeError(f"{where} must be a mapping")
+    unknown = [repr(k) for k in mapping if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)} "
+                          f"(known: {', '.join(keys)})")
+    return mapping
+
+
+def _number(label: str, value, positive: bool = False) -> float:
+    """`value` as `float()` reads it; a ConfigError naming `label` unless that
+    is finite, and above 0 when `positive`.
+
+    A bool is not a number. A text is read, since YAML 1.1 resolves `1e5`
+    (no dot) to a string.
+    """
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (OverflowError, TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and (number > 0 or not positive)):
+        rule = "positive and finite" if positive else "finite"
+        raise ConfigError(f"{label} must be {rule}, got {value!r}")
+    return number
+
+
+def _choice(label: str, value, choices: tuple[str, ...]) -> str:
+    """`value`, a ConfigError naming `label` unless it is one of `choices`."""
+    if value not in choices:
+        raise ConfigError(f"{label} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def _optional_str(value) -> str | None:
@@ -172,10 +220,15 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
             raise ConfigError(f"configured path is not a regular file: {resolved}")
         return resolved
 
+    def section(key: str, keys: tuple[str, ...]) -> dict:
+        return _known(raw.get(key) or {}, key, keys)
+
+    _known(raw, "config", _CONFIG_KEYS)
     columns = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
     stations = {}
     for name, entry in (raw.get("stations") or {}).items():
         entry = {"path": entry} if isinstance(entry, str) else entry
+        _known(entry, f"station {name!r}", _STATION_KEYS)
         column_map = entry.get("column_map") or {}
         heights = entry.get("sensor_heights") or {}
         if not (isinstance(column_map, dict) and set(column_map) <= set(columns)
@@ -193,53 +246,46 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
 
     campaigns = {}
     for cid, entry in (raw.get("campaigns") or {}).items():
-        campaigns[cid] = CampaignConfig(
-            plan_path=resolve(entry["plan"]),
-            mobile_log_path=resolve(entry["mobile_log"]),
-            cloud_cover_oktas=float(entry.get("cloud_cover_oktas", 0)),
-        )
+        _known(entry, f"campaign {cid!r}", _CAMPAIGN_KEYS)
+        oktas = _number(f"campaign {cid!r}: cloud_cover_oktas", entry.get("cloud_cover_oktas"))
+        if not 0 <= oktas <= 8:
+            raise ConfigError(f"campaign {cid!r}: cloud_cover_oktas must be in [0, 8], "
+                              f"got {oktas:g}")
+        campaigns[cid] = CampaignConfig(resolve(entry["plan"]), resolve(entry["mobile_log"]),
+                                        oktas)
 
-    rasters = {name: resolve(p) for name, p in (raw.get("rasters") or {}).items()}
+    rasters = {name: resolve(p) for name, p in section("rasters", _RASTER_KEYS).items()}
 
-    th = raw.get("thresholds") or {}
+    th = section("thresholds", _THRESHOLD_KEYS)
+
+    def threshold(key: str, default: float, positive: bool = False) -> float:
+        return _number(f"threshold {key}", th.get(key, default), positive)
+
     day_thresholds = DayFilterThresholds(
-        t_max_above=float(th.get("day_t_max_above_c", 25.0)),
-        t_min_above=float(th.get("day_t_min_above_c", 16.0)),
-        max_cloud_oktas=float(th.get("day_max_cloud_oktas", 3.0)),
+        t_max_above=threshold("day_t_max_above_c", 25.0),
+        t_min_above=threshold("day_t_min_above_c", 16.0),
+        max_cloud_oktas=threshold("day_max_cloud_oktas", 3.0),
     )
     drift_thresholds = DriftThresholds(
-        short_window_amplitude=float(th.get("drift_amplitude_short_c", 1.0)),
-        long_window_amplitude=float(th.get("drift_amplitude_long_c", 2.0)),
-        short_window_hours=float(th.get("drift_short_window_hours", 2.0)),
-        smoothing_seconds=float(th.get("drift_smoothing_seconds", 300.0)),
+        short_window_amplitude=threshold("drift_amplitude_short_c", 1.0, True),
+        long_window_amplitude=threshold("drift_amplitude_long_c", 2.0, True),
+        short_window_hours=threshold("drift_short_window_hours", 2.0, True),
+        smoothing_seconds=threshold("drift_smoothing_seconds", 300.0, True),
     )
-    stabilization_delta_c = float(th.get("stabilization_delta_c", 0.15))
-    for name, value, positive in (
-            ("day_t_max_above_c", day_thresholds.t_max_above, False),
-            ("day_t_min_above_c", day_thresholds.t_min_above, False),
-            ("day_max_cloud_oktas", day_thresholds.max_cloud_oktas, False),
-            ("drift_amplitude_short_c", drift_thresholds.short_window_amplitude, True),
-            ("drift_amplitude_long_c", drift_thresholds.long_window_amplitude, True),
-            ("drift_short_window_hours", drift_thresholds.short_window_hours, True),
-            ("drift_smoothing_seconds", drift_thresholds.smoothing_seconds, True),
-            ("stabilization_delta_c", stabilization_delta_c, True)):
-        if not (math.isfinite(value) and (value > 0 or not positive)):
-            rule = "positive and finite" if positive else "finite"
-            raise ConfigError(f"threshold {name} must be {rule}, got {value}")
 
-    g = raw.get("globe") or {}
+    g = section("globe", ("diameter_m", "emissivity", "variant"))
     globe = GlobeSpec(
-        diameter=float(g.get("diameter_m", 0.15)),
-        emissivity=float(g.get("emissivity", 0.95)),
-        formula_variant=GlobeFormula(g.get("variant", "iso7726_forced")),
+        diameter=_number("globe diameter_m", g.get("diameter_m", 0.15), True),
+        emissivity=_number("globe emissivity", g.get("emissivity", 0.95), True),
+        formula_variant=GlobeFormula(_choice("globe variant", g.get("variant", "iso7726_forced"),
+                                             tuple(f.value for f in GlobeFormula))),
     )
+    wind = section("wind_profile", ("z0_m",))
+    irr = section("irradiance", ("clear_sky_max_wm2",))
 
-    wind = raw.get("wind_profile") or {}
-    irr = raw.get("irradiance") or {}
-
-    seed = int(raw.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    seed = raw.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     output_dir = (base / raw.get("output_dir", "out")).resolve()
     return RunConfig(
@@ -248,13 +294,14 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
         rasters=rasters,
         day_thresholds=day_thresholds,
         drift_thresholds=drift_thresholds,
-        stabilization_delta_c=stabilization_delta_c,
+        stabilization_delta_c=threshold("stabilization_delta_c", 0.15, True),
         globe=globe,
-        z0=float(wind.get("z0_m", 0.01)),
-        irradiance_clear_sky_max=(float(irr["clear_sky_max_wm2"])
-                                  if "clear_sky_max_wm2" in irr else None),
-        ucp_formula=str(raw.get("ucp_formula", "product")),
-        baci_parameter=str(raw.get("baci_parameter", "utci")),
+        z0=_number("wind_profile z0_m", wind.get("z0_m", 0.01), True),
+        irradiance_clear_sky_max=(
+            _number("irradiance clear_sky_max_wm2", irr["clear_sky_max_wm2"], True)
+            if "clear_sky_max_wm2" in irr else None),
+        ucp_formula=_choice("ucp_formula", raw.get("ucp_formula", "product"), UCP_FORMULAS),
+        baci_parameter=_choice("baci_parameter", raw.get("baci_parameter", "utci"), PARAMETERS),
         output_dir=output_dir,
         seed=seed,
     )

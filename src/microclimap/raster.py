@@ -81,7 +81,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, GridError
-from .series import opened
+from .series import decoded, opened
 from .thermal import heat_stress_category
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
@@ -233,15 +233,6 @@ def _map_blocks(convert, blocks: list):
         yield from pool.map(convert, blocks)
 
 
-def _utf8(data: bytes, start: int, end: int) -> str:
-    """`data[start:end]` decoded as UTF-8; a GridError names the first bad byte."""
-    try:
-        return data[start:end].decode()
-    except UnicodeDecodeError as exc:
-        raise GridError(f"grid is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
-                        f"at offset {start + exc.start}") from None
-
-
 def _read_header(data: bytes) -> tuple[dict[str, float], float, int]:
     """Header values, the nodata value and the offset where the cell values start.
 
@@ -254,7 +245,7 @@ def _read_header(data: bytes) -> tuple[dict[str, float], float, int]:
     while start < len(data):
         end = _LINE_END.search(data, start)
         end = len(data) if end is None else end.end()
-        line = _utf8(data, start, end)
+        line = decoded(data, "grid", GridError, start, end)
         parts = line.split(None, 2)  # a cell row is not split further
         if parts:
             key = parts[0].lower()
@@ -453,7 +444,7 @@ def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
     ncols, nrows = _grid_shape(header)
     cells = _decode_cells(data, start)
     if cells is None or cells.size != ncols * nrows:  # this path words every error
-        tokens = _utf8(data, start, len(data)).split()
+        tokens = decoded(data, "grid", GridError, start).split()
         if len(tokens) != ncols * nrows:
             raise GridError(
                 f"expected {ncols * nrows} cell values, found {len(tokens)}")
@@ -698,6 +689,10 @@ def normalize_irradiance(raw: RasterLayer, clear_sky_max: float) -> RasterLayer:
     values = raw.values.copy()
     values[mask] = np.clip(values[mask] / clear_sky_max, 0.0, 1.0)
     return replace(raw, values=values, semantic=Semantic.IRRADIANCE_NORMALIZED)
+
+
+#: The formulas `compute_ucp` evaluates.
+UCP_FORMULAS = ("product", "weighted_sum")
 
 
 def compute_ucp(albedo: RasterLayer, vegetation: RasterLayer,

@@ -104,15 +104,21 @@ def opened(source, mode: str = "r", newline: str | None = None, error=SchemaErro
         try:
             yield fh
         except UnicodeDecodeError:
-            try:  # the decoder's offset counts from its chunk, not the file
-                with open(source, "rb") as raw:
-                    raw.read().decode()
-            except UnicodeDecodeError as exc:
-                raise error(f"{source} is not UTF-8 text: byte "
-                            f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
+            with open(source, "rb") as raw:  # the decoder's offset counts from its chunk
+                decoded(raw.read(), source, error)
             raise
         except csv.Error as exc:
             raise error(f"cannot read {source}: {exc}") from None
+
+
+def decoded(data: bytes, name, error, start: int = 0, end: int | None = None) -> str:
+    """`data[start:end]` decoded as UTF-8; `error` names `name` and the first bad
+    byte with its offset in `data`."""
+    try:
+        return data[start:end].decode()
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                    f"at offset {start + exc.start}") from None
 
 
 class DriftVerdict(Enum):
@@ -311,23 +317,15 @@ def _float_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return column, blank
 
 
-@dataclass
-class ParsedRows:
-    """The rows of a log that passed validation, in time order, as columns.
-
-    Rows at one time keep their file order.
-    """
-
-    t_us: np.ndarray         # int64 epoch microseconds (UTC), sorted
-    table: np.ndarray        # float64, one row per field in FIELDS, NaN where blank
-    labels: np.ndarray | None  # the stripped label (str) of each row, when one was asked for
-    report: LoadReport
-
-
 def parse_rows(source, log_name: str, column_map: dict[str, str] | None = None,
-               required: tuple[str, ...] = ("t_air", "rh"),
-               label: str | None = None) -> ParsedRows:
+               required: tuple[str, ...] = ("t_air", "rh"), label: str | None = None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, LoadReport]:
     """Read a log CSV and validate its rows as `parse_row` would, column by column.
+
+    Returns the kept rows in time order, rows at one time in file order:
+    their int64 epoch microseconds (UTC), a float64 table with one row per
+    field in `FIELDS` (NaN where blank), the stripped `label` of each row
+    (None without a `label`) and the load report.
 
     `log_name` names the log in its errors ("station 'control'", "mobile log")
     and `column_map` remaps canonical column names to the file's header
@@ -400,8 +398,7 @@ def parse_rows(source, log_name: str, column_map: dict[str, str] | None = None,
         raise SchemaError(f"no valid rows in {log_name} ({report.drop_reasons[0]})")
     rows = np.flatnonzero(kept)
     rows = rows[np.argsort(t_us[rows], kind="stable")]
-    return ParsedRows(t_us[rows], table[:, rows], None if labels is None else labels[rows],
-                      report)
+    return t_us[rows], table[:, rows], None if labels is None else labels[rows], report
 
 
 # Rows held at once while reading. Rows freed while few are alive never
@@ -447,8 +444,7 @@ def parse_station_csv(source, station_id: str, column_map: dict[str, str] | None
     `STATION_CADENCE_S` apart; holes longer than twice that become gap
     annotations.
     """
-    parsed = parse_rows(source, f"station {station_id!r}", column_map)
-    report, t_us, table = parsed.report, parsed.t_us, parsed.table
+    t_us, table, _, report = parse_rows(source, f"station {station_id!r}", column_map)
     repeated = np.diff(t_us) == 0  # rows at the time of the row before them
     if repeated.any():
         for t in t_us[1:][repeated].tolist():

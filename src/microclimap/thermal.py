@@ -132,7 +132,6 @@ class ReferenceConditions:
 class UtciOffset:
     """Signed departure of a measured point's UTCI from the reference UTCI."""
 
-    value: float                       # degC, utci_mobile - utci_ref
     utci_mobile: float                 # degC
     utci_ref: float                    # degC
     point_id: str = ""
@@ -142,11 +141,11 @@ class UtciOffset:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise DomainError(f"UTCI offset must be finite, got {self.value}")
-        if self.value != self.utci_mobile - self.utci_ref:
-            raise DomainError(
-                f"inconsistent offset for {self.point_id}: "
-                f"{self.value} != {self.utci_mobile} - {self.utci_ref}"
-            )
+
+    @property
+    def value(self) -> float:
+        """The offset in degC: utci_mobile - utci_ref."""
+        return self.utci_mobile - self.utci_ref
 
 
 def _require(ok, error, message, *values):
@@ -288,7 +287,6 @@ def utci_offset(mobile: UtciInput, ref: ReferenceConditions,
     except (ValidityError, DomainError) as exc:
         raise type(exc)(f"reference side: {exc}") from exc
     return UtciOffset(
-        value=utci_mobile - utci_ref,
         utci_mobile=utci_mobile,
         utci_ref=utci_ref,
         point_id=point_id,

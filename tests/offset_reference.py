@@ -26,7 +26,7 @@ class ListOffsets:
     """Case-minus-control offsets as one list of times and one of values."""
 
     parameter: str
-    times: list[datetime]
+    instants: list[datetime]
     values: list[float]
 
 
@@ -48,14 +48,14 @@ def drift_diagnostic(offsets: ListOffsets, window: tuple[datetime, datetime],
                      thresholds: DriftThresholds = DriftThresholds()) -> DriftReport:
     """Judge whether an offset series is stable over a window."""
     start, end = window
-    if not offsets.times:
+    if not offsets.instants:
         raise DomainError("empty offset series")
-    if end < offsets.times[0] or start > offsets.times[-1]:
+    if end < offsets.instants[0] or start > offsets.instants[-1]:
         raise DomainError("window lies outside the offset series range")
-    idx = [i for i, t in enumerate(offsets.times) if start <= t <= end]
+    idx = [i for i, t in enumerate(offsets.instants) if start <= t <= end]
     if len(idx) < 10:
         raise DomainError(f"need at least 10 samples in the window, found {len(idx)}")
-    times = [offsets.times[i] for i in idx]
+    times = [offsets.instants[i] for i in idx]
     values = [offsets.values[i] for i in idx]
 
     smoothed = _smooth_values(np.array([epoch_us(t) for t in times], dtype=np.int64),

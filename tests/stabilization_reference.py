@@ -1,7 +1,7 @@
 """Per-sample stabilization and aggregation, the reference for the columnar ones.
 
 These are `campaign.detect_stabilization` and `campaign.aggregate_point` as
-they were while a stop segment held one `WeatherSample` per reading: the
+they were while a stop segment held one record per reading: the
 window scan re-reads the whole segment for every candidate start, and the
 means are taken over the samples inside the window. The parity test
 requires the columnar versions to find the same windows and the same
@@ -17,8 +17,18 @@ from microclimap import thermal
 from microclimap.campaign import (STABILIZATION_DELTA_C, STABILIZATION_WINDOW_S,
                                   AggregatedDrivers)
 from microclimap.errors import DomainError
-from microclimap.series import WeatherSample
 from microclimap.thermal import GlobeSpec, wind_to_10m
+
+
+@dataclass(frozen=True)
+class Reading:
+    """One timestamped mobile reading; None where a value is blank."""
+
+    timestamp: datetime
+    t_air: float
+    rh: float | None
+    t_globe: float | None
+    wind: float | None
 
 
 @dataclass
@@ -26,7 +36,7 @@ class SampleSegment:
     """A contiguous dwell at one traverse point, one record per reading."""
 
     point_id: str
-    samples: list[WeatherSample]
+    readings: list[Reading]
     stabilization_window: tuple[datetime, datetime] | None = None
     stabilized: bool = False
     too_short: bool = False
@@ -42,17 +52,17 @@ def detect_stabilization(segment: SampleSegment,
     within the sensor uncertainty. Returns a copy of the segment with the
     stabilization fields set.
     """
-    if any(s.t_globe is None for s in segment.samples):
+    if any(r.t_globe is None for r in segment.readings):
         raise DomainError(
             f"segment at {segment.point_id} has samples without globe readings")
-    times = [s.timestamp for s in segment.samples]
+    times = [r.timestamp for r in segment.readings]
     span = timedelta(seconds=window_s)
     for i in range(len(times) - 1, -1, -1):
         end = times[i] + span
         if end > times[-1]:
             continue
-        in_window = [s.t_globe for s in segment.samples
-                     if times[i] <= s.timestamp <= end]
+        in_window = [r.t_globe for r in segment.readings
+                     if times[i] <= r.timestamp <= end]
         if max(in_window) - min(in_window) <= delta_c:
             return replace(segment, stabilization_window=(times[i], end), stabilized=True)
     return replace(segment, stabilization_window=None, stabilized=False)
@@ -70,10 +80,10 @@ def aggregate_point(segment: SampleSegment, globe: GlobeSpec = GlobeSpec(),
         raise DomainError(
             f"segment at {segment.point_id} never stabilized; point is unusable")
     lo, hi = segment.stabilization_window
-    window = [s for s in segment.samples if lo <= s.timestamp <= hi]
+    window = [r for r in segment.readings if lo <= r.timestamp <= hi]
 
     def mean_of(attr):
-        values = [getattr(s, attr) for s in window if getattr(s, attr) is not None]
+        values = [getattr(r, attr) for r in window if getattr(r, attr) is not None]
         if not values:
             raise DomainError(f"no {attr} readings in stabilization window "
                               f"at {segment.point_id}")

@@ -10,7 +10,7 @@ from microclimap.analysis import (BaciDataset, EffectEstimate, _average_ranks, _
                                   _quantile, baci_effect, correlate_offset_ucp, scatter_csv,
                                   scatter_svg)
 from microclimap.errors import DomainError
-from microclimap.series import OffsetSeries
+from microclimap.series import OffsetSeries, epoch_us
 
 UTC = timezone.utc
 BEFORE_START = datetime(2019, 7, 1, 0, 0, tzinfo=UTC)
@@ -85,7 +85,7 @@ class TestBaciEffect:
         before = offsets(gen, BEFORE_START, days=5)
         after = offsets(gen, AFTER_START, days=5)
         base = baci_effect(BaciDataset(before, after), seed=0)
-        shifted_after = OffsetSeries("utci", "onsite", "ctrl", after.times,
+        shifted_after = OffsetSeries("utci", "onsite", "ctrl", after.t_us,
                                      [v + 0.75 for v in after.values])
         shifted = baci_effect(BaciDataset(before, shifted_after), seed=0)
         assert shifted.effect == pytest.approx(base.effect + 0.75, abs=1e-12)
@@ -244,7 +244,8 @@ def test_offset_series_holds_columns():
     series = offsets(lambda d, i: 0.25 * i, BEFORE_START, days=1)
     assert series.t_us.dtype == np.int64 and series.values.dtype == np.float64
     assert series.t_us[1] - series.t_us[0] == 3600 * 10**6
-    assert series.times == [BEFORE_START + timedelta(hours=i) for i in range(24)]
+    assert series.t_us.tolist() == [epoch_us(BEFORE_START + timedelta(hours=i))
+                                    for i in range(24)]
     again = OffsetSeries("utci", "onsite", "ctrl", series.t_us, series.values.tolist())
     assert again.t_us is series.t_us and again.values.tolist() == series.values.tolist()
 

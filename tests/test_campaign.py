@@ -19,7 +19,7 @@ from microclimap.campaign import (CampaignPlan, DaySummary,
                                   process_campaign, segment_stops)
 from microclimap.errors import (DayRejectedError, DomainError, MatchError,
                                 SchemaError)
-from microclimap.series import FIELDS, WeatherSample, epoch_us, from_epoch_us
+from microclimap.series import FIELDS, epoch_us, from_epoch_us
 
 
 def make_plan(point_ids=("P1", "P2", "P3"), campaign_id="c1",
@@ -460,8 +460,9 @@ def both_segments(readings):
     rows = [(t_air, rh, globe, wind, None) for _, globe, t_air, rh, wind in readings]
     table = np.array(rows, dtype=float)  # None -> NaN
     columnar = StopSegment("P1", t_us, {name: table[:, k] for k, name in enumerate(FIELDS)})
-    samples = [WeatherSample(from_epoch_us(t), *row) for t, row in zip(t_us.tolist(), rows)]
-    return columnar, reference.SampleSegment("P1", samples)
+    records = [reference.Reading(from_epoch_us(t), *row[:4])
+               for t, row in zip(t_us.tolist(), rows)]
+    return columnar, reference.SampleSegment("P1", records)
 
 
 class TestColumnarMatchesPerSampleReference:
@@ -576,7 +577,7 @@ class TestProcessCampaign:
         results, report = process_campaign(plan, log, control, day_summary=bad,
                                            override_day_filter=True)
         assert len(results) == 1
-        assert report.day_filter_overridden
+        assert not report.day_filter.accepted
         assert "override" in report.summary()
 
     def test_per_point_failure_does_not_kill_campaign(self):
@@ -675,21 +676,6 @@ class TestProcessCampaign:
         _, report = process_campaign(plan, log, control, day_summary=good_day(),
                                      onsite=onsite)
         assert ("__drift__", "drift check skipped: empty offset series") in report.failures
-
-    def test_without_day_summary_filter_is_skipped(self):
-        plan, log, control = synthetic_campaign({"P1": 0.0})
-        _, report = process_campaign(plan, log, control)
-        assert report.day_filter is None
-
-
-class TestPointResultInvariant:
-    def test_inconsistent_offset_rejected(self):
-        plan, log, control = synthetic_campaign({"P1": 0.0})
-        results, _ = process_campaign(plan, log, control, day_summary=good_day())
-        from dataclasses import replace
-        offset = results[0].offset
-        with pytest.raises(DomainError, match="inconsistent"):
-            replace(offset, utci_mobile=offset.utci_mobile + 0.5)
 
 
 class TestPlanValidation:

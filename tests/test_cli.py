@@ -178,6 +178,42 @@ class TestCheckDay:
         assert "--oktas" in result.output
 
 
+def drop_wind_column(path):
+    """Rewrite a station CSV without its wind column."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    wind = rows[0].index("wind")
+    path.write_text("".join(",".join(r[:wind] + r[wind + 1:]) + "\n" for r in rows))
+
+
+NO_WIND_REASON = "stability class unknown: no wind readings between 12:00 and 16:00 local"
+
+
+class TestDayWithoutWind:
+    """A control without afternoon wind readings leaves the stability class unknown."""
+
+    def test_check_day_rejects_with_the_reason(self, site):
+        drop_wind_column(site / "control.csv")
+        result = run(site, "check-day", BEFORE_DAY.isoformat())
+        assert result.exit_code == 1, result.output
+        assert "stability class=n/a, mean daytime wind=n/a\n" in result.stdout
+        assert f"  [FAIL] stability class in {{A, A-B}}: {NO_WIND_REASON}\n" in result.stdout
+        assert result.stdout.count("[pass]") == 3
+        assert result.stdout.endswith("verdict: rejected\n")
+
+    def test_process_exits_one_unless_forced(self, site):
+        drop_wind_column(site / "control.csv")
+        result = run(site, "process", "before")
+        assert result.exit_code == 1, result.output
+        assert result.stderr == ("campaign day rejected:\n"
+                                 f"  - {NO_WIND_REASON}\n"
+                                 "use --force-day to process anyway\n")
+        assert not (site / "out" / "before").exists()
+        forced = run(site, "process", "before", "--force-day")
+        assert forced.exit_code == 0, forced.output
+        report = (site / "out" / "before" / "report.txt").read_text()
+        assert f"day filter: REJECTED (override)\n  - {NO_WIND_REASON}\n" in report
+
+
 class TestProcess:
     def test_campaign_outputs_written(self, site):
         result = run(site, "process", "before")
@@ -246,6 +282,17 @@ class TestUcp:
         # bottom-left cell: S=0.8, albedo=0.2, vegetation=0.1
         assert grid.values[1, 0] == pytest.approx(0.8 * 0.8 * 0.9, abs=1e-12)
 
+    def test_normalized_irradiance_grid(self, site):
+        """Without an `irradiance:` section the grid is read as normalized already."""
+        assert run(site, "ucp").exit_code == 0
+        from_raw = (site / "out" / "ucp.asc").read_bytes()
+        write_grid(site / "irr.asc", [[0.4, 0.9], [0.8, 1.0]])  # the raw grid over 1000
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("irradiance:\n  clear_sky_max_wm2: 1000\n",
+                                                     ""))
+        assert run(site, "ucp").exit_code == 0
+        assert (site / "out" / "ucp.asc").read_bytes() == from_raw
+
     def test_processed_points_pick_up_ucp(self, site):
         run(site, "ucp")
         run(site, "process", "before")
@@ -305,6 +352,19 @@ class TestCompare:
         assert self.baci_line(site) == ("BACI effect unavailable: before and after plans "
                                         "use different time zones (UTC+02:00 and UTC+01:00)")
 
+    def test_baci_on_mean_radiant_temperature(self, site):
+        # globe readings equal to the air temperature: t_mrt follows t_air
+        for name in ("case.csv", "control.csv"):
+            header, *rows = (site / name).read_text().splitlines(keepends=True)
+            cells = [row.split(",") for row in rows]
+            (site / name).write_text(header + "".join(",".join(c[:3] + c[1:2] + c[4:])
+                                                      for c in cells))
+        config = site / "run.yaml"
+        config.write_text(config.read_text() + "baci_parameter: t_mrt\n")
+        line = self.baci_line(site)
+        assert line.startswith("BACI effect: -1.000 degC (CI unavailable: ")
+        assert "n_before=361, n_after=361" in line
+
     def test_missing_processed_results_exit_two(self, site):
         result = run(site, "compare", "before", "after")
         assert result.exit_code == 2
@@ -334,6 +394,25 @@ class TestConfigErrors:
         result = CliRunner().invoke(main, ["-c", str(bad), "ucp"])
         assert result.exit_code == 2
         assert "does not exist" in result.output
+
+
+@pytest.mark.parametrize("value, offset", [
+    (None, timedelta(0)), ("", timedelta(0)), ("UTC", timedelta(0)), ("utc", timedelta(0)),
+    ("+02:00", timedelta(hours=2)), ("+2", timedelta(hours=2)),
+    ("-03:30", -timedelta(hours=3, minutes=30)),
+])
+def test_plan_time_zones(value, offset):
+    assert config_mod._parse_tz(value).utcoffset(None) == offset
+
+
+@pytest.mark.parametrize("value", ["CET", "+02:00:00", "+2h"])
+def test_unparseable_time_zone(site, value):
+    plan = site / "before_plan.yaml"
+    plan.write_text(plan.read_text().replace('timezone: "+02:00"', f'timezone: "{value}"'))
+    TestMalformedConfigExitsTwo.assert_one_line_exit_two(
+        run(site, "process", "before"),
+        f"cannot process campaign: invalid plan file {plan}: "
+        f"cannot parse timezone offset {value!r}")
 
 
 class TestRobustInputs:
@@ -395,7 +474,7 @@ class TestBaciWindow:
         from microclimap import analysis
         from microclimap.cli import day_offsets, load_station
         from microclimap.config import load_config, load_plan
-        from microclimap.series import OffsetSeries, offset_series
+        from microclimap.series import OffsetSeries, epoch_us, offset_series
 
         cfg = load_config(site / "run.yaml")
         case, control = load_station(cfg, "case"), load_station(cfg, "control")
@@ -405,11 +484,11 @@ class TestBaciWindow:
             plan = load_plan(cfg.campaigns[name].plan_path)
             start = datetime.combine(plan.day, time(0, 0), plan.tz)
             end = datetime.combine(plan.day, time(23, 59, 59), plan.tz)
-            kept = [(t, v) for t, v in zip(whole.times, whole.values) if start <= t <= end]
+            kept = (epoch_us(start) <= whole.t_us) & (whole.t_us <= epoch_us(end))
             reference.append(OffsetSeries(whole.parameter, "case", "control",
-                                          [t for t, _ in kept], [v for _, v in kept]))
+                                          whole.t_us[kept], whole.values[kept]))
             windowed.append(day_offsets(cfg, case, control, plan))
-            assert windowed[-1].times == reference[-1].times
+            assert windowed[-1].t_us.tolist() == reference[-1].t_us.tolist()
         got = analysis.baci_effect(analysis.BaciDataset(*windowed), seed=cfg.seed)
         ref = analysis.baci_effect(analysis.BaciDataset(*reference), seed=cfg.seed)
         for field in ("effect", "ci_low", "ci_high"):
@@ -536,7 +615,8 @@ class TestMalformedConfigExitsTwo:
     def test_non_integer_seed(self, site):
         config = site / "run.yaml"
         config.write_text(config.read_text().replace("seed: 3", "seed: abc"))
-        self.assert_one_line_exit_two(run(site, "ucp"), "invalid literal for int()")
+        self.assert_one_line_exit_two(
+            run(site, "ucp"), "config error: seed must be a non-negative integer, got 'abc'")
 
     def test_section_that_is_not_a_mapping(self, site):
         config = site / "run.yaml"
@@ -556,6 +636,14 @@ def test_output_files_take_the_umask(site, umask, mode):
     assert len(files) == len(FIXTURE_DIGESTS) - 1  # all but the check-day stdout
     assert {str(path): path.stat().st_mode & 0o777 for path in files} == {
         str(path): mode for path in files}
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    from microclimap.cli import _replace_file
+    target = tmp_path / "out" / "grid.asc"
+    with pytest.raises(TypeError):
+        _replace_file(target, b"ncols 1\n", "nrows 1\n")  # a str chunk in a bytes file
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def _truncate_ucp(site):
@@ -1005,13 +1093,79 @@ class TestExitCodeMap:
         config = site / "run.yaml"
         config.write_text(config.read_text().replace("seed: 3", "seed: .inf"))
         assert_one_line_exit_two(
-            run(site, "ucp"), "cannot convert float infinity to integer")
+            run(site, "ucp"), "config error: seed must be a non-negative integer, got inf")
 
     def test_negative_seed(self, site):
         config = site / "run.yaml"
         config.write_text(config.read_text().replace("seed: 3", "seed: -1"))
         assert_one_line_exit_two(
             run(site, "ucp"), "config error: seed must be a non-negative integer, got -1")
+
+    @pytest.mark.parametrize("value, shown", [("1.7", "1.7"), ("true", "True")])
+    def test_seed_that_is_not_an_integer(self, site, value, shown):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("seed: 3", f"seed: {value}"))
+        assert_one_line_exit_two(
+            run(site, "ucp"), f"config error: seed must be a non-negative integer, got {shown}")
+
+    @pytest.mark.parametrize("value, shown", [(".inf", "inf"), (".nan", "nan"), ("0", "0"),
+                                              ("-1000", "-1000"), ("yes", "True")])
+    def test_unusable_clear_sky_maximum(self, site, value, shown):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("clear_sky_max_wm2: 1000",
+                                                     f"clear_sky_max_wm2: {value}"))
+        assert_one_line_exit_two(
+            run(site, "ucp"), "config error: irradiance clear_sky_max_wm2 must be positive "
+                              f"and finite, got {shown}")
+        assert not (site / "out").exists()
+
+    @pytest.mark.parametrize("line, phrase", [
+        ("baci_parameter: utcii", "baci_parameter must be one of t_air, rh, t_globe, wind, "
+                                  "net_radiation, vapor_pressure, t_mrt, utci, got 'utcii'"),
+        ("ucp_formula: prodct", "ucp_formula must be one of product, weighted_sum, "
+                                "got 'prodct'"),
+        ("globe: {variant: iso}", "globe variant must be one of ashrae_standard_globe, "
+                                  "iso7726_forced, got 'iso'"),
+    ])
+    def test_unknown_name_under_every_command(self, site, line, phrase):
+        config = site / "run.yaml"
+        config.write_text(config.read_text() + line + "\n")
+        for args in FUZZ_COMMANDS:
+            assert_one_line_exit_two(run(site, *args), "config error: " + phrase)
+
+    @pytest.mark.parametrize("old, new, phrase", [
+        ("    cloud_cover_oktas: 1\n", "", "must be finite, got None"),
+        ("cloud_cover_oktas: 1", "cloud_cover_oktas: 9", "must be in [0, 8], got 9"),
+        ("cloud_cover_oktas: 1", "cloud_cover_oktas: -1", "must be in [0, 8], got -1"),
+        ("cloud_cover_oktas: 1", "cloud_cover_oktas: .nan", "must be finite, got nan"),
+        ("cloud_cover_oktas: 1", "cloud_cover_oktas: clear", "must be finite, got 'clear'"),
+    ])
+    def test_unusable_cloud_cover(self, site, old, new, phrase):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace(old, new, 1))
+        for args in (("check-day", BEFORE_DAY.isoformat()), ("process", "before")):
+            assert_one_line_exit_two(
+                run(site, *args), f"config error: campaign 'before': cloud_cover_oktas {phrase}")
+
+    @pytest.mark.parametrize("old, new, phrase", [
+        ("seed: 3", "seed: 3\nglobe: {diameter: 0.05}", "in globe: 'diameter'"),
+        ("seed: 3", "seed: 3\nthresholds: {day_t_max_abve_c: 40}",
+         "in thresholds: 'day_t_max_abve_c'"),
+        ("seed: 3", "seed: 3\nwind_profile: {z0: 0.5}", "in wind_profile: 'z0'"),
+        ("seed: 3", "seed: 3\nsed: 4", "in config: 'sed'"),
+        ("clear_sky_max_wm2: 1000", "clear_sky_max: 1000", "in irradiance: 'clear_sky_max'"),
+        ("  albedo: albedo.asc", "  albedo: albedo.asc\n  albedo2: albedo.asc",
+         "in rasters: 'albedo2'"),
+        ("control: control.csv", "control: {path: control.csv, heights: {wind: 4}}",
+         "in station 'control': 'heights'"),
+        ("    cloud_cover_oktas: 6", "    cloud_cover_oktas: 6\n    oktas: 6",
+         "in campaign 'cloudy': 'oktas'"),
+    ])
+    def test_unknown_config_key(self, site, old, new, phrase):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace(old, new, 1))
+        for args in (("check-day", BEFORE_DAY.isoformat()), ("ucp",)):
+            assert_one_line_exit_two(run(site, *args), "config error: unknown key(s) " + phrase)
 
     @pytest.mark.parametrize("name", ["day_t_max_above_c", "day_t_min_above_c",
                                       "day_max_cloud_oktas"])

@@ -149,9 +149,15 @@ class TestStationParity:
         got, expected = both(parse_station_csv, parse_station_csv_rows, text, station_id="s",
                              column_map={"t_air": "Ta", "timestamp": "time"})
         if got is not None:
-            assert got.t_us.tolist() == expected.t_us.tolist()
-            assert repr(got.samples) == repr(expected.samples)
+            assert_same_station_columns(got, expected)
             assert got.load_report == expected.load_report
+
+
+def assert_same_station_columns(got, expected):
+    """Times and every column bit for bit, NaN placement included."""
+    assert got.t_us.tobytes() == expected.t_us.tobytes()
+    for name in FIELDS:
+        assert got.columns[name].tobytes() == expected.columns[name].tobytes(), name
 
 
 def assert_same_mobile_log(got, expected):
@@ -212,8 +218,7 @@ def test_each_odd_cell_matches(column, make):
     text = one_odd_cell(column, make)
     got, expected = both(parse_station_csv, parse_station_csv_rows, text, station_id="s")
     if got is not None:
-        assert got.t_us.tolist() == expected.t_us.tolist()
-        assert repr(got.samples) == repr(expected.samples)
+        assert_same_station_columns(got, expected)
         assert got.load_report == expected.load_report
     got, expected = both(parse_mobile_csv, parse_mobile_csv_rows,
                          one_odd_cell(column, make, mobile=True))

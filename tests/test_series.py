@@ -29,11 +29,11 @@ class TestParseStationCsv:
             "2019-07-25T08:02:00+02:00,25.2,49,26.2,1.2,420\n",
         ])
         series = parse_station_csv(src, station_id="ctrl")
-        assert len(series.samples) == 3
+        assert len(series.t_us) == 3
         assert series.gaps == []
         assert series.load_report.dropped_rows == 0
         # timestamps normalized to UTC
-        assert series.samples[0].timestamp.utcoffset() == timedelta(0)
+        assert series.t_us[0] == epoch_us(datetime(2019, 7, 25, 6, 0, tzinfo=timezone.utc))
 
     def test_malformed_timestamp_row_dropped(self):
         src = csv_rows([
@@ -42,7 +42,7 @@ class TestParseStationCsv:
             "2019-07-25T08:01:00+02:00,25.2,50,,,\n",
         ])
         series = parse_station_csv(src, station_id="s")
-        assert len(series.samples) == 2
+        assert len(series.t_us) == 2
         assert series.load_report.dropped_rows == 1
 
     def test_ten_minute_hole_becomes_one_gap(self):
@@ -81,7 +81,7 @@ class TestParseStationCsv:
             "2019-07-25T08:02:00+00:00,25.0,50,,,\n",
         ])
         series = parse_station_csv(src, station_id="s")
-        assert len(series.samples) == 2
+        assert len(series.t_us) == 2
         assert series.load_report.dropped_rows == 1
 
     def test_cadence_mismatch_rejected(self):
@@ -95,7 +95,7 @@ class TestParseStationCsv:
         series = parse_station_csv(
             src, station_id="s",
             column_map={"timestamp": "time", "t_air": "Ta", "rh": "RH"})
-        assert series.samples[1].t_air == 25.5
+        assert series.columns["t_air"][1] == 25.5
 
 
 # Injected bad rows, as (timestamp, t_air, rh, t_globe, wind, net_radiation)
@@ -222,11 +222,11 @@ class TestParseStationColumns:
         assert report.dropped_rows == len(reasons)
         assert report.drop_reasons == reasons
 
-    def test_rows_view_turns_nan_into_none(self):
+    def test_missing_values_read_as_nan(self):
         series = make_series([{"t_air": 25.0, "wind": 1.5}, {"t_air": 26.0}])
-        first, second = series.samples
-        assert first.timestamp == T0 and first.wind == 1.5 and first.t_globe is None
-        assert second.timestamp == T0 + timedelta(minutes=1) and second.wind is None
+        assert series.t_us.tolist() == [epoch_us(T0), epoch_us(T0 + timedelta(minutes=1))]
+        wind, t_globe = series.columns["wind"], series.columns["t_globe"]
+        assert wind[0] == 1.5 and math.isnan(wind[1]) and np.isnan(t_globe).all()
 
 
 def smoothed(values, window_seconds=300.0):
@@ -320,7 +320,7 @@ class TestOffsetSeries:
                               cadence_s=300, station_id="ctrl")
         offsets = offset_series(case, control, "t_air")
         # only the first case sample has a control match within 60 s
-        assert offsets.times == [T0]
+        assert offsets.t_us.tolist() == [epoch_us(T0)]
 
     def test_no_overlap_is_error(self):
         case = make_series([25.0, 25.0], station_id="case")
@@ -421,10 +421,10 @@ class TestColumns:
                   for i, m in enumerate([0, 1, 2, 10, 11, 12])]
         series = make_series(values)
         cut = series.window(T0 + timedelta(minutes=1), T0 + timedelta(minutes=11))
-        assert [s.t_air for s in cut.samples] == [21.0, 22.0, 23.0, 24.0]
+        assert cut.t_us.tolist() == [epoch_us(T0 + timedelta(minutes=m)) for m in (1, 2, 10, 11)]
         assert cut.columns["t_air"].tolist() == [21.0, 22.0, 23.0, 24.0]
         assert len(cut.gaps) == 1
-        assert series.window(T0 + timedelta(hours=5), T0 + timedelta(hours=6)).samples == []
+        assert len(series.window(T0 + timedelta(hours=5), T0 + timedelta(hours=6)).t_us) == 0
 
 
 class TestMatchIndices:
@@ -466,8 +466,8 @@ class TestMatchIndices:
 def whole_record_offsets(case, control, start, end, parameter="utci"):
     """Reference: difference the whole case record, then keep [start, end]."""
     full = offset_series(case, control, parameter)
-    kept = [(t, v) for t, v in zip(full.times, full.values) if start <= t <= end]
-    return [t for t, _ in kept], [v for _, v in kept]
+    kept = (epoch_us(start) <= full.t_us) & (full.t_us <= epoch_us(end))
+    return full.t_us[kept].tolist(), full.values[kept].tolist()
 
 
 class TestWindowedOffsets:
@@ -486,7 +486,7 @@ class TestWindowedOffsets:
         start, end = T0 + timedelta(minutes=lo), T0 + timedelta(minutes=hi)
         windowed = offset_series(case.window(start, end), control, "utci")
         times, values = whole_record_offsets(case, control, start, end)
-        assert windowed.times == times
+        assert windowed.t_us.tolist() == times
         assert np.allclose(windowed.values, values, rtol=0, atol=1e-9)
 
     def test_empty_window_gives_empty_offsets(self):
@@ -494,7 +494,7 @@ class TestWindowedOffsets:
         control = self.station("ctrl", 20, 1.0)
         empty = case.window(T0 + timedelta(days=1), T0 + timedelta(days=2))
         offsets = offset_series(empty, control, "utci")
-        assert offsets.times == [] and offsets.values.tolist() == []
+        assert offsets.t_us.tolist() == [] and offsets.values.tolist() == []
 
     def test_array_utci_agrees_with_scalar_per_sample(self):
         from microclimap.thermal import (UtciInput, mrt_from_globe, utci,
@@ -503,10 +503,11 @@ class TestWindowedOffsets:
         control = make_series([27.0] * 50, rh=45.0, station_id="ctrl")
         offsets = offset_series(case, control, "utci")
         ctrl_u = utci(UtciInput(27.0, 27.0, 0.5, vapor_pressure(27.0, 45.0)))
-        for s, value in zip(case.samples, offsets.values):
+        columns = (case.columns[name].tolist() for name in ("t_air", "rh", "t_globe", "wind"))
+        for t_air, rh, t_globe, wind, value in zip(*columns, offsets.values):
             scalar = utci(UtciInput(
-                s.t_air, mrt_from_globe(s.t_globe, s.t_air, s.wind),
-                wind_to_10m(s.wind, 4.0), vapor_pressure(s.t_air, s.rh))) - ctrl_u
+                t_air, mrt_from_globe(t_globe, t_air, wind),
+                wind_to_10m(wind, 4.0), vapor_pressure(t_air, rh))) - ctrl_u
             assert value == pytest.approx(scalar, abs=1e-9)
 
     def test_validity_checked_only_on_evaluated_rows(self):
