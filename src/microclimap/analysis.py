@@ -15,9 +15,7 @@ from datetime import timedelta
 import numpy as np
 
 from .errors import DomainError
-from .series import OffsetSeries
-
-_DAY_US = 86_400_000_000
+from .series import DAY_US, OffsetSeries
 
 
 @dataclass
@@ -68,7 +66,7 @@ class EffectEstimate:
 
 def _day_blocks(t_us: np.ndarray, values: np.ndarray, utc_offset_us: int):
     """Sums (added in input order) and counts of `values` per local date, in date order."""
-    _, day = np.unique((t_us + utc_offset_us) // _DAY_US, return_inverse=True)
+    _, day = np.unique((t_us + utc_offset_us) // DAY_US, return_inverse=True)
     return np.bincount(day, weights=values), np.bincount(day).astype(float)
 
 
@@ -185,8 +183,6 @@ _SVG_TICKS = 5
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (_SVG_TICKS - 1) for i in range(_SVG_TICKS)]
 
 

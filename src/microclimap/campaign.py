@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, time, timedelta, tzinfo
+from datetime import date, datetime, timedelta, tzinfo
 from enum import Enum
 
 import numpy as np
 
 from . import thermal
 from .errors import DayRejectedError, DomainError, MatchError, ValidityError
-from .series import (FIELDS, DriftReport, DriftThresholds, LoadReport, StationSeries,
-                     drift_diagnostic, epoch_us, from_epoch_us, nearest_sample,
-                     offset_series, parse_rows)
+from .series import (FIELDS, HOUR_US, DriftReport, DriftThresholds, LoadReport,
+                     StationSeries, drift_diagnostic, epoch_us, from_epoch_us,
+                     local_midnight_us, nearest_sample, offset_series, parse_rows)
 from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset, utci_offset,
                       vapor_pressure, wind_to_10m)
 
@@ -148,7 +148,6 @@ class StopSegment:
 
 @dataclass(frozen=True)
 class DaySummary:
-    day: date
     t_max: float
     t_min: float
     cloud_cover_oktas: float
@@ -197,8 +196,6 @@ class AggregatedDrivers:
     timestamp: datetime  # window center
     t_air: float
     rh: float
-    t_globe: float
-    wind_measured: float  # m/s at measurement height
     wind_10m: float
     t_mrt: float
     sample_counts: dict[str, int]
@@ -206,8 +203,8 @@ class AggregatedDrivers:
 
 @dataclass(frozen=True)
 class PointResult:
-    drivers: AggregatedDrivers
-    offset: UtciOffset  # carries the point id and the window-center time
+    drivers: AggregatedDrivers  # carries the window-center time
+    offset: UtciOffset  # carries the point id
 
     @property
     def point_id(self) -> str:
@@ -280,11 +277,12 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
     wind and the stability class are unknown (None), and the day filter
     rejects the day on stability.
     """
+    midnight = local_midnight_us(day, tz)
+
     def cut(column, hour, hours):
         """The non-missing values of `column` from `hour` local time for `hours`."""
-        start = epoch_us(datetime.combine(day, time(hour), tz))
-        lo, hi = np.searchsorted(control.t_us, [start, start + hours * 3_600_000_000])
-        values = control.columns[column][lo:hi]
+        start = midnight + hour * HOUR_US
+        values = control.window(start, start + hours * HOUR_US).columns[column]
         return values[~np.isnan(values)].tolist()
 
     t_values = cut("t_air", 0, 24)
@@ -300,7 +298,6 @@ def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: flo
                      if winds else None)
 
     return DaySummary(
-        day=day,
         t_max=max(t_values),
         t_min=min(t_values),
         cloud_cover_oktas=cloud_cover_oktas,
@@ -412,8 +409,6 @@ def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
         timestamp=lo + (hi - lo) / 2,
         t_air=t_air,
         rh=rh,
-        t_globe=t_globe,
-        wind_measured=wind,
         wind_10m=wind_to_10m(wind, MOBILE_SENSOR_HEIGHT_M, z0),
         t_mrt=t_mrt,
         sample_counts={"t_air": n_t, "rh": n_rh, "t_globe": n_g, "wind": n_w},
@@ -470,7 +465,7 @@ def process_campaign(plan: CampaignPlan, log: MobileLog,
             ref = match_control(drivers.timestamp, control)
             mobile = UtciInput(drivers.t_air, drivers.t_mrt, drivers.wind_10m,
                                vapor_pressure(drivers.t_air, drivers.rh))
-            offset = utci_offset(mobile, ref, segment.point_id, drivers.timestamp)
+            offset = utci_offset(mobile, ref, segment.point_id)
             results[segment.point_id] = PointResult(drivers, offset)
         except (DomainError, ValidityError, MatchError) as exc:
             failures.append((segment.point_id, str(exc)))
@@ -490,8 +485,8 @@ def process_campaign(plan: CampaignPlan, log: MobileLog,
         span = (from_epoch_us(int(log.t_us[0])), from_epoch_us(int(log.t_us[-1])))
         try:
             # only the traverse span is differenced; the control stays whole
-            offsets = offset_series(onsite.window(*span), control, "utci",
-                                    globe=globe, z0=z0)
+            offsets = offset_series(onsite.window(log.t_us[0], log.t_us[-1] + 1), control,
+                                    "utci", globe=globe, z0=z0)
             drift = drift_diagnostic(offsets, span, drift_thresholds)
         except (DomainError, ValidityError, MatchError) as exc:
             failures.append(("__drift__", f"drift check skipped: {exc}"))

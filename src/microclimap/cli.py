@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from datetime import datetime, time, timedelta, timezone
+from datetime import timezone
 from pathlib import Path
 
 import click
@@ -121,7 +121,7 @@ def point_results_csv(results, plan) -> str:
         point = plan.point(r.offset.point_id)
         writer.writerow([
             r.offset.point_id,
-            r.offset.timestamp.isoformat(),
+            r.drivers.timestamp.isoformat(),
             repr(point.location[0]), repr(point.location[1]),
             point.environment.value, plan.phase.value,
             repr(r.drivers.t_air), repr(r.drivers.rh),
@@ -290,10 +290,9 @@ def day_offsets(cfg: RunConfig, case, control, plan) -> series_mod.OffsetSeries:
     Only that day of the case record is differenced; the control stays
     whole, so matches at the day's edges are those of the whole record.
     """
-    start = datetime.combine(plan.day, time(0, 0), plan.tz)
-    end = start + timedelta(days=1, microseconds=-1)  # [00:00, 24:00) in whole microseconds
-    return series_mod.offset_series(case.window(start, end), control, cfg.baci_parameter,
-                                    globe=cfg.globe, z0=cfg.z0)
+    midnight = series_mod.local_midnight_us(plan.day, plan.tz)
+    return series_mod.offset_series(case.window(midnight, midnight + series_mod.DAY_US), control,
+                                    cfg.baci_parameter, globe=cfg.globe, z0=cfg.z0)
 
 
 @main.command("compare")

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from .campaign import CampaignPlan, DayFilterThresholds, Environment, Phase, TraversePoint
+from .campaign import (MOBILE_SENSOR_HEIGHT_M, CampaignPlan, DayFilterThresholds, Environment,
+                       Phase, TraversePoint)
 from .errors import ConfigError
 from .raster import UCP_FORMULAS
 from .series import (DEFAULT_WIND_HEIGHT_M, OPTIONAL_COLUMNS, PARAMETERS, REQUIRED_COLUMNS,
@@ -235,12 +236,12 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
                 and all(isinstance(v, str) for v in column_map.values())):
             raise ConfigError(f"station {name!r}: column_map must map column names "
                               f"({', '.join(columns)}) to header names")
-        if not (isinstance(heights, dict) and set(heights) <= {"wind"} and all(
-                type(h) in (int, float) and math.isfinite(h) and h > 0 for h in heights.values())):
+        if not (isinstance(heights, dict) and set(heights) <= {"wind"}):
             raise ConfigError(f"station {name!r}: sensor_heights must map fields "
                               "(wind) to finite heights above 0 m")
-        stations[name] = StationConfig(resolve(entry["path"]), column_map,
-                                       heights.get("wind", DEFAULT_WIND_HEIGHT_M))
+        wind_height = _number(f"station {name!r}: sensor_heights wind",
+                              heights.get("wind", DEFAULT_WIND_HEIGHT_M), positive=True)
+        stations[name] = StationConfig(resolve(entry["path"]), column_map, wind_height)
     if "control" not in stations:
         raise ConfigError("a control station must be configured")
 
@@ -287,6 +288,15 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
     if type(seed) is not int or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
+    z0 = _number("wind_profile z0_m", wind.get("z0_m", 0.01), True)
+    # wind is converted to 10 m from each sensor's height, which needs z0 below it
+    sensor, height = min([("the mobile sensor", MOBILE_SENSOR_HEIGHT_M)]
+                         + [(f"station {n!r}", s.wind_height) for n, s in stations.items()],
+                         key=lambda pair: pair[1])
+    if not z0 < height:
+        raise ConfigError(f"wind_profile z0_m must be below every wind sensor's height, "
+                          f"got {z0!r} m with {sensor} at {height!r} m")
+
     output_dir = (base / raw.get("output_dir", "out")).resolve()
     return RunConfig(
         stations=stations,
@@ -296,7 +306,7 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
         drift_thresholds=drift_thresholds,
         stabilization_delta_c=threshold("stabilization_delta_c", 0.15, True),
         globe=globe,
-        z0=_number("wind_profile z0_m", wind.get("z0_m", 0.01), True),
+        z0=z0,
         irradiance_clear_sky_max=(
             _number("irradiance clear_sky_max_wm2", irr["clear_sky_max_wm2"], True)
             if "clear_sky_max_wm2" in irr else None),

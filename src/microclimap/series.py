@@ -1,8 +1,8 @@
 """Fixed-station time series: ingestion, differencing, drift checks.
 
 Stations log one multi-parameter sample per minute. Series are kept
-immutable after parsing; gaps are annotated, never interpolated, and all
-timestamps are normalized to UTC internally.
+immutable after parsing; gaps are never interpolated, and all timestamps
+are normalized to UTC internally.
 
 Columns: a `StationSeries` holds its samples as columns only: `t_us`, the
 timestamps as int64 microseconds since the Unix epoch (exact for every
@@ -37,9 +37,11 @@ Smoothing: `_smooth_values` is the centered moving average the drift check
 applies to an offset series, each window found by `np.searchsorted`.
 
 Windowing: a verdict differences only the samples it reads.
-`StationSeries.window` cuts a series to an inclusive time span before it
-is differenced; the series it is matched against stays whole, so the
-matches at the window edges are the same as for the whole record.
+`StationSeries.window` is the one cut of a series to a time span: the
+half-open span [start, end) in epoch microseconds. A local day starts at
+`local_midnight_us` and lasts `DAY_US`. The series a cut is matched
+against stays whole, so the matches at the window edges are the same as
+for the whole record.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone, tzinfo
 from enum import Enum
 from itertools import islice
 
@@ -76,6 +78,10 @@ STATION_CADENCE_S = 60.0
 #: Largest |dt| (s) at which a sample matches a time.
 MATCH_TOLERANCE_S = 60.0
 
+#: Microseconds in an hour and in a day.
+HOUR_US = 3_600_000_000
+DAY_US = 24 * HOUR_US
+
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -88,6 +94,11 @@ def epoch_us(when: datetime) -> int:
 def from_epoch_us(us: int) -> datetime:
     """The UTC datetime `us` microseconds after the Unix epoch."""
     return _EPOCH + timedelta(microseconds=us)
+
+
+def local_midnight_us(day: date, tz: tzinfo) -> int:
+    """Epoch microseconds of 00:00 on `day` at the fixed UTC offset `tz`."""
+    return epoch_us(datetime.combine(day, time(0), tz))
 
 
 @contextmanager
@@ -138,26 +149,16 @@ class WeatherSample:
     net_radiation: float | None = None
 
 
-@dataclass(frozen=True)
-class Gap:
-    """Annotation for a hole larger than twice the nominal cadence."""
-
-    start: datetime      # last sample before the hole
-    end: datetime        # first sample after the hole
-    duration_s: float    # length of the missing data span (delta minus cadence)
-
-
 @dataclass
 class LoadReport:
     rows_read: int = 0
-    rows_kept: int = 0
     dropped_rows: int = 0
     drop_reasons: list[str] = field(default_factory=list)
 
 
 @dataclass(eq=False)
 class StationSeries:
-    """Sorted, gap-annotated time series for one station, held as columns.
+    """Sorted time series for one station, held as columns.
 
     `t_us` holds strictly increasing int64 epoch microseconds and `columns`
     one float64 array per field in `FIELDS`, all of the same length. The
@@ -168,7 +169,6 @@ class StationSeries:
     t_us: np.ndarray = field(repr=False)
     columns: dict[str, np.ndarray] = field(repr=False)
     wind_height: float = DEFAULT_WIND_HEIGHT_M  # m, read to convert wind to 10 m
-    gaps: list[Gap] = field(default_factory=list)
     load_report: LoadReport | None = None
 
     @property
@@ -179,13 +179,11 @@ class StationSeries:
         return [WeatherSample(from_epoch_us(t), *row)
                 for t, *row in zip(self.t_us.tolist(), *values)]
 
-    def window(self, start: datetime, end: datetime) -> StationSeries:
-        """The samples with start <= timestamp <= end, as a series of their own."""
-        lo = int(np.searchsorted(self.t_us, epoch_us(start), side="left"))
-        hi = int(np.searchsorted(self.t_us, epoch_us(end), side="right"))
+    def window(self, start_us: int, end_us: int) -> StationSeries:
+        """The samples with start_us <= t_us < end_us, as a series of their own."""
+        lo, hi = np.searchsorted(self.t_us, [start_us, end_us]).tolist()
         return replace(self, t_us=self.t_us[lo:hi],
-                       columns={name: c[lo:hi] for name, c in self.columns.items()},
-                       gaps=[g for g in self.gaps if start <= g.start and g.end <= end])
+                       columns={name: c[lo:hi] for name, c in self.columns.items()})
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -388,13 +386,12 @@ def parse_rows(source, log_name: str, column_map: dict[str, str] | None = None,
                     {name: column[i] for name, column in cells.items()}, colmap, required)
                 t_us[i] = epoch_us(ts)
                 table[:, i] = [math.nan if v is None else v for v in row_values]
-        except (ValueError, DomainError) as exc:
+        except ValueError as exc:  # DomainError is a ValueError
             report.dropped_rows += 1
             report.drop_reasons.append(f"line {i + 2}: {exc}")
             continue
         kept[i] = True
-    report.rows_kept = int(kept.sum())
-    if not report.rows_kept:
+    if not kept.any():
         raise SchemaError(f"no valid rows in {log_name} ({report.drop_reasons[0]})")
     rows = np.flatnonzero(kept)
     rows = rows[np.argsort(t_us[rows], kind="stable")]
@@ -441,8 +438,8 @@ def parse_station_csv(source, station_id: str, column_map: dict[str, str] | None
     by `parse_rows`; rows with unparseable or out-of-range values are
     dropped and counted in the series' load report, and so is every row
     repeating an earlier row's timestamp. Samples must be about
-    `STATION_CADENCE_S` apart; holes longer than twice that become gap
-    annotations.
+    `STATION_CADENCE_S` apart; holes longer than twice that are left out of
+    that check.
     """
     t_us, table, _, report = parse_rows(source, f"station {station_id!r}", column_map)
     repeated = np.diff(t_us) == 0  # rows at the time of the row before them
@@ -452,7 +449,6 @@ def parse_station_csv(source, station_id: str, column_map: dict[str, str] | None
             report.drop_reasons.append(f"duplicate timestamp {from_epoch_us(t).isoformat()}")
         first = np.append(True, ~repeated)
         t_us, table = t_us[first], table[:, first]
-        report.rows_kept = len(t_us)
 
     cadence = STATION_CADENCE_S
     deltas = np.diff(t_us) / 1e6
@@ -470,26 +466,22 @@ def parse_station_csv(source, station_id: str, column_map: dict[str, str] | None
                 f"declared cadence {cadence}s does not match median sample "
                 f"spacing {median}s for {station_id}"
             )
-    big = np.flatnonzero(deltas > 2 * cadence)
-    gaps = [Gap(from_epoch_us(a), from_epoch_us(b), d - cadence)
-            for a, b, d in zip(t_us[big].tolist(), t_us[big + 1].tolist(),
-                               deltas[big].tolist())]
 
     return StationSeries(
         station_id=station_id,
         t_us=t_us,
         columns=dict(zip(FIELDS, table)),
         wind_height=wind_height,
-        gaps=gaps,
         load_report=report,
     )
 
 
-def parameter_values(series: StationSeries, parameter: str, rows=None,
+def parameter_values(series: StationSeries, parameter: str, rows,
                      globe: GlobeSpec = GlobeSpec(), z0: float = 0.01) -> np.ndarray:
     """One parameter of a series as a float64 array, NaN where it is undefined.
 
-    `rows` (an index or mask array) selects samples; all by default. A
+    `rows` (an index or mask array) selects samples; an unknown `parameter`
+    is a DomainError. A
     derived value is undefined, and nothing is evaluated for that row,
     when the sample lacks a field it needs; validity errors are raised only
     for the rows that are evaluated. For station-level UTCI, missing globe
@@ -498,7 +490,7 @@ def parameter_values(series: StationSeries, parameter: str, rows=None,
     """
     if parameter not in PARAMETERS:
         raise DomainError(f"unknown parameter {parameter!r}")
-    col = {name: (c if rows is None else c[rows]) for name, c in series.columns.items()}
+    col = {name: c[rows] for name, c in series.columns.items()}
     if parameter in FIELDS:
         return col[parameter]
     t_air, rh, t_globe, wind = col["t_air"], col["rh"], col["t_globe"], col["wind"]
@@ -566,13 +558,12 @@ class OffsetSeries:
         return list(map(from_epoch_us, self.t_us.tolist()))
 
 
-def match_indices(times_us: np.ndarray, query_us: np.ndarray,
-                  tolerance_s: float = MATCH_TOLERANCE_S) -> np.ndarray:
+def match_indices(times_us: np.ndarray, query_us: np.ndarray) -> np.ndarray:
     """Index of the nearest sample for each query time, or -1 if none is in tolerance.
 
     `times_us` must be sorted. The earlier sample wins an exact tie, and a
-    match needs |dt| <= tolerance_s; dt is compared in float seconds, as
-    `timedelta.total_seconds()` gives it.
+    match needs |dt| <= `MATCH_TOLERANCE_S`; dt is compared in float
+    seconds, as `timedelta.total_seconds()` gives it.
     """
     n = len(times_us)
     if n == 0:
@@ -584,7 +575,7 @@ def match_indices(times_us: np.ndarray, query_us: np.ndarray,
     dt_after = np.where(after < n,
                         (times_us[np.minimum(after, n - 1)] - query_us) / 1e6, np.inf)
     nearest = np.where(dt_after < dt_before, after, before)
-    return np.where(np.minimum(dt_before, dt_after) <= tolerance_s, nearest, -1)
+    return np.where(np.minimum(dt_before, dt_after) <= MATCH_TOLERANCE_S, nearest, -1)
 
 
 def nearest_sample(series: StationSeries, when: datetime) -> int:
@@ -607,8 +598,6 @@ def offset_series(case: StationSeries, control: StationSeries, parameter: str,
     on each side before differencing. An empty case series (say, a window
     without samples) gives an empty offset series.
     """
-    if parameter not in PARAMETERS:
-        raise DomainError(f"unknown parameter {parameter!r}")
     if len(case.t_us) and (case.t_us[-1] < control.t_us[0]
                            or control.t_us[-1] < case.t_us[0]):
         raise MatchError(

@@ -135,7 +135,6 @@ class UtciOffset:
     utci_mobile: float                 # degC
     utci_ref: float                    # degC
     point_id: str = ""
-    timestamp: datetime | None = None
     control_matched_at: datetime | None = None
 
     def __post_init__(self):
@@ -272,7 +271,7 @@ def utci(inp: UtciInput) -> float:
 
 
 def utci_offset(mobile: UtciInput, ref: ReferenceConditions,
-                point_id: str = "", timestamp: datetime | None = None) -> UtciOffset:
+                point_id: str = "") -> UtciOffset:
     """Difference between the UTCI at a measured point and the reference UTCI.
 
     Positive values mean more heat stress at the point than in a shaded,
@@ -290,7 +289,6 @@ def utci_offset(mobile: UtciInput, ref: ReferenceConditions,
         utci_mobile=utci_mobile,
         utci_ref=utci_ref,
         point_id=point_id,
-        timestamp=timestamp,
         control_matched_at=ref.matched_at,
     )
 

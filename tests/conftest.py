@@ -12,7 +12,7 @@ from hypothesis import settings
 
 import microclimap
 from microclimap.campaign import MobileLog
-from microclimap.series import FIELDS, Gap, StationSeries, epoch_us
+from microclimap.series import FIELDS, StationSeries, epoch_us
 
 UTC = timezone.utc
 T0 = datetime(2019, 7, 25, 8, 0, tzinfo=UTC)
@@ -49,14 +49,10 @@ def make_series(values, start=T0, cadence_s=60.0, station_id="case",
         fields.setdefault("net_radiation", net_radiation)
         times.append(fields.pop("timestamp", start + timedelta(seconds=i * cadence_s)))
         rows.append([fields[name] for name in FIELDS])
-    gaps = [Gap(a, b, (b - a).total_seconds() - cadence_s)
-            for a, b in zip(times, times[1:])
-            if (b - a).total_seconds() > 2 * cadence_s]
     table = np.array(rows, dtype=float).reshape(len(rows), len(FIELDS))  # None -> NaN
     return StationSeries(station_id=station_id,
                          t_us=np.array([epoch_us(t) for t in times], dtype=np.int64),
-                         columns={name: table[:, k] for k, name in enumerate(FIELDS)},
-                         gaps=gaps)
+                         columns={name: table[:, k] for k, name in enumerate(FIELDS)})
 
 
 def make_mobile_log(point_blocks, start=T0, cadence_s=15.0):

@@ -16,7 +16,7 @@ import numpy as np
 
 from microclimap.campaign import MOBILE_REQUIRED, MobileLog
 from microclimap.errors import DomainError, SchemaError
-from microclimap.series import (FIELDS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, Gap, LoadReport,
+from microclimap.series import (FIELDS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, LoadReport,
                                 StationSeries, epoch_us, from_epoch_us, opened, parse_row)
 
 
@@ -61,7 +61,6 @@ def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
         report.dropped_rows += 1
         report.drop_reasons.append(f"duplicate timestamp {from_epoch_us(t).isoformat()}")
     t_us = t_us[first]
-    report.rows_kept = len(t_us)
     table = np.array(values, dtype=float)
     kept = order[first]
 
@@ -76,13 +75,9 @@ def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
                 f"declared cadence {cadence}s does not match median sample "
                 f"spacing {median}s for {station_id}"
             )
-    big = np.flatnonzero(deltas > 2 * cadence)
-    gaps = [Gap(from_epoch_us(a), from_epoch_us(b), d - cadence)
-            for a, b, d in zip(t_us[big].tolist(), t_us[big + 1].tolist(),
-                               deltas[big].tolist())]
     return StationSeries(station_id=station_id, t_us=t_us,
                          columns={name: table[kept, k] for k, name in enumerate(FIELDS)},
-                         gaps=gaps, load_report=report)
+                         load_report=report)
 
 
 def parse_mobile_csv_rows(source) -> MobileLog:
@@ -113,7 +108,6 @@ def parse_mobile_csv_rows(source) -> MobileLog:
         raise SchemaError("no rows in mobile log")
     if not out:
         raise SchemaError(f"no valid rows in mobile log ({report.drop_reasons[0]})")
-    report.rows_kept = len(out)
     out.sort(key=lambda row: row[0])
     table = np.array([values for _, _, values in out], dtype=float)  # None -> NaN
     return MobileLog(np.array([t for t, _, _ in out], dtype=np.int64),

@@ -98,8 +98,6 @@ def aggregate_point(segment: SampleSegment, globe: GlobeSpec = GlobeSpec(),
         timestamp=lo + (hi - lo) / 2,
         t_air=t_air,
         rh=rh,
-        t_globe=t_globe,
-        wind_measured=wind,
         wind_10m=wind_to_10m(wind, measurement_height, z0),
         t_mrt=t_mrt,
         sample_counts={"t_air": n_t, "rh": n_rh, "t_globe": n_g, "wind": n_w},

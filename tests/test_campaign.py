@@ -32,7 +32,7 @@ def make_plan(point_ids=("P1", "P2", "P3"), campaign_id="c1",
 
 
 def good_day(**overrides):
-    fields = dict(day=date(2019, 7, 25), t_max=32.0, t_min=19.0,
+    fields = dict(t_max=32.0, t_min=19.0,
                   cloud_cover_oktas=1.0, stability_class=StabilityClass.A,
                   mean_daytime_wind=1.5)
     fields.update(overrides)
@@ -399,8 +399,6 @@ class TestAggregatePoint:
         drivers = aggregate_point(stabilized_segment({"wind": 1.0}))
         assert drivers.t_air == 30.0
         assert drivers.rh == 40.0
-        assert drivers.t_globe == 45.0
-        assert drivers.wind_measured == 1.0
         assert drivers.timestamp == T0 + timedelta(seconds=810)
 
     def test_log_profile_wind_conversion(self):
@@ -549,6 +547,14 @@ class TestProcessCampaign:
         assert [r.point_id for r in results] == ["P1"]
         assert report.failures == [("P2", "segment at P2 lasts 210 s, under the 300 s "
                                           "minimum dwell; point is unusable")]
+
+    def test_stop_without_rh_in_its_window_is_unusable(self):
+        plan, _, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
+        (p1, p2) = synthetic_blocks({"P1": 1.0, "P2": 0.0})
+        log = make_mobile_log([p1, ("P2", 49, dict(p2[2], rh=None))])  # rh blank in every row
+        results, report = process_campaign(plan, log, control, day_summary=good_day())
+        assert [r.point_id for r in results] == ["P1"]
+        assert report.failures == [("P2", "no rh readings in stabilization window at P2")]
 
     def test_injected_offset_field_recovered(self):
         targets = {"P1": 5.0, "P2": 1.0, "P3": 0.0}

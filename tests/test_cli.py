@@ -323,6 +323,21 @@ class TestCompare:
         assert "BACI effect" in report
         assert "spearman_rho" in report
 
+    def test_correlation_needs_three_pairs(self, site):
+        # only P1's cell holds a UCP value, so the two campaigns give two pairs
+        write_grid(site / "ucp_sparse.asc", [[-9999.0, -9999.0], [0.5, -9999.0]])
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("irradiance: irr.asc",
+                                                     "irradiance: irr.asc\n  ucp: ucp_sparse.asc"))
+        for args in (("process", "before"), ("process", "after")):
+            assert run(site, *args).exit_code == 0
+        result = run(site, "compare", "before", "after")
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert "correlation unavailable: need at least 3 pairs, got 2" in lines
+        out = site / "out" / "compare_before_after"
+        assert (out / "scatter.csv").read_text().count("\n") == 3  # header and two pairs
+
     def test_baci_effect_is_negative_after_renovation(self, site):
         run(site, "process", "before")
         run(site, "process", "after")
@@ -533,8 +548,8 @@ class TestTracerHooks:
         periods = []
         for campaign in ("before", "after"):
             plan = load_plan(cfg.campaigns[campaign].plan_path)
-            case = stations["case"].window(datetime.combine(plan.day, time(0, 0), plan.tz),
-                                           datetime.combine(plan.day, time(23, 59, 59), plan.tz))
+            midnight = series.local_midnight_us(plan.day, plan.tz)
+            case = stations["case"].window(midnight, midnight + series.DAY_US)
             assert self.hook_counts(hooks, "series.offset_series", series.offset_series, case,
                                     stations["control"], "utci") == {
                 "case_samples": 361, "matched": 361}
@@ -556,6 +571,18 @@ class TestMalformedConfigExitsTwo:
     def test_malformed_config_yaml(self, site):
         (site / "run.yaml").write_text("stations: [control: control.csv\n")
         self.assert_one_line_exit_two(run(site, "ucp"), "malformed YAML in config file")
+
+    def test_config_that_is_a_list(self, site):
+        (site / "run.yaml").write_text("- control.csv\n")
+        self.assert_one_line_exit_two(
+            run(site, "ucp"), f"config error: config file {site / 'run.yaml'} is not a mapping")
+
+    @pytest.mark.parametrize("args", [("check-day", BEFORE_DAY.isoformat()),
+                                      ("process", "before")])
+    def test_plan_that_is_a_list(self, site, args):
+        (site / "before_plan.yaml").write_text("- P1\n")
+        self.assert_one_line_exit_two(
+            run(site, *args), f"plan file {site / 'before_plan.yaml'} is not a mapping")
 
     @pytest.mark.parametrize("args", [("check-day", BEFORE_DAY.isoformat()),
                                       ("process", "before"),
@@ -1024,9 +1051,14 @@ class TestExitCodeMap:
         ("{path: control.csv, column_map: [1, 2]}", "column_map must map column names"),
         ("{path: control.csv, column_map: {t_air: 1}}", "column_map must map column names"),
         ("{path: control.csv, column_map: {temp: t_air}}", "column_map must map column names"),
-        ("{path: control.csv, sensor_heights: {wind: abc}}", "sensor_heights must map fields"),
-        ("{path: control.csv, sensor_heights: {wind: .nan}}", "sensor_heights must map fields"),
-        ("{path: control.csv, sensor_heights: {wind: 0}}", "sensor_heights must map fields"),
+        ("{path: control.csv, sensor_heights: {wind: abc}}",
+         "sensor_heights wind must be positive and finite, got 'abc'"),
+        ("{path: control.csv, sensor_heights: {wind: .nan}}",
+         "sensor_heights wind must be positive and finite, got nan"),
+        ("{path: control.csv, sensor_heights: {wind: 0}}",
+         "sensor_heights wind must be positive and finite, got 0"),
+        ("{path: control.csv, sensor_heights: {wind: true}}",
+         "sensor_heights wind must be positive and finite, got True"),
         ("{path: control.csv, sensor_heights: {gust: 4}}", "sensor_heights must map fields"),
         ("{path: control.csv, sensor_heights: [4]}", "sensor_heights must map fields"),
         ("{path: control.csv, sensor_heights: {t_air: 2}}", "sensor_heights must map fields"),
@@ -1039,15 +1071,31 @@ class TestExitCodeMap:
             assert_one_line_exit_two(
                 run(site, *args), f"config error: station 'control': {phrase}")
 
-    def test_valid_station_entry_is_used(self, site):
+    @pytest.mark.parametrize("height", ["10", "1e1", "'10'"])
+    def test_valid_station_entry_is_used(self, site, height):
         config = site / "run.yaml"
         config.write_text(config.read_text().replace(
             "control: control.csv",
             "control: {path: control.csv, column_map: {t_air: t_air}, "
-            "sensor_heights: {wind: 10}}"))
+            f"sensor_heights: {{wind: {height}}}}}"))
         result = run(site, "check-day", BEFORE_DAY.isoformat())
         assert result.exit_code == 0, result.output
         assert "mean daytime wind=1.00 m/s" in result.stdout  # measured at 10 m
+
+    @pytest.mark.parametrize("entry, z0, sensor", [
+        ("control.csv", "2.0", "2.0 m with the mobile sensor at 1.5 m"),
+        ("control.csv", "1.5", "1.5 m with the mobile sensor at 1.5 m"),
+        ("{path: control.csv, sensor_heights: {wind: 0.5}}", "1.0",
+         "1.0 m with station 'control' at 0.5 m"),
+    ])
+    def test_roughness_length_at_or_above_a_wind_sensor(self, site, entry, z0, sensor):
+        config = site / "run.yaml"
+        config.write_text(config.read_text().replace("control: control.csv", f"control: {entry}")
+                          + f"wind_profile: {{z0_m: {z0}}}\n")
+        for args in (("check-day", BEFORE_DAY.isoformat()), ("process", "before")):
+            assert_one_line_exit_two(
+                run(site, *args), "config error: wind_profile z0_m must be below every wind "
+                                  f"sensor's height, got {sensor}")
 
     def test_overflowing_mean_wind(self, site):
         path = site / "control.csv"

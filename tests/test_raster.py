@@ -761,11 +761,11 @@ def heat_plan(locations):
 
 def heat_result(point_id, t_mrt=45.0):
     drivers = AggregatedDrivers(
-        timestamp=T0, t_air=30.0, rh=40.0, t_globe=t_mrt, wind_measured=0.5,
-        wind_10m=0.5, t_mrt=t_mrt, sample_counts={"t_air": 13})
+        timestamp=T0, t_air=30.0, rh=40.0, wind_10m=0.5, t_mrt=t_mrt,
+        sample_counts={"t_air": 13})
     ref = ReferenceConditions(t_air=30.0, rh=40.0, matched_at=T0)
     mobile = UtciInput(30.0, t_mrt, 0.5, vapor_pressure(30.0, 40.0))
-    return PointResult(drivers, utci_offset(mobile, ref, point_id, T0))
+    return PointResult(drivers, utci_offset(mobile, ref, point_id))
 
 
 class TestExportHeatMap:

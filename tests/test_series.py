@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microclimap.errors import ConfigError, DomainError, MatchError, SchemaError
-from microclimap.series import (FIELDS, DriftVerdict, Gap, _smooth_values,
-                                drift_diagnostic, epoch_us, offset_series, opened,
-                                parse_station_csv)
+from microclimap.series import (DAY_US, FIELDS, DriftVerdict, _smooth_values,
+                                drift_diagnostic, epoch_us, local_midnight_us,
+                                offset_series, opened, parse_station_csv)
 
 HEADER = "timestamp,t_air,rh,t_globe,wind,net_radiation\n"
 
@@ -30,7 +30,6 @@ class TestParseStationCsv:
         ])
         series = parse_station_csv(src, station_id="ctrl")
         assert len(series.t_us) == 3
-        assert series.gaps == []
         assert series.load_report.dropped_rows == 0
         # timestamps normalized to UTC
         assert series.t_us[0] == epoch_us(datetime(2019, 7, 25, 6, 0, tzinfo=timezone.utc))
@@ -45,12 +44,12 @@ class TestParseStationCsv:
         assert len(series.t_us) == 2
         assert series.load_report.dropped_rows == 1
 
-    def test_ten_minute_hole_becomes_one_gap(self):
+    def test_ten_minute_hole_is_kept_unfilled(self):
         rows = [f"2019-07-25T08:{m:02d}:00+00:00,25.0,50,,,\n"
                 for m in list(range(5)) + list(range(15, 20))]
         series = parse_station_csv(csv_rows(rows), station_id="s")
-        assert len(series.gaps) == 1
-        assert series.gaps[0].duration_s == 600.0
+        steps = np.diff(series.t_us) // 1_000_000
+        assert steps.tolist() == [60] * 4 + [660] + [60] * 4
 
     def test_missing_mandatory_column(self):
         src = io.StringIO("timestamp,rh\n2019-07-25T08:00:00+00:00,50\n")
@@ -180,7 +179,7 @@ def messy_station_rows(seed):
     return rows
 
 
-def dict_reference_parse(rows, cadence=60.0):
+def dict_reference_parse(rows):
     """The series the shuffled rows describe, kept in a dict keyed by time."""
     first: dict[int, list[float]] = {}
     repeats, reasons = [], []
@@ -198,10 +197,7 @@ def dict_reference_parse(rows, cadence=60.0):
     reasons += [f"duplicate timestamp {(epoch + timedelta(microseconds=t)).isoformat()}"
                 for t in sorted(repeats)]
     times = sorted(first)
-    gaps = [Gap(epoch + timedelta(microseconds=a), epoch + timedelta(microseconds=b),
-                (b - a) / 1e6 - cadence)
-            for a, b in zip(times, times[1:]) if (b - a) / 1e6 > 2 * cadence]
-    return times, [first[t] for t in times], gaps, reasons
+    return times, [first[t] for t in times], reasons
 
 
 class TestParseStationColumns:
@@ -210,15 +206,13 @@ class TestParseStationColumns:
         rows = messy_station_rows(seed)
         series = parse_station_csv(csv_rows(",".join(cells) + "\n" for cells, _ in rows),
                                    station_id="s")
-        times, values, gaps, reasons = dict_reference_parse(rows)
+        times, values, reasons = dict_reference_parse(rows)
         assert series.t_us.dtype == np.int64
         assert series.t_us.tolist() == times
         for k, name in enumerate(FIELDS):
             np.testing.assert_array_equal(series.columns[name], [v[k] for v in values])
-        assert series.gaps == gaps
         report = series.load_report
         assert report.rows_read == len(rows)
-        assert report.rows_kept == len(times)
         assert report.dropped_rows == len(reasons)
         assert report.drop_reasons == reasons
 
@@ -416,15 +410,31 @@ class TestColumns:
         when = T0 + timedelta(microseconds=123_457)
         assert epoch_us(when) - epoch_us(T0) == 123_457
 
-    def test_window_is_inclusive_and_keeps_inner_gaps(self):
+    def test_window_is_half_open(self):
         values = [{"t_air": 20.0 + i, "timestamp": T0 + timedelta(minutes=m)}
                   for i, m in enumerate([0, 1, 2, 10, 11, 12])]
         series = make_series(values)
-        cut = series.window(T0 + timedelta(minutes=1), T0 + timedelta(minutes=11))
-        assert cut.t_us.tolist() == [epoch_us(T0 + timedelta(minutes=m)) for m in (1, 2, 10, 11)]
-        assert cut.columns["t_air"].tolist() == [21.0, 22.0, 23.0, 24.0]
-        assert len(cut.gaps) == 1
-        assert len(series.window(T0 + timedelta(hours=5), T0 + timedelta(hours=6)).t_us) == 0
+        minute = 60_000_000
+        cut = series.window(epoch_us(T0) + minute, epoch_us(T0) + 11 * minute)
+        assert cut.t_us.tolist() == [epoch_us(T0) + m * minute for m in (1, 2, 10)]
+        assert cut.columns["t_air"].tolist() == [21.0, 22.0, 23.0]
+        assert series.window(epoch_us(T0) + 11 * minute, epoch_us(T0) + 11 * minute + 1
+                             ).columns["t_air"].tolist() == [24.0]
+        assert len(series.window(epoch_us(T0) + 300 * minute,
+                                 epoch_us(T0) + 360 * minute).t_us) == 0
+
+    def test_local_midnight_at_a_fixed_offset(self):
+        plus_two = timezone(timedelta(hours=2))
+        midnight = local_midnight_us(T0.date(), plus_two)
+        assert midnight == epoch_us(datetime(2019, 7, 24, 22, 0, tzinfo=timezone.utc))
+        assert local_midnight_us(T0.date() + timedelta(days=1), plus_two) == midnight + DAY_US
+
+
+def test_unknown_parameter_is_a_domain_error():
+    from microclimap.series import parameter_values
+    series = make_series([25.0, 26.0])
+    with pytest.raises(DomainError, match="unknown parameter 'bogus'"):
+        parameter_values(series, "bogus", np.arange(2))
 
 
 class TestMatchIndices:
@@ -448,25 +458,24 @@ class TestMatchIndices:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 200), min_size=1, max_size=60),
-           st.lists(st.integers(-100, 6000), min_size=1, max_size=40),
-           st.sampled_from([0.0, 15.0, 30.0, 60.0]))
-    def test_matches_brute_force_nearest_rule(self, steps, queries, tolerance_s):
+           st.lists(st.integers(-100, 6000), min_size=1, max_size=40))
+    def test_matches_brute_force_nearest_rule(self, steps, queries):
         """Sorted sample times with random gaps (seconds), queries anywhere."""
-        from microclimap.series import match_indices
+        from microclimap.series import MATCH_TOLERANCE_S, match_indices
         times = np.cumsum(steps).astype(np.int64) * 1_000_000
         query = np.array(queries, dtype=np.int64) * 1_000_000 // 2
-        got = match_indices(times, query, tolerance_s)
+        got = match_indices(times, query)
         for q, idx in zip(query.tolist(), got.tolist()):
             dts = [abs(t - q) / 1e6 for t in times.tolist()]
             best = min(dts)
-            expected = dts.index(best) if best <= tolerance_s else -1  # earliest on a tie
+            expected = dts.index(best) if best <= MATCH_TOLERANCE_S else -1  # earliest on a tie
             assert idx == expected
 
 
-def whole_record_offsets(case, control, start, end, parameter="utci"):
-    """Reference: difference the whole case record, then keep [start, end]."""
+def whole_record_offsets(case, control, start_us, end_us, parameter="utci"):
+    """Reference: difference the whole case record, then keep [start_us, end_us)."""
     full = offset_series(case, control, parameter)
-    kept = (epoch_us(start) <= full.t_us) & (full.t_us <= epoch_us(end))
+    kept = (start_us <= full.t_us) & (full.t_us < end_us)
     return full.t_us[kept].tolist(), full.values[kept].tolist()
 
 
@@ -483,7 +492,7 @@ class TestWindowedOffsets:
     def test_window_equals_filtered_whole_record(self, lo, hi):
         case = self.station("case", 200, 0.0)
         control = self.station("ctrl", 210, 1.0)
-        start, end = T0 + timedelta(minutes=lo), T0 + timedelta(minutes=hi)
+        start, end = epoch_us(T0 + timedelta(minutes=lo)), epoch_us(T0 + timedelta(minutes=hi))
         windowed = offset_series(case.window(start, end), control, "utci")
         times, values = whole_record_offsets(case, control, start, end)
         assert windowed.t_us.tolist() == times
@@ -492,7 +501,7 @@ class TestWindowedOffsets:
     def test_empty_window_gives_empty_offsets(self):
         case = self.station("case", 20, 0.0)
         control = self.station("ctrl", 20, 1.0)
-        empty = case.window(T0 + timedelta(days=1), T0 + timedelta(days=2))
+        empty = case.window(epoch_us(T0) + DAY_US, epoch_us(T0) + 2 * DAY_US)
         offsets = offset_series(empty, control, "utci")
         assert offsets.t_us.tolist() == [] and offsets.values.tolist() == []
 
@@ -517,7 +526,7 @@ class TestWindowedOffsets:
         with pytest.raises(ValidityError, match="t_air=55.0"):
             offset_series(case, control, "utci")
         # the hot sample lies outside both windows, so it is never evaluated
-        early = case.window(T0, T0 + timedelta(minutes=9))
+        early = case.window(epoch_us(T0), epoch_us(T0 + timedelta(minutes=10)))
         assert offset_series(early, control, "utci").values.tolist() == [0.0] * 10
         # an unmatched hot sample is not evaluated either: this control
         # ends at minute 9, so case minutes 0-10 match and minute 12 does not
