@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, timedelta, tzinfo
+from datetime import date, tzinfo
 from enum import Enum
 
 import numpy as np
@@ -25,10 +25,10 @@ import numpy as np
 from . import thermal
 from .errors import DayRejectedError, DomainError, MatchError, ValidityError
 from .series import (FIELDS, HOUR_US, DriftReport, DriftThresholds, LoadReport,
-                     StationSeries, drift_diagnostic, epoch_us, from_epoch_us,
-                     local_midnight_us, nearest_sample, offset_series, parse_rows)
-from .thermal import (GlobeSpec, ReferenceConditions, UtciInput, UtciOffset, utci_offset,
-                      vapor_pressure, wind_to_10m)
+                     StationSeries, drift_diagnostic, from_epoch_us, local_midnight_us,
+                     nearest_sample, offset_series, parse_rows)
+from .thermal import (DEFAULT_Z0_M, GlobeSpec, ReferenceConditions, UtciInput, UtciOffset,
+                      utci_offset, vapor_pressure, wind_to_10m)
 
 SEGMENT_SPLIT_GAP_S = 60.0
 MIN_SEGMENT_S = 300.0
@@ -100,15 +100,14 @@ class CampaignPlan:
     onsite_station_id: str | None = None
 
     def __post_init__(self):
-        ids = [p.point_id for p in self.points]
-        if len(ids) != len(set(ids)):
+        self._by_id = {p.point_id: p for p in self.points}
+        if len(self._by_id) != len(self.points):
             raise DomainError(f"duplicate point ids in plan {self.campaign_id}")
 
     def point(self, point_id: str) -> TraversePoint:
-        for p in self.points:
-            if p.point_id == point_id:
-                return p
-        raise DomainError(f"unknown point id {point_id!r} in plan {self.campaign_id}")
+        if point_id not in self._by_id:
+            raise DomainError(f"unknown point id {point_id!r} in plan {self.campaign_id}")
+        return self._by_id[point_id]
 
 
 @dataclass(eq=False)
@@ -137,7 +136,7 @@ class StopSegment:
     point_id: str
     t_us: np.ndarray = field(repr=False)
     columns: dict[str, np.ndarray] = field(repr=False)
-    stabilization_window: tuple[datetime, datetime] | None = None
+    stabilization_window: tuple[int, int] | None = None  # epoch microseconds
     too_short: bool = False
 
     @property
@@ -193,7 +192,7 @@ class DayFilterResult:
 class AggregatedDrivers:
     """Stabilization-window means, ready for the UTCI evaluation."""
 
-    timestamp: datetime  # window center
+    timestamp: int  # window center, epoch microseconds
     t_air: float
     rh: float
     wind_10m: float
@@ -267,7 +266,7 @@ def day_filter(day: DaySummary,
 
 
 def derive_day_summary(control: StationSeries, day: date, cloud_cover_oktas: float,
-                       tz: tzinfo, z0: float = 0.01) -> DaySummary:
+                       tz: tzinfo, z0: float = DEFAULT_Z0_M) -> DaySummary:
     """Build a day summary from control-station data plus operator cloud cover.
 
     Insolation is classed as strong when net radiation averaged over the
@@ -339,10 +338,9 @@ def segment_stops(log: MobileLog, plan: CampaignPlan) -> list[StopSegment]:
     starts = np.flatnonzero(np.concatenate(([True], split)))
     ends = np.append(starts[1:], len(t))
     too_short = (t[ends - 1] - t[starts]) / 1e6 < MIN_SEGMENT_S
-    known = {p.point_id for p in plan.points}
     segments = []
     for a, b, short in zip(starts.tolist(), ends.tolist(), too_short.tolist()):
-        if ids[a] not in known:
+        if ids[a] not in plan._by_id:
             raise DomainError(f"mobile log references unknown point id {ids[a]!r}")
         segments.append(StopSegment(ids[a], t[a:b],
                                     {name: c[a:b] for name, c in log.columns.items()},
@@ -363,8 +361,7 @@ def detect_stabilization(segment: StopSegment,
     if np.isnan(globe).any():
         raise DomainError(
             f"segment at {segment.point_id} has samples without globe readings")
-    span = timedelta(seconds=STABILIZATION_WINDOW_S)
-    span_us = span // timedelta(microseconds=1)
+    span_us = int(STABILIZATION_WINDOW_S * 1_000_000)
     lo = np.searchsorted(t, t, side="left").tolist()
     hi = np.searchsorted(t, t + span_us, side="right").tolist()
     values = globe.tolist()
@@ -372,13 +369,12 @@ def detect_stabilization(segment: StopSegment,
     for i in range(fits - 1, -1, -1):
         window = values[lo[i]:hi[i]]
         if max(window) - min(window) <= delta_c:
-            start = from_epoch_us(int(t[i]))
-            return replace(segment, stabilization_window=(start, start + span))
+            return replace(segment, stabilization_window=(int(t[i]), int(t[i]) + span_us))
     return replace(segment, stabilization_window=None)
 
 
 def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
-                    z0: float = 0.01) -> AggregatedDrivers:
+                    z0: float = DEFAULT_Z0_M) -> AggregatedDrivers:
     """Average the drivers over the stabilization window.
 
     Each mean is a Python `sum` over the window's readings of that field,
@@ -390,7 +386,7 @@ def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
         raise DomainError(
             f"segment at {segment.point_id} never stabilized; point is unusable")
     lo, hi = segment.stabilization_window
-    inside = (segment.t_us >= epoch_us(lo)) & (segment.t_us <= epoch_us(hi))
+    inside = (segment.t_us >= lo) & (segment.t_us <= hi)
 
     def mean_of(name):
         values = segment.columns[name][inside]
@@ -406,7 +402,7 @@ def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
     wind, n_w = mean_of("wind")
     t_mrt = thermal.mrt_from_globe(t_globe, t_air, wind, globe)
     return AggregatedDrivers(
-        timestamp=lo + (hi - lo) / 2,
+        timestamp=(lo + hi) // 2,
         t_air=t_air,
         rh=rh,
         wind_10m=wind_to_10m(wind, MOBILE_SENSOR_HEIGHT_M, z0),
@@ -415,12 +411,12 @@ def aggregate_point(segment: StopSegment, globe: GlobeSpec = GlobeSpec(),
     )
 
 
-def match_control(timestamp: datetime, control: StationSeries) -> ReferenceConditions:
-    """Reference conditions from the nearest control sample."""
-    i = nearest_sample(control, timestamp)
+def match_control(timestamp_us: int, control: StationSeries) -> ReferenceConditions:
+    """Reference conditions from the control sample nearest `timestamp_us`."""
+    i = nearest_sample(control, timestamp_us)
     return ReferenceConditions(t_air=float(control.columns["t_air"][i]),
                                rh=float(control.columns["rh"][i]),
-                               matched_at=from_epoch_us(int(control.t_us[i])))
+                               matched_at=int(control.t_us[i]))
 
 
 def process_campaign(plan: CampaignPlan, log: MobileLog,
@@ -429,7 +425,7 @@ def process_campaign(plan: CampaignPlan, log: MobileLog,
                      onsite: StationSeries | None = None,
                      override_day_filter: bool = False,
                      day_thresholds: DayFilterThresholds = DayFilterThresholds(),
-                     globe: GlobeSpec = GlobeSpec(), z0: float = 0.01,
+                     globe: GlobeSpec = GlobeSpec(), z0: float = DEFAULT_Z0_M,
                      stabilization_delta_c: float = STABILIZATION_DELTA_C,
                      drift_thresholds: DriftThresholds = DriftThresholds(),
                      ) -> tuple[list[PointResult], CampaignReport]:

@@ -121,7 +121,7 @@ def point_results_csv(results, plan) -> str:
         point = plan.point(r.offset.point_id)
         writer.writerow([
             r.offset.point_id,
-            r.drivers.timestamp.isoformat(),
+            series_mod.from_epoch_us(r.drivers.timestamp).isoformat(),
             repr(point.location[0]), repr(point.location[1]),
             point.environment.value, plan.phase.value,
             repr(r.drivers.t_air), repr(r.drivers.rh),

@@ -1,9 +1,9 @@
 """Declarative run configuration and campaign plan files (YAML).
 
 All paths inside a config or plan file are resolved relative to the file
-that declares them. Every protocol threshold (25/16 degC day filter,
-3 oktas, 1 degC per 2 h drift, 2 degC otherwise) appears here with its
-default value so a run is fully reproducible from one file.
+that declares them. A key a config leaves out takes the default of the class
+or constant that owns it, such as `DayFilterThresholds` or `DEFAULT_Z0_M`,
+not a copy held here; README's config table lists every default.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from pathlib import Path
 
 import yaml
 
-from .campaign import (MOBILE_SENSOR_HEIGHT_M, CampaignPlan, DayFilterThresholds, Environment,
-                       Phase, TraversePoint)
+from .campaign import (MOBILE_SENSOR_HEIGHT_M, STABILIZATION_DELTA_C, CampaignPlan,
+                       DayFilterThresholds, Environment, Phase, TraversePoint)
 from .errors import ConfigError
 from .raster import UCP_FORMULAS
 from .series import (DEFAULT_WIND_HEIGHT_M, OPTIONAL_COLUMNS, PARAMETERS, REQUIRED_COLUMNS,
                      DriftThresholds, opened)
-from .thermal import GlobeFormula, GlobeSpec
+from .thermal import DEFAULT_Z0_M, GlobeFormula, GlobeSpec
 
 
 def _parse_tz(value) -> tzinfo:
@@ -79,10 +79,6 @@ _CONFIG_KEYS = ("stations", "campaigns", "rasters", "thresholds", "globe", "wind
 _STATION_KEYS = ("path", "column_map", "sensor_heights")
 _CAMPAIGN_KEYS = ("plan", "mobile_log", "cloud_cover_oktas")
 _RASTER_KEYS = ("albedo", "vegetation", "irradiance", "ucp")
-_THRESHOLD_KEYS = ("day_t_max_above_c", "day_t_min_above_c", "day_max_cloud_oktas",
-                   "drift_amplitude_short_c", "drift_amplitude_long_c",
-                   "drift_short_window_hours", "drift_smoothing_seconds",
-                   "stabilization_delta_c")
 
 
 def _known(mapping, where: str, keys: tuple[str, ...]) -> dict:
@@ -111,6 +107,10 @@ def _number(label: str, value, positive: bool = False) -> float:
         rule = "positive and finite" if positive else "finite"
         raise ConfigError(f"{label} must be {rule}, got {value!r}")
     return number
+
+
+def _positive(label: str, value) -> float:
+    return _number(label, value, positive=True)
 
 
 def _choice(label: str, value, choices: tuple[str, ...]) -> str:
@@ -198,6 +198,28 @@ class RunConfig:
         return self.campaigns[name]
 
 
+# The field each key of a config section sets and the check its value goes
+# through; the keys are the section's known keys, in the order they are checked.
+_THRESHOLDS = {"day_t_max_above_c": ("t_max_above", _number),
+               "day_t_min_above_c": ("t_min_above", _number),
+               "day_max_cloud_oktas": ("max_cloud_oktas", _number),
+               "drift_amplitude_short_c": ("short_window_amplitude", _positive),
+               "drift_amplitude_long_c": ("long_window_amplitude", _positive),
+               "drift_short_window_hours": ("short_window_hours", _positive),
+               "drift_smoothing_seconds": ("smoothing_seconds", _positive),
+               "stabilization_delta_c": ("stabilization_delta_c", _positive)}
+_GLOBE = {"diameter_m": ("diameter", _positive), "emissivity": ("emissivity", _positive),
+          "variant": ("formula_variant", lambda label, value: GlobeFormula(
+              _choice(label, value, tuple(f.value for f in GlobeFormula))))}
+
+
+def _fields(given: dict, table: dict, label: str, owner: type) -> dict:
+    """The checked values of the keys in `given` that `table` maps to fields of
+    the dataclass `owner`, by field name; a field no key sets keeps its default."""
+    return {field: check(f"{label} {key}", given[key]) for key, (field, check) in table.items()
+            if key in given and field in owner.__dataclass_fields__}
+
+
 def load_config(path) -> RunConfig:
     """Load and validate a run configuration file."""
     path = Path(path)
@@ -257,30 +279,11 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
 
     rasters = {name: resolve(p) for name, p in section("rasters", _RASTER_KEYS).items()}
 
-    th = section("thresholds", _THRESHOLD_KEYS)
-
-    def threshold(key: str, default: float, positive: bool = False) -> float:
-        return _number(f"threshold {key}", th.get(key, default), positive)
-
-    day_thresholds = DayFilterThresholds(
-        t_max_above=threshold("day_t_max_above_c", 25.0),
-        t_min_above=threshold("day_t_min_above_c", 16.0),
-        max_cloud_oktas=threshold("day_max_cloud_oktas", 3.0),
-    )
-    drift_thresholds = DriftThresholds(
-        short_window_amplitude=threshold("drift_amplitude_short_c", 1.0, True),
-        long_window_amplitude=threshold("drift_amplitude_long_c", 2.0, True),
-        short_window_hours=threshold("drift_short_window_hours", 2.0, True),
-        smoothing_seconds=threshold("drift_smoothing_seconds", 300.0, True),
-    )
-
-    g = section("globe", ("diameter_m", "emissivity", "variant"))
-    globe = GlobeSpec(
-        diameter=_number("globe diameter_m", g.get("diameter_m", 0.15), True),
-        emissivity=_number("globe emissivity", g.get("emissivity", 0.95), True),
-        formula_variant=GlobeFormula(_choice("globe variant", g.get("variant", "iso7726_forced"),
-                                             tuple(f.value for f in GlobeFormula))),
-    )
+    th = section("thresholds", tuple(_THRESHOLDS))
+    day_thresholds = DayFilterThresholds(**_fields(th, _THRESHOLDS, "threshold",
+                                                   DayFilterThresholds))
+    drift_thresholds = DriftThresholds(**_fields(th, _THRESHOLDS, "threshold", DriftThresholds))
+    globe = GlobeSpec(**_fields(section("globe", tuple(_GLOBE)), _GLOBE, "globe", GlobeSpec))
     wind = section("wind_profile", ("z0_m",))
     irr = section("irradiance", ("clear_sky_max_wm2",))
 
@@ -288,7 +291,7 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
     if type(seed) is not int or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
-    z0 = _number("wind_profile z0_m", wind.get("z0_m", 0.01), True)
+    z0 = _number("wind_profile z0_m", wind.get("z0_m", DEFAULT_Z0_M), True)
     # wind is converted to 10 m from each sensor's height, which needs z0 below it
     sensor, height = min([("the mobile sensor", MOBILE_SENSOR_HEIGHT_M)]
                          + [(f"station {n!r}", s.wind_height) for n, s in stations.items()],
@@ -304,13 +307,14 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
         rasters=rasters,
         day_thresholds=day_thresholds,
         drift_thresholds=drift_thresholds,
-        stabilization_delta_c=threshold("stabilization_delta_c", 0.15, True),
+        stabilization_delta_c=_fields(th, _THRESHOLDS, "threshold", RunConfig).get(
+            "stabilization_delta_c", STABILIZATION_DELTA_C),
         globe=globe,
         z0=z0,
         irradiance_clear_sky_max=(
             _number("irradiance clear_sky_max_wm2", irr["clear_sky_max_wm2"], True)
             if "clear_sky_max_wm2" in irr else None),
-        ucp_formula=_choice("ucp_formula", raw.get("ucp_formula", "product"), UCP_FORMULAS),
+        ucp_formula=_choice("ucp_formula", raw.get("ucp_formula", UCP_FORMULAS[0]), UCP_FORMULAS),
         baci_parameter=_choice("baci_parameter", raw.get("baci_parameter", "utci"), PARAMETERS),
         output_dir=output_dir,
         seed=seed,

@@ -691,12 +691,12 @@ def normalize_irradiance(raw: RasterLayer, clear_sky_max: float) -> RasterLayer:
     return replace(raw, values=values, semantic=Semantic.IRRADIANCE_NORMALIZED)
 
 
-#: The formulas `compute_ucp` evaluates.
+#: The formulas `compute_ucp` evaluates; the first is the default.
 UCP_FORMULAS = ("product", "weighted_sum")
 
 
 def compute_ucp(albedo: RasterLayer, vegetation: RasterLayer,
-                irradiance: RasterLayer, formula: str = "product") -> RasterLayer:
+                irradiance: RasterLayer, formula: str = UCP_FORMULAS[0]) -> RasterLayer:
     """Cellwise Urban Cooling Potential from co-registered input layers.
 
     The default product form UCP = S * (1 - albedo) * (1 - vegetation)

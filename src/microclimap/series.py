@@ -58,7 +58,7 @@ import numpy as np
 
 from . import thermal
 from .errors import DomainError, MatchError, SchemaError
-from .thermal import GlobeSpec
+from .thermal import DEFAULT_Z0_M, GlobeSpec
 
 REQUIRED_COLUMNS = ("timestamp", "t_air", "rh")
 OPTIONAL_COLUMNS = ("t_globe", "wind", "net_radiation")
@@ -450,22 +450,19 @@ def parse_station_csv(source, station_id: str, column_map: dict[str, str] | None
         first = np.append(True, ~repeated)
         t_us, table = t_us[first], table[:, first]
 
-    cadence = STATION_CADENCE_S
     deltas = np.diff(t_us) / 1e6
     # ignore gap deltas and require enough spacings for a meaningful median,
     # so isolated dropped rows do not masquerade as a cadence change
-    regular = deltas[deltas <= 2 * cadence]
+    regular = deltas[deltas <= 2 * STATION_CADENCE_S]
     if len(regular) >= 5:
         # np.median's result, written out: np.median imports numpy.ma on first use
         regular.sort()
         mid = len(regular) // 2
         median = float(regular[mid] if len(regular) % 2
                        else (regular[mid - 1] + regular[mid]) / 2)
-        if abs(median - cadence) > 0.1 * cadence:
-            raise SchemaError(
-                f"declared cadence {cadence}s does not match median sample "
-                f"spacing {median}s for {station_id}"
-            )
+        if abs(median - STATION_CADENCE_S) > 0.1 * STATION_CADENCE_S:
+            raise SchemaError(f"station {station_id!r} is not at the {STATION_CADENCE_S}s "
+                              f"station cadence: its median sample spacing is {median}s")
 
     return StationSeries(
         station_id=station_id,
@@ -477,7 +474,7 @@ def parse_station_csv(source, station_id: str, column_map: dict[str, str] | None
 
 
 def parameter_values(series: StationSeries, parameter: str, rows,
-                     globe: GlobeSpec = GlobeSpec(), z0: float = 0.01) -> np.ndarray:
+                     globe: GlobeSpec = GlobeSpec(), z0: float = DEFAULT_Z0_M) -> np.ndarray:
     """One parameter of a series as a float64 array, NaN where it is undefined.
 
     `rows` (an index or mask array) selects samples; an unknown `parameter`
@@ -578,18 +575,17 @@ def match_indices(times_us: np.ndarray, query_us: np.ndarray) -> np.ndarray:
     return np.where(np.minimum(dt_before, dt_after) <= MATCH_TOLERANCE_S, nearest, -1)
 
 
-def nearest_sample(series: StationSeries, when: datetime) -> int:
-    """Index of the nearest sample within `MATCH_TOLERANCE_S`, or a MatchError."""
-    (i,) = match_indices(series.t_us, np.array([epoch_us(when)]))
+def nearest_sample(series: StationSeries, when_us: int) -> int:
+    """Index of the sample nearest `when_us` within `MATCH_TOLERANCE_S`, or a MatchError."""
+    (i,) = match_indices(series.t_us, np.array([when_us]))
     if i < 0:
-        raise MatchError(
-            f"no {series.station_id} sample within {MATCH_TOLERANCE_S}s of {when.isoformat()}"
-        )
+        raise MatchError(f"no {series.station_id} sample within {MATCH_TOLERANCE_S}s "
+                         f"of {from_epoch_us(when_us).isoformat()}")
     return int(i)
 
 
 def offset_series(case: StationSeries, control: StationSeries, parameter: str,
-                  globe: GlobeSpec = GlobeSpec(), z0: float = 0.01) -> OffsetSeries:
+                  globe: GlobeSpec = GlobeSpec(), z0: float = DEFAULT_Z0_M) -> OffsetSeries:
     """Case-minus-control differences at case timestamps.
 
     Each case sample is paired with the nearest control sample within

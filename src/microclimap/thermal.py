@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
 
 import numpy as np
@@ -117,7 +116,7 @@ class ReferenceConditions:
 
     t_air: float   # degC, control station at match time
     rh: float      # %, control station at match time
-    matched_at: datetime | None = None
+    matched_at: int | None = None  # epoch microseconds of the control sample
 
     def to_utci_input(self) -> UtciInput:
         return UtciInput(
@@ -135,7 +134,7 @@ class UtciOffset:
     utci_mobile: float                 # degC
     utci_ref: float                    # degC
     point_id: str = ""
-    control_matched_at: datetime | None = None
+    control_matched_at: int | None = None  # epoch microseconds, as `matched_at`
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -307,7 +306,11 @@ def heat_stress_category(utci_value: float) -> HeatStressCategory:
     return HeatStressCategory.EXTREME_COLD_STRESS
 
 
-def wind_to_10m(wind, height: float, z0: float = 0.01):
+#: Aerodynamic roughness length (m) when the config gives none.
+DEFAULT_Z0_M = 0.01
+
+
+def wind_to_10m(wind, height: float, z0: float = DEFAULT_Z0_M):
     """Convert a wind speed to 10 m height with a neutral log profile.
 
     z0 is the aerodynamic roughness length in meters. Accepts a float or an

@@ -16,11 +16,12 @@ import numpy as np
 
 from microclimap.campaign import MOBILE_REQUIRED, MobileLog
 from microclimap.errors import DomainError, SchemaError
-from microclimap.series import (FIELDS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, LoadReport,
-                                StationSeries, epoch_us, from_epoch_us, opened, parse_row)
+from microclimap.series import (FIELDS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, STATION_CADENCE_S,
+                                LoadReport, StationSeries, epoch_us, from_epoch_us, opened,
+                                parse_row)
 
 
-def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
+def parse_station_csv_rows(source, station_id: str,
                            column_map: dict[str, str] | None = None) -> StationSeries:
     """`series.parse_station_csv`, one `DictReader` row at a time."""
     colmap = {name: name for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
@@ -65,16 +66,14 @@ def parse_station_csv_rows(source, station_id: str, cadence: float = 60.0,
     kept = order[first]
 
     deltas = np.diff(t_us) / 1e6
-    regular = np.sort(deltas[deltas <= 2 * cadence])
+    regular = np.sort(deltas[deltas <= 2 * STATION_CADENCE_S])
     if len(regular) >= 5:
         mid = len(regular) // 2
         median = float(regular[mid] if len(regular) % 2
                        else (regular[mid - 1] + regular[mid]) / 2)
-        if abs(median - cadence) > 0.1 * cadence:
-            raise SchemaError(
-                f"declared cadence {cadence}s does not match median sample "
-                f"spacing {median}s for {station_id}"
-            )
+        if abs(median - STATION_CADENCE_S) > 0.1 * STATION_CADENCE_S:
+            raise SchemaError(f"station {station_id!r} is not at the {STATION_CADENCE_S}s "
+                              f"station cadence: its median sample spacing is {median}s")
     return StationSeries(station_id=station_id, t_us=t_us,
                          columns={name: table[kept, k] for k, name in enumerate(FIELDS)},
                          load_report=report)

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -20,6 +21,11 @@ from microclimap.campaign import (CampaignPlan, DaySummary,
 from microclimap.errors import (DayRejectedError, DomainError, MatchError,
                                 SchemaError)
 from microclimap.series import FIELDS, epoch_us, from_epoch_us
+
+
+def at(seconds):
+    """Epoch microseconds `seconds` after T0."""
+    return epoch_us(T0 + timedelta(seconds=seconds))
 
 
 def make_plan(point_ids=("P1", "P2", "P3"), campaign_id="c1",
@@ -318,8 +324,7 @@ class TestDetectStabilization:
         (segment,) = segment_stops(log, plan)
         out = detect_stabilization(segment)
         assert out.stabilized
-        assert out.stabilization_window == (T0 + timedelta(seconds=720),
-                                            T0 + timedelta(seconds=900))
+        assert out.stabilization_window == (at(720), at(900))
 
     def test_exponential_approach_settles_late(self):
         # globe relaxes toward 35 degC with a 240 s time constant; the range
@@ -333,8 +338,7 @@ class TestDetectStabilization:
         out = detect_stabilization(segment)
         assert out.stabilized
         # the latest feasible window start is kept
-        assert out.stabilization_window == (T0 + timedelta(seconds=720),
-                                            T0 + timedelta(seconds=900))
+        assert out.stabilization_window == (at(720), at(900))
         # brute-force check of the analytic crossing on the same curve
         def window_range(t):
             return 5.0 * (math.exp(-t / 240.0) - math.exp(-(t + 180.0) / 240.0))
@@ -361,8 +365,7 @@ class TestDetectStabilization:
         plan = make_plan(("P1",))
         fields = dict(BASE_FIELDS, t_globe=lambda i: 41.0 if i == 60 else 40.0)
         (segment,) = segment_stops(make_mobile_log([("P1", 61, fields)]), plan)
-        assert detect_stabilization(segment).stabilization_window == (
-            T0 + timedelta(seconds=705), T0 + timedelta(seconds=885))
+        assert detect_stabilization(segment).stabilization_window == (at(705), at(885))
 
     def test_idempotent_on_stabilized_window(self):
         plan = make_plan(("P1",))
@@ -371,7 +374,7 @@ class TestDetectStabilization:
         log = make_mobile_log([("P1", 61, fields)])
         (segment,) = segment_stops(log, plan)
         first = detect_stabilization(segment)
-        lo, hi = (epoch_us(t) for t in first.stabilization_window)
+        lo, hi = first.stabilization_window
         inside = (first.t_us >= lo) & (first.t_us <= hi)
         tail = StopSegment(point_id="P1", t_us=first.t_us[inside],
                            columns={name: c[inside] for name, c in first.columns.items()})
@@ -399,7 +402,7 @@ class TestAggregatePoint:
         drivers = aggregate_point(stabilized_segment({"wind": 1.0}))
         assert drivers.t_air == 30.0
         assert drivers.rh == 40.0
-        assert drivers.timestamp == T0 + timedelta(seconds=810)
+        assert drivers.timestamp == at(810)
 
     def test_log_profile_wind_conversion(self):
         drivers = aggregate_point(stabilized_segment({"wind": 1.0}))
@@ -470,12 +473,15 @@ class TestColumnarMatchesPerSampleReference:
         columnar, samples = both_segments(readings)
         got = detect_stabilization(columnar, delta_c)
         expected = reference.detect_stabilization(samples, delta_c)
-        assert got.stabilization_window == expected.stabilization_window
+        window = expected.stabilization_window
+        assert got.stabilization_window == (None if window is None
+                                             else tuple(map(epoch_us, window)))
         assert got.stabilized is expected.stabilized
         if not expected.stabilized:
             return
         try:
-            drivers = repr(reference.aggregate_point(expected))
+            drivers = reference.aggregate_point(expected)
+            drivers = repr(replace(drivers, timestamp=epoch_us(drivers.timestamp)))
         except DomainError as exc:
             with pytest.raises(DomainError) as raised:
                 aggregate_point(got)
@@ -496,21 +502,21 @@ class TestColumnarMatchesPerSampleReference:
 class TestMatchControl:
     def test_exact_timestamp(self):
         control = make_series([25.0, 26.0, 27.0], station_id="ctrl")
-        ref = match_control(T0 + timedelta(seconds=60), control)
+        ref = match_control(at(60), control)
         assert ref.t_air == 26.0
-        assert ref.matched_at == T0 + timedelta(seconds=60)
+        assert ref.matched_at == at(60)
         assert ref.to_utci_input().t_mrt == 26.0
         assert ref.to_utci_input().wind_10m == 0.5
 
     def test_nearest_within_tolerance(self):
         control = make_series([25.0, 26.0], station_id="ctrl")
-        ref = match_control(T0 + timedelta(seconds=30), control)
-        assert ref.matched_at in (T0, T0 + timedelta(seconds=60))
+        ref = match_control(at(30), control)
+        assert ref.matched_at in (at(0), at(60))
 
     def test_outage_is_error(self):
         control = make_series([25.0, 26.0], station_id="ctrl")
         with pytest.raises(MatchError, match="ctrl"):
-            match_control(T0 + timedelta(seconds=360), control)
+            match_control(at(360), control)
 
 
 def synthetic_blocks(deltas, t_air=30.0, rh=40.0):

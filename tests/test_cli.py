@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import inspect
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -945,6 +946,37 @@ FIXTURE_DIGESTS = {
 
 def test_fixture_outputs_byte_identical(site):
     assert fixture_runs(site)[1] == FIXTURE_DIGESTS
+
+
+#: The station and mobile logs of the fixture site.
+FIXTURE_LOGS = ("control.csv", "onsite.csv", "onsite_bad.csv", "case.csv",
+                "before_mobile.csv", "after_mobile.csv")
+
+
+def at_plus_two(rows):
+    """Each row's timestamp written as the same instant at +02:00."""
+    return [[datetime.fromisoformat(row[0]).astimezone(PLAN_TZ).isoformat(), *row[1:]]
+            for row in rows]
+
+
+def shuffled(rows):
+    """The rows in an order drawn from a fixed seed."""
+    rows = list(rows)
+    random.Random(20190725).shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("transform", [at_plus_two, shuffled])
+def test_equivalent_logs_give_the_same_outputs(site, transform):
+    """Logs that state the same samples give the same exit codes and output bytes."""
+    for name in FIXTURE_LOGS:
+        text = (site / name).read_text()
+        header, *lines = text.splitlines()
+        rows = transform([line.split(",") for line in lines])
+        changed = "\n".join([header, *map(",".join, rows)]) + "\n"
+        assert changed != text
+        (site / name).write_text(changed)
+    assert fixture_runs(site) == ([0, 0, 0, 0, 3, 0, 0], FIXTURE_DIGESTS)
 
 
 #: `run` called as the console script calls it, on the config in argv[1].

@@ -30,6 +30,7 @@ from microclimap.raster import (RasterLayer, Semantic, compute_ucp,
                                 export_heat_map, geojson_dumps,
                                 normalize_irradiance, parse_ascii_grid,
                                 sample_at, write_ascii_grid)
+from microclimap.series import epoch_us
 from microclimap.thermal import ReferenceConditions, UtciInput, utci_offset, vapor_pressure
 
 NODATA = -9999.0
@@ -761,9 +762,9 @@ def heat_plan(locations):
 
 def heat_result(point_id, t_mrt=45.0):
     drivers = AggregatedDrivers(
-        timestamp=T0, t_air=30.0, rh=40.0, wind_10m=0.5, t_mrt=t_mrt,
+        timestamp=epoch_us(T0), t_air=30.0, rh=40.0, wind_10m=0.5, t_mrt=t_mrt,
         sample_counts={"t_air": 13})
-    ref = ReferenceConditions(t_air=30.0, rh=40.0, matched_at=T0)
+    ref = ReferenceConditions(t_air=30.0, rh=40.0, matched_at=epoch_us(T0))
     mobile = UtciInput(30.0, t_mrt, 0.5, vapor_pressure(30.0, 40.0))
     return PointResult(drivers, utci_offset(mobile, ref, point_id))
 

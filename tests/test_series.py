@@ -441,15 +441,15 @@ class TestMatchIndices:
     def test_exact_sixty_seconds_is_inclusive(self):
         from microclimap.series import nearest_sample
         control = make_series([25.0, 26.0], station_id="ctrl")
-        assert nearest_sample(control, T0 - timedelta(seconds=60)) == 0
-        assert nearest_sample(control, T0 + timedelta(seconds=120)) == 1
+        assert nearest_sample(control, epoch_us(T0) - 60_000_000) == 0
+        assert nearest_sample(control, epoch_us(T0) + 120_000_000) == 1
         with pytest.raises(MatchError):
-            nearest_sample(control, T0 + timedelta(seconds=120, microseconds=1))
+            nearest_sample(control, epoch_us(T0) + 120_000_001)
 
     def test_equidistant_tie_takes_earlier_sample(self):
         from microclimap.series import nearest_sample
         control = make_series([25.0, 26.0], station_id="ctrl")
-        assert nearest_sample(control, T0 + timedelta(seconds=30)) == 0
+        assert nearest_sample(control, epoch_us(T0) + 30_000_000) == 0
 
     def test_empty_series_matches_nothing(self):
         from microclimap.series import match_indices
