@@ -18,7 +18,6 @@ import io
 import math
 import os
 import sys
-import tempfile
 from datetime import timezone
 from pathlib import Path
 
@@ -52,17 +51,14 @@ def _replace_file(path: Path, *chunks) -> None:
     directory plus rename.
 
     The chunks are all str, or all bytes-like (an array's buffer is written
-    without a copy). The file gets the mode `open` would give a new file
-    under the process umask (0o666 minus the umask bits), not the 0o600 of
-    `mkstemp`.
+    without a copy). The temp file `.NAME.<random hex>` is created as `open`
+    creates a new file, so the kernel gives it 0o666 minus the umask bits.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    umask = os.umask(0o077)  # read the umask; os.umask has no query form
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w" if isinstance(chunks[0], str) else "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)

@@ -12,7 +12,8 @@ cell, with exactly the values `float()` reads and the text `repr()` writes:
   mantissa m over 10**k, k its fraction digits. One
   `np.fromstring(..., np.int64)` reads m from the text with every '.'
   deleted, and one `np.fromstring(..., np.uint64)` reads 10**k from a copy
-  in which a '.' is 1 and every other token byte 0. In the x87 80-bit long
+  in which a '.' is 1 and every other token byte 0 (a token without a '.'
+  reads 0 there, and its m is divided by 1). In the x87 80-bit long
   double, whose 64-bit significand holds |m| < 2**63 and 10**k (k < 20)
   exactly, m / 10**k is one correctly rounded division (Clinger 1990), and
   rounding that quotient to float64 gives float()'s value unless it lies
@@ -50,10 +51,11 @@ comes from its leading lines and the cells are cut into blocks of about
 `_BLOCK_BYTES` at a whitespace byte. The blocks, and on writing one row
 block per full `_BLOCK_CELLS` cells, are converted by one block codec on
 every grid size and platform. Several blocks run on a thread pool with one
-worker per CPU this process may run on, up to two; numpy's text reader and
-ufuncs release the GIL, so two workers use two cores. A grid of one block
-is converted in the calling thread and starts no pool. The text is decoded
-as UTF-8 only to word an error or to convert the cells one at a time.
+worker per CPU this process may run on, up to two. Parts of each block's
+work hold the GIL, so on two cores two workers take about 70% of one
+worker's time to write a grid and 50-100% of it to read one. A grid of one
+block is converted in the calling thread and starts no pool. The text is
+decoded as UTF-8 only to word an error or to convert the cells one at a time.
 
 A grid the program computes gets a binary sidecar beside it: `.NAME.cells`
 holds a SHA-256 over the grid file's bytes followed by the cell bytes, then
@@ -73,7 +75,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -100,12 +101,7 @@ _BLOCK_BYTES = 1 << 20
 _BLOCK_CELLS = 1 << 15
 #: Most threads that convert grid blocks; two is the only count measured.
 _MAX_WORKERS = 2
-#: Cells converted one at a time by `float()` or `repr()`; only tests read it.
-#: Workers return their counts and the mapping thread adds them up.
-_per_cell_conversions = {"float": 0, "repr": 0}
 
-_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
-_POW10_LD = _POW10_U64.astype(np.longdouble)  # exact: a 64-bit significand
 _INT64 = np.iinfo(np.int64)
 _UINT64_MAX = np.iinfo(np.uint64).max
 
@@ -140,7 +136,7 @@ _MARKS = _token_marks()
 _POW5 = [5 ** s for s in range(21)]
 _SCALE_HI = np.array([float(f >> 23 << 23) * 2.0 ** s for s, f in enumerate(_POW5)])
 _SCALE_LO = np.array([float(f & 0x7FFFFF) * 2.0 ** s for s, f in enumerate(_POW5)])
-_POW10_F64 = np.array([float(10 ** s) for s in range(21)])  # exact
+_TENS = np.array([float(10 ** s) for s in range(21)])  # 10**s, exact
 #: float("1e<e>") for e = -5..17: the least float64 >= 10**e, since each of
 #: these is exact or rounded up.
 _DECADES = np.array([float(f"1e{e}") for e in range(-5, 18)])
@@ -287,14 +283,14 @@ def _grid_layer(header: dict[str, float], nodata: float, cells: np.ndarray,
                        nodata=nodata, values=cells.reshape(nrows, ncols), semantic=semantic)
 
 
-def _exact_double(mantissa: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float64 of mantissa / 10**k (uint64, k < 20), and where it may be off.
+def _exact_double(mantissa: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 of mantissa / divisor (both uint64), and where it may be off.
 
     Both operands are exact long doubles, so their quotient is correctly
     rounded to 64 bits, and rounding it to float64 is correct unless it
     fell exactly on a float64 midpoint: then the flag is set.
     """
-    quotient = mantissa.astype(np.longdouble) / _POW10_LD[k]
+    quotient = mantissa.astype(np.longdouble) / divisor.astype(np.longdouble)
     low_bits = np.ndarray(quotient.shape, np.uint64, quotient, strides=quotient.strides)
     return quotient.astype(np.float64), (low_bits & 0x7FF) == 0x400
 
@@ -326,15 +322,17 @@ def _dashes_lead_tokens(text: bytes) -> bool:
     return leading == text.count(b"-")
 
 
-def _decode_run(text: bytes, marks: bytes) -> tuple[np.ndarray, int] | None:
-    """Cells of tokens made of digits, '.' and '-', and how many `float()` read alone.
+def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
+    """Cells of tokens made of digits, '.' and '-'.
 
-    None when a token is malformed. A numpy that warns, rather than raises,
-    where it cannot read on must run this under a filter that makes its
-    DeprecationWarning an error (`_decode_cells` sets one).
+    None when a token is malformed. An older numpy that stops reading where
+    it cannot read on, with or without a DeprecationWarning, is caught by
+    what the text holds: every '-' must start a token, and the digits must
+    read as many numbers as the marks, which hold only '0', '1' and spaces.
+    Under a filter that makes the warning an error the read raises it.
     """
     if marks.isspace() or not marks:
-        return np.empty(0), 0  # np.fromstring reads whitespace alone as one 0
+        return np.empty(0)  # np.fromstring reads whitespace alone as one 0
     if b"-" in text and not _dashes_lead_tokens(text):
         return None
     digits = text.replace(b".", b"")
@@ -342,34 +340,32 @@ def _decode_run(text: bytes, marks: bytes) -> tuple[np.ndarray, int] | None:
         return None  # np.fromstring would read this token without a digit as 0
     try:
         mantissa = np.fromstring(digits, np.int64, sep=" ")
-        power = np.fromstring(marks, np.uint64, sep=" ")  # 10**k
+        power = np.fromstring(marks, np.uint64, sep=" ")  # 10**k, or 0 without a '.'
     except (ValueError, DeprecationWarning):
         return None
     if mantissa.size != power.size:
         return None  # a token without a digit
+    if text.count(b".") != np.count_nonzero(power):
+        return None  # a token with two '.'
     # saturated reads: a mantissa beyond int64, or 20 or more fraction digits
     alone = (mantissa == _INT64.max) | (mantissa == _INT64.min) | (power == _UINT64_MAX)
-    k = np.searchsorted(_POW10_U64, power, "right") - 1
-    if ((power != 0) & (power != _POW10_U64[k]) & ~alone).any():
-        return None  # a token with two '.'
-    k = np.maximum(k, 0)
+    divisor = np.maximum(power, 1)
     negative = mantissa < 0
     if b"-" in text and text.count(b"-") != np.count_nonzero(negative):
         zeros = np.flatnonzero(mantissa == 0)  # a '-' with no digit, or a negative zero
         signed = [token.startswith(b"-") for token in _token_texts(text, marks, zeros)]
         alone[zeros[signed]] = True
-    values, midpoint = _exact_double(np.abs(mantissa).view(np.uint64), k)
+    values, midpoint = _exact_double(np.abs(mantissa).view(np.uint64), divisor)
     np.negative(values, out=values, where=negative)
-    redo = np.flatnonzero(midpoint & ~alone).tolist()
-    for i in redo:
-        values[i] = int(mantissa[i]) / 10 ** int(k[i])  # a correctly rounded quotient
+    for i in np.flatnonzero(midpoint & ~alone).tolist():
+        values[i] = int(mantissa[i]) / int(divisor[i])  # a correctly rounded quotient
     indices = np.flatnonzero(alone)
     if indices.size:
         floats = _floats(_token_texts(text, marks, indices))
         if floats is None:
             return None
         values[indices] = floats
-    return values, len(redo) + indices.size
+    return values
 
 
 def _odd_token_spans(marks: bytes) -> list[tuple[int, int]]:
@@ -382,8 +378,8 @@ def _odd_token_spans(marks: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def _decode_block(text: bytes) -> tuple[np.ndarray, int] | None:
-    """Cells of one block of grid text, and how many `float()` read alone.
+def _decode_block(text: bytes) -> np.ndarray | None:
+    """Cells of one block of grid text.
 
     None where the per-cell path must convert the text: a control byte
     `str.split()` may split on, or a token `float()` rejects.
@@ -391,19 +387,18 @@ def _decode_block(text: bytes) -> tuple[np.ndarray, int] | None:
     marks = text.translate(_MARKS)
     if b"!" in marks:
         return None
-    parts, alone, pos = [], 0, 0
+    parts, pos = [], 0
     for start, end in _odd_token_spans(marks):
         run = _decode_run(text[pos:start], marks[pos:start])
         odd = _floats([text[start:end]])
         if run is None or odd is None:
             return None
-        parts += [run[0], odd]
-        alone += run[1] + 1
+        parts += [run, odd]
         pos = end
     run = _decode_run(text[pos:], marks[pos:])
     if run is None:
         return None
-    return (np.concatenate(parts + [run[0]]) if parts else run[0]), alone + run[1]
+    return np.concatenate(parts + [run]) if parts else run
 
 
 def _decode_cells(data: bytes, start: int = 0) -> np.ndarray | None:
@@ -421,14 +416,10 @@ def _decode_cells(data: bytes, start: int = 0) -> np.ndarray | None:
         end = len(data) if cut is None else cut.start()
         spans.append((start, end))
         start = end
-    # older numpy warns, rather than raises, and stops where it cannot read on
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        blocks = list(_map_blocks(lambda span: _decode_block(data[span[0]:span[1]]), spans))
-    if None in blocks:
+    blocks = list(_map_blocks(lambda span: _decode_block(data[span[0]:span[1]]), spans))
+    if any(cells is None for cells in blocks):
         return None
-    _per_cell_conversions["float"] += sum(alone for _, alone in blocks)
-    return np.concatenate([cells for cells, _ in blocks]) if blocks else np.empty(0)
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
@@ -448,7 +439,6 @@ def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
         if len(tokens) != ncols * nrows:
             raise GridError(
                 f"expected {ncols * nrows} cell values, found {len(tokens)}")
-        _per_cell_conversions["float"] += len(tokens)
         try:
             cells = np.array(tokens, dtype=float)
         except ValueError as exc:
@@ -548,7 +538,7 @@ def _reads_back(distance, half_ulp, s, even) -> np.ndarray:
     `float()` rounds to nearest with ties to even; half an ulp times 10**s
     is exact, a power of two times an exact 10**s.
     """
-    half = half_ulp * _POW10_F64[s]
+    half = half_ulp * _TENS[s]
     return (distance < half) | ((distance == half) & even)
 
 
@@ -592,9 +582,8 @@ def _digit_rows(n: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _encode_rows(rows: np.ndarray) -> tuple[bytes, int]:
-    """ASCII lines of `rows`, each cell written as `repr` writes it, and how
-    many cells `repr()` wrote alone.
+def _encode_rows(rows: np.ndarray) -> bytes:
+    """ASCII lines of `rows`, each cell written as `repr` writes it.
 
     Each cell is laid out as byte columns: a sign, "0." and up to three
     zeros before a decimal whose point precedes all 17 digits, the digits
@@ -648,7 +637,7 @@ def _encode_rows(rows: np.ndarray) -> tuple[bytes, int]:
         fields = b"".join((text + ends[i:i + 1]).ljust(len(columns), b"\0")
                           for i, text in enumerate(texts))
         layout[by_repr] = np.frombuffer(fields, np.uint8).reshape(len(texts), -1)
-    return layout.tobytes().translate(None, b"\0"), len(texts)
+    return layout.tobytes().translate(None, b"\0")
 
 
 def _grid_rows(values: np.ndarray):
@@ -659,9 +648,7 @@ def _grid_rows(values: np.ndarray):
         return
     step = -(-len(values) // max(1, values.size // _BLOCK_CELLS))
     blocks = [values[i:i + step] for i in range(0, len(values), step)]
-    for text, by_repr in _map_blocks(_encode_rows, blocks):
-        _per_cell_conversions["repr"] += by_repr
-        yield text
+    yield from _map_blocks(_encode_rows, blocks)
 
 
 def write_ascii_grid(layer: RasterLayer, sink) -> None:

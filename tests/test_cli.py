@@ -979,6 +979,88 @@ def test_equivalent_logs_give_the_same_outputs(site, transform):
     assert fixture_runs(site) == ([0, 0, 0, 0, 3, 0, 0], FIXTURE_DIGESTS)
 
 
+#: The station logs of the fixture site.
+STATION_LOGS = ("control.csv", "onsite.csv", "onsite_bad.csv", "case.csv")
+
+
+def append_station_rows(site, times):
+    """Append a row at each of `times` to every station log, with the air at
+    50 degC, warmer than any reading of the fixture."""
+    for name in STATION_LOGS:
+        with open(site / name, "a") as fh:
+            fh.writelines(f"{t.isoformat()},50.0,40.0,,1.0,300.0\n" for t in times)
+
+
+def crlf_line_ends(site):
+    """Every log with CRLF line ends."""
+    for name in FIXTURE_LOGS:
+        path = site / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return site
+
+
+def station_columns_reversed(site):
+    """Every station log with its columns in reverse order."""
+    for name in STATION_LOGS:
+        lines = (site / name).read_text().splitlines()
+        (site / name).write_text("".join(",".join(line.split(",")[::-1]) + "\n"
+                                         for line in lines))
+    return site
+
+
+def far_station_day(site):
+    """Every station log with a day logged far from both campaigns."""
+    start = datetime(2021, 3, 1, 9, tzinfo=UTC)
+    append_station_rows(site, [start + timedelta(minutes=i) for i in range(361)])
+    return site
+
+
+def next_local_day(site):
+    """Every station log with every minute of the local day after the before day."""
+    start = datetime.combine(BEFORE_DAY + timedelta(days=1), time(0, 0), PLAN_TZ)
+    append_station_rows(site, [(start + timedelta(minutes=i)).astimezone(UTC)
+                               for i in range(1440)])
+    return site
+
+
+def copied_site(site):
+    """The whole site copied to another directory."""
+    copy = site.with_name(f"{site.name}-copy")
+    shutil.copytree(site, copy)
+    return copy
+
+
+def yaml_keys_reversed(site):
+    """The config and every plan with the keys of each mapping in reverse order."""
+    def reversed_keys(node):
+        if isinstance(node, dict):
+            return {key: reversed_keys(value) for key, value in reversed(node.items())}
+        return [reversed_keys(item) for item in node] if isinstance(node, list) else node
+
+    for name in ("run.yaml", "before_plan.yaml", "after_plan.yaml", "drift_plan.yaml"):
+        path = site / name
+        path.write_text(yaml.safe_dump(reversed_keys(yaml.safe_load(path.read_text())),
+                                       sort_keys=False))
+    return site
+
+
+def grid_header_lines_reversed(site):
+    """Every input grid with its six header lines in reverse order."""
+    for name in ("albedo.asc", "veg.asc", "irr.asc"):
+        lines = (site / name).read_text().splitlines(keepends=True)
+        (site / name).write_text("".join(lines[5::-1] + lines[6:]))
+    return site
+
+
+@pytest.mark.parametrize("transform", [
+    crlf_line_ends, station_columns_reversed, far_station_day, next_local_day,
+    copied_site, yaml_keys_reversed, grid_header_lines_reversed])
+def test_equivalent_sites_give_the_same_outputs(site, transform):
+    """A site that states the same study otherwise gives the same exit codes and
+    output bytes."""
+    assert fixture_runs(transform(site)) == ([0, 0, 0, 0, 3, 0, 0], FIXTURE_DIGESTS)
+
+
 #: `run` called as the console script calls it, on the config in argv[1].
 RUN_FREEZES = """
 import gc, sys

@@ -8,9 +8,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from collections import Counter
 from datetime import date
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -56,6 +59,31 @@ PARSE_KERNEL_SETTINGS = (raster._EXACT_PARSE, False)
 
 needs_parse_kernel = pytest.mark.skipif(not raster._EXACT_PARSE,
                                         reason="numpy's long double is not the x87 format")
+
+
+def float_reads(monkeypatch) -> list[bytes]:
+    """The tokens the codec hands to `float()` one at a time from now on, in any thread."""
+    reads = []
+    real_floats = raster._floats
+
+    def floats(tokens):
+        reads.extend(tokens)
+        return real_floats(tokens)
+
+    monkeypatch.setattr(raster, "_floats", floats)
+    return reads
+
+
+def repr_writes(monkeypatch) -> list[float]:
+    """The cells the codec hands to `repr()` one at a time from now on, in any thread."""
+    writes = []
+
+    def counting_repr(value):
+        writes.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(raster, "repr", counting_repr, raising=False)
+    return writes
 
 
 def parse_grid(source, semantic):
@@ -362,7 +390,7 @@ class TestBlockBoundaries:
         monkeypatch.setattr(raster, "_MAX_WORKERS", 4)
         monkeypatch.setattr(raster.os, "sched_getaffinity", lambda pid: set(range(4)),
                             raising=False)
-        monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
+        reads = float_reads(monkeypatch)
         threads = set()
         real_block = raster._decode_block
 
@@ -382,8 +410,9 @@ class TestBlockBoundaries:
             sys.setswitchinterval(interval)
         want = np.array(text.split(), dtype=float)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert raster._per_cell_conversions == {"float": sum(i % 7 == 3 for i in range(4000)),
-                                                "repr": 0}
+        # 9007199254740993 is a midpoint quotient, divided again without float()
+        assert Counter(reads) == Counter(token.encode() for i, token in enumerate(tokens)
+                                         if i % 7 == 3 and token != "9007199254740993")
         assert 1 <= len(threads) <= 4
 
     def test_pool_is_imported_only_to_convert_a_grid(self):
@@ -882,15 +911,19 @@ cell_values = st.one_of(
 )
 
 
-def read_until_unreadable(data, dtype, sep):
+def read_until_unreadable(data, dtype, sep, warn=False):
     """`np.fromstring(data, dtype, sep=" ")` as older numpy reads text: up
-    to the first number it cannot read to a separator, here without a warning."""
+    to the first number it cannot read to a separator, where it issues a
+    DeprecationWarning if `warn` is set."""
     assert sep == " "
     numbers = []
     for token in data.split():
         number = re.match(rb"-?[0-9]*", token)[0]
         numbers.append(int(number) if number.strip(b"-") else 0)
         if len(number) < len(token):
+            if warn:
+                warnings.warn("string or file could not be read to its end due to "
+                              "unmatched data", DeprecationWarning)
             break
     return np.array(numbers, dtype=dtype)
 
@@ -940,11 +973,15 @@ class TestCodec:
     @pytest.mark.parametrize("token", ["9007199254740993", "-9007199254740995",
                                        "1.0000000000000001110", "4503599627370496.5"])
     def test_parse_divides_midpoint_quotients_again(self, token, monkeypatch):
-        # each of these long-double quotients lands exactly on a float64 midpoint
-        monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
+        # each of these long-double quotients lands exactly on a float64
+        # midpoint, but the mantissa of 1.0000000000000001110 is beyond
+        # int64, so float() reads that token alone
+        reads = float_reads(monkeypatch)
         got = raster._decode_cells(f"1.5 {token} 2.5".encode())
+        assert got is not None
         assert got.tolist() == [1.5, float(token), 2.5]
-        assert raster._per_cell_conversions["float"] == 1
+        beyond_int64 = abs(int(token.replace(".", ""))) > np.iinfo(np.int64).max
+        assert reads == ([token.encode()] if beyond_int64 else [])
 
     @needs_parse_kernel
     @pytest.mark.parametrize("text", ["1 2 x", "1 - 2", "1 . 2", "-", "5 -", "-.", "1-2", "5-",
@@ -952,14 +989,55 @@ class TestCodec:
                                       "1 2\xa03", "1 ٢", "1e5 . 1e5", "nan\t.\n", "1 2 5-",
                                       "1 2 1-2", "1\t2\n-1-2", "5- 1e-05 3", "3 1-2 nan 3",
                                       "1 2-\r\n", "1 --2"])
-    @pytest.mark.parametrize("reader", ["numpy", "stops silently"])
+    @pytest.mark.parametrize("reader", ["numpy", "stops silently", "warns and stops",
+                                        "warns and stops, as an error"])
     def test_parse_leaves_what_it_cannot_read_to_the_per_cell_path(self, text, reader,
                                                                    monkeypatch):
         # older numpy reads a text with a '-' inside a token up to the '-'
-        # and only warns; the kernel must not rely on either behaviour
+        # and only warns; the kernel must not rely on either behaviour, and
+        # a process run under `-W error` makes that warning an exception
         if reader == "stops silently":
             monkeypatch.setattr(raster.np, "fromstring", read_until_unreadable)
-        assert raster._decode_cells(text.encode()) is None
+        elif reader.startswith("warns and stops"):
+            monkeypatch.setattr(raster.np, "fromstring", partial(read_until_unreadable, warn=True))
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("error" if reader.endswith("error") else "default",
+                                  DeprecationWarning)
+            assert raster._decode_cells(text.encode()) is None
+
+    @needs_parse_kernel
+    def test_parse_leaves_the_warnings_filters_as_they_were(self, monkeypatch):
+        # two threads' decodes overlap: the first starts, the second starts,
+        # the first ends, then the second ends
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        real_map_blocks = raster._map_blocks
+
+        def map_blocks(convert, blocks):
+            if threading.current_thread().name == "first":
+                first_in.set()
+                second_in.wait(5)
+            else:
+                first_in.wait(5)
+                second_in.set()
+                first_out.wait(5)
+            return list(real_map_blocks(convert, blocks))
+
+        monkeypatch.setattr(raster, "_map_blocks", map_blocks)
+        got = {}
+
+        def decode(text):
+            got[threading.current_thread().name] = raster._decode_cells(text).tolist()
+            first_out.set()
+
+        before = list(warnings.filters)
+        threads = [threading.Thread(target=decode, args=(text,), name=name)
+                   for name, text in (("first", b"1.5 2"), ("second", b"-3 0.25"))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert got == {"first": [1.5, 2.0], "second": [-3.0, 0.25]}
+        assert warnings.filters == before
 
     def test_decades_are_the_least_doubles_at_or_above_each_power_of_ten(self):
         for e, decade in zip(range(-5, 18), raster._DECADES.tolist()):
@@ -967,18 +1045,28 @@ class TestCodec:
 
     def test_random_grid_stays_in_the_kernel(self, monkeypatch):
         """Under 0.1% of a million random cells take `repr()` or `float()` alone."""
-        monkeypatch.setattr(raster, "_per_cell_conversions", {"float": 0, "repr": 0})
+        writes, reads = repr_writes(monkeypatch), float_reads(monkeypatch)
+        kept = []
+        real_decode_cells = raster._decode_cells
+
+        def decode_cells(data, start=0):
+            cells = real_decode_cells(data, start)
+            kept.append(cells is not None)
+            return cells
+
+        monkeypatch.setattr(raster, "_decode_cells", decode_cells)
         grid = layer(np.random.default_rng(10).random((1000, 1000)), Semantic.UCP)
         sink = io.BytesIO()
         write_ascii_grid(grid, sink)
         text = sink.getvalue().decode()
-        assert raster._per_cell_conversions["repr"] < 1000
+        assert len(writes) < 1000
         rows = text.splitlines()[6:56]
         assert rows == [" ".join(map(repr, row)) for row in grid.values[:50].tolist()]
         again = parse_ascii_grid(io.StringIO(text), Semantic.UCP)
         assert np.array_equal(again.values.view(np.int64), grid.values.view(np.int64))
         if raster._EXACT_PARSE:
-            assert raster._per_cell_conversions["float"] < 1000
+            assert kept == [True]  # the per-cell path converts a text the kernel leaves
+            assert len(reads) < 1000
 
     @pytest.mark.skipif(not (sys.platform.startswith("linux")
                              and platform.machine() == "x86_64"),
