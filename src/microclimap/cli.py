@@ -42,23 +42,23 @@ POINT_CSV_COLUMNS = (
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write a text file via a temp file in the same directory plus rename."""
-    _replace_file(path, text)
+    """Write `text` as UTF-8, whatever the locale, through `_replace_file`."""
+    _replace_file(path, text.encode())
 
 
 def _replace_file(path: Path, *chunks) -> None:
-    """Write `chunks` one after another to `path` through a temp file in its
-    directory plus rename.
+    """Write the bytes-like `chunks` one after another to `path` through a temp
+    file in its directory plus rename.
 
-    The chunks are all str, or all bytes-like (an array's buffer is written
-    without a copy). The temp file `.NAME.<random hex>` is created as `open`
-    creates a new file, so the kernel gives it 0o666 minus the umask bits.
+    An array's buffer is written without a copy. The temp file
+    `.NAME.<random hex>` is created as `open` creates a new file, so the
+    kernel gives it 0o666 minus the umask bits.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w" if isinstance(chunks[0], str) else "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -108,14 +108,19 @@ def load_station(cfg: RunConfig, name: str) -> series_mod.StationSeries:
                                         wind_height=entry.wind_height)
 
 
+def _csv_text(rows) -> str:
+    """`rows` as CSV text, each line ended by CRLF as `csv.writer` ends it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def point_results_csv(results, plan) -> str:
     """Serialize point results with full-precision, deterministic formatting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(POINT_CSV_COLUMNS)
+    rows = [POINT_CSV_COLUMNS]
     for r in results:
         point = plan.point(r.offset.point_id)
-        writer.writerow([
+        rows.append([
             r.offset.point_id,
             series_mod.from_epoch_us(r.drivers.timestamp).isoformat(),
             repr(point.location[0]), repr(point.location[1]),
@@ -125,7 +130,7 @@ def point_results_csv(results, plan) -> str:
             repr(r.offset.utci_mobile), repr(r.offset.utci_ref), repr(r.offset.value),
             heat_stress_category(r.offset.utci_mobile).value,
         ])
-    return buf.getvalue()
+    return _csv_text(rows)
 
 
 #: Columns of points.csv that `compare` reads as finite numbers.
@@ -315,15 +320,11 @@ def compare(cfg: RunConfig, before_id, after_id):
     report_lines = [f"comparison {before_id} -> {after_id}", f"matched points: {len(matched)}"]
     report_lines += [f"unmatched after point: {point_id}" for point_id in unmatched]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["point_id_before", "point_id_after", "environment",
-                     "offset_before_c", "offset_after_c", "delta_c"])
-    for b, a in matched:
-        writer.writerow([b["point_id"], a["point_id"], a["environment"],
-                         repr(b["offset_c"]), repr(a["offset_c"]),
-                         repr(a["offset_c"] - b["offset_c"])])
-    write_atomic(out / "point_deltas.csv", buf.getvalue())
+    write_atomic(out / "point_deltas.csv", _csv_text(
+        [("point_id_before", "point_id_after", "environment",
+          "offset_before_c", "offset_after_c", "delta_c")]
+        + [(b["point_id"], a["point_id"], a["environment"], repr(b["offset_c"]),
+            repr(a["offset_c"]), repr(a["offset_c"] - b["offset_c"])) for b, a in matched]))
 
     # BACI on the fixed stations over the two campaign days, in local day blocks
     try:

@@ -9,6 +9,7 @@ not a copy held here; README's config table lists every default.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta, timezone, tzinfo
 from pathlib import Path
@@ -25,27 +26,29 @@ from .thermal import DEFAULT_Z0_M, GlobeFormula, GlobeSpec
 
 
 def _parse_tz(value) -> tzinfo:
+    """UTC for None, "", "utc" or "UTC"; else a fixed offset in ASCII digits,
+    [+-]H[H][:MM] with hours below 24."""
     if value in (None, "", "utc", "UTC"):
         return timezone.utc
-    text = str(value)
-    sign = -1 if text.startswith("-") else 1
-    body = text.lstrip("+-")
-    try:
-        if ":" in body:
-            hours, minutes = body.split(":")
-        else:
-            hours, minutes = body, "0"
-        return timezone(sign * timedelta(hours=int(hours), minutes=int(minutes)))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse timezone offset {value!r}") from exc
+    match = re.fullmatch(r"([+-]?)([01]?[0-9]|2[0-3])(?::([0-5][0-9]))?", str(value))
+    if match is None:
+        raise ConfigError(f"cannot parse timezone offset {value!r}")
+    sign, hours, minutes = match.groups()
+    offset = timedelta(hours=int(hours), minutes=int(minutes or 0))
+    return timezone(-offset if sign == "-" else offset)
 
 
 def _parse_date(value) -> date:
-    """A YAML date, or its YYYY-MM-DD text."""
-    try:
-        return value if isinstance(value, date) else date.fromisoformat(str(value))
-    except ValueError:
-        raise ConfigError(f"invalid date {value!r}; expected YYYY-MM-DD") from None
+    """A YAML date, or its YYYY-MM-DD text in ASCII digits."""
+    if isinstance(value, date):
+        return value
+    text = str(value)
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass  # a month or day out of range
+    raise ConfigError(f"invalid date {value!r}; expected YYYY-MM-DD")
 
 
 # What reading fields of a hand-written mapping raises on a missing key or

@@ -171,6 +171,7 @@ class RasterLayer:
     semantic: Semantic
 
     def __post_init__(self):
+        _grid_shape(vars(self))
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.nrows, self.ncols):
             raise GridError(
@@ -259,19 +260,20 @@ def _read_header(data: bytes) -> tuple[dict[str, float], float, int]:
     return header, nodata, start
 
 
-def _grid_shape(header: dict[str, float]) -> tuple[int, int]:
-    """(ncols, nrows) of a grid, once every header value is checked."""
-    missing = [k for k in _HEADER_KEYS if k not in header]
+def _grid_shape(geometry) -> tuple[int, int]:
+    """(ncols, nrows) of a grid header, or of a layer's fields, once every
+    geometry value is checked: ncols and nrows positive integers, the rest finite."""
+    missing = [k for k in _HEADER_KEYS if k not in geometry]
     if missing:
         raise GridError(f"missing header keys: {', '.join(missing)}")
     for key in ("ncols", "nrows"):
-        value = header[key]
+        value = geometry[key]
         if not (math.isfinite(value) and value >= 1 and value == int(value)):
             raise GridError(f"{key} must be a positive integer, got {value}")
     for key in ("xllcorner", "yllcorner", "cellsize"):
-        if not math.isfinite(header[key]):
-            raise GridError(f"{key} must be finite, got {header[key]}")
-    return int(header["ncols"]), int(header["nrows"])
+        if not math.isfinite(geometry[key]):
+            raise GridError(f"{key} must be finite, got {geometry[key]}")
+    return int(geometry["ncols"]), int(geometry["nrows"])
 
 
 def _grid_layer(header: dict[str, float], nodata: float, cells: np.ndarray,
@@ -301,10 +303,16 @@ def _token_end(marks: bytes, pos: int) -> int:
     return len(marks) if end < 0 else end
 
 
+def _token_starts(marks: bytes) -> np.ndarray:
+    """Where each whitespace-separated token of `marks` starts."""
+    word = np.frombuffer(marks, np.uint8) != ord(" ")
+    starts = np.flatnonzero(word[1:] > word[:-1]) + 1
+    return np.r_[0, starts] if word[:1].any() else starts
+
+
 def _token_texts(text: bytes, marks: bytes, indices: np.ndarray) -> list[bytes]:
     """The whitespace-separated tokens of `text` at `indices`."""
-    word = np.frombuffer(marks, np.uint8) != ord(" ")
-    starts = np.flatnonzero(word & ~np.r_[False, word[:-1]])[indices].tolist()
+    starts = _token_starts(marks)[indices].tolist()
     return [text[start:_token_end(marks, start)] for start in starts]
 
 
@@ -368,37 +376,32 @@ def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
     return values
 
 
-def _odd_token_spans(marks: bytes) -> list[tuple[int, int]]:
-    """(start, end) of each token with a byte other than a digit, '.' or '-',
-    which `float()` reads alone."""
-    spans, end = [], 0
-    while (hit := marks.find(b"x", end)) >= 0:
-        end = _token_end(marks, hit)
-        spans.append((marks.rfind(b" ", 0, hit) + 1, end))
-    return spans
-
-
 def _decode_block(text: bytes) -> np.ndarray | None:
     """Cells of one block of grid text.
 
     None where the per-cell path must convert the text: a control byte
-    `str.split()` may split on, or a token `float()` rejects.
+    `str.split()` may split on, or a token `float()` rejects. Each token
+    with a byte other than a digit, '.' or '-' is decoded as a 0, then all
+    of them are read by one `_floats` call and put back by index.
     """
     marks = text.translate(_MARKS)
     if b"!" in marks:
         return None
-    parts, pos = [], 0
-    for start, end in _odd_token_spans(marks):
-        run = _decode_run(text[pos:start], marks[pos:start])
-        odd = _floats([text[start:end]])
-        if run is None or odd is None:
-            return None
-        parts += [run, odd]
-        pos = end
-    run = _decode_run(text[pos:], marks[pos:])
-    if run is None:
+    if b"x" not in marks:
+        return _decode_run(text, marks)
+    starts = _token_starts(marks)
+    odd = np.unique(np.searchsorted(
+        starts, np.flatnonzero(np.frombuffer(marks, np.uint8) == ord("x")), "right") - 1)
+    odd_starts = starts[odd].tolist()
+    odd_ends = [_token_end(marks, start) for start in odd_starts]
+    gaps = list(zip([0, *odd_ends], [*odd_starts, len(text)]))
+    values = _decode_run(b"0".join(text[start:end] for start, end in gaps),
+                         b"0".join(marks[start:end] for start, end in gaps))
+    floats = _floats([text[start:end] for start, end in zip(odd_starts, odd_ends)])
+    if values is None or floats is None:
         return None
-    return np.concatenate(parts + [run]) if parts else run
+    values[odd] = floats
+    return values
 
 
 def _decode_cells(data: bytes, start: int = 0) -> np.ndarray | None:
@@ -643,9 +646,6 @@ def _encode_rows(rows: np.ndarray) -> bytes:
 def _grid_rows(values: np.ndarray):
     """ASCII lines of the rows of `values`, each cell as `repr` writes it, yielded
     in even blocks of rows, one per whole `_BLOCK_CELLS` cells (at least one)."""
-    if not values.size:
-        yield b"\n" * len(values)
-        return
     step = -(-len(values) // max(1, values.size // _BLOCK_CELLS))
     blocks = [values[i:i + step] for i in range(0, len(values), step)]
     yield from _map_blocks(_encode_rows, blocks)

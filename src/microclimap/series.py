@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone, tzinfo
@@ -186,13 +187,23 @@ class StationSeries:
                        columns={name: c[lo:hi] for name, c in self.columns.items()})
 
 
+#: The timestamp forms `datetime.fromisoformat` reads alike on every supported
+#: Python: YYYY-MM-DD, 'T' or a space, HH:MM[:SS[.fff[fff]]], [+-]HH:MM; a
+#: stamp without the offset matches too, to be dropped for lacking it.
+_ISO_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}"
+                            r"(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?"
+                            r"(?:[+-][0-9]{2}:[0-9]{2})?")
+
+
 def parse_timestamp(text: str) -> datetime:
     """The UTC datetime of an ISO 8601 timestamp cell; ValueError if it is bad.
 
-    The timestamp needs a UTC offset, and its UTC instant must fall within
-    the years 1 to 9999.
+    The stripped cell must have a form of `_ISO_TIMESTAMP` and a UTC offset,
+    and its UTC instant must fall within the years 1 to 9999.
     """
     raw = text.strip()
+    if not _ISO_TIMESTAMP.fullmatch(raw):
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         raise ValueError("timestamp lacks a UTC offset")

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import UTC, V15_FOR_HALF, globe_for_offset, src_env
 
@@ -415,16 +415,19 @@ class TestConfigErrors:
 @pytest.mark.parametrize("value, offset", [
     (None, timedelta(0)), ("", timedelta(0)), ("UTC", timedelta(0)), ("utc", timedelta(0)),
     ("+02:00", timedelta(hours=2)), ("+2", timedelta(hours=2)),
-    ("-03:30", -timedelta(hours=3, minutes=30)),
+    ("-03:30", -timedelta(hours=3, minutes=30)), (2, timedelta(hours=2)),
+    ("-0:30", -timedelta(minutes=30)), ("+23:59", timedelta(hours=23, minutes=59)),
 ])
 def test_plan_time_zones(value, offset):
     assert config_mod._parse_tz(value).utcoffset(None) == offset
 
 
-@pytest.mark.parametrize("value", ["CET", "+02:00:00", "+2h"])
+@pytest.mark.parametrize("value", ["CET", "+02:00:00", "+2h", "+02:-30", "+02:60", "+1_0",
+                                   "+\uff12", "+-2", "--2", "+2:5", "+24:00", " +2"])
 def test_unparseable_time_zone(site, value):
     plan = site / "before_plan.yaml"
-    plan.write_text(plan.read_text().replace('timezone: "+02:00"', f'timezone: "{value}"'))
+    plan.write_text(plan.read_text().replace('timezone: "+02:00"', f'timezone: "{value}"'),
+                    encoding="utf-8")
     TestMalformedConfigExitsTwo.assert_one_line_exit_two(
         run(site, "process", "before"),
         f"cannot process campaign: invalid plan file {plan}: "
@@ -966,9 +969,8 @@ def shuffled(rows):
     return rows
 
 
-@pytest.mark.parametrize("transform", [at_plus_two, shuffled])
-def test_equivalent_logs_give_the_same_outputs(site, transform):
-    """Logs that state the same samples give the same exit codes and output bytes."""
+def rows_rewritten(site, transform):
+    """Every log with its rows passed through `transform`, which changes each log."""
     for name in FIXTURE_LOGS:
         text = (site / name).read_text()
         header, *lines = text.splitlines()
@@ -976,6 +978,13 @@ def test_equivalent_logs_give_the_same_outputs(site, transform):
         changed = "\n".join([header, *map(",".join, rows)]) + "\n"
         assert changed != text
         (site / name).write_text(changed)
+    return site
+
+
+@pytest.mark.parametrize("transform", [at_plus_two, shuffled])
+def test_equivalent_logs_give_the_same_outputs(site, transform):
+    """Logs that state the same samples give the same exit codes and output bytes."""
+    rows_rewritten(site, transform)
     assert fixture_runs(site) == ([0, 0, 0, 0, 3, 0, 0], FIXTURE_DIGESTS)
 
 
@@ -1059,6 +1068,61 @@ def test_equivalent_sites_give_the_same_outputs(site, transform):
     """A site that states the same study otherwise gives the same exit codes and
     output bytes."""
     assert fixture_runs(transform(site)) == ([0, 0, 0, 0, 3, 0, 0], FIXTURE_DIGESTS)
+
+
+#: Every transform of the two tests above, in an order in which each keeps
+#: what the others mean: rows are appended before the logs are rewritten,
+#: columns are reversed after the timestamps are, line ends change after every
+#: rewrite of a line, and the site is copied last.
+COMPOSABLE = (far_station_day, next_local_day,
+              functools.partial(rows_rewritten, transform=at_plus_two),
+              functools.partial(rows_rewritten, transform=shuffled), station_columns_reversed,
+              yaml_keys_reversed, grid_header_lines_reversed, crlf_line_ends, copied_site)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chosen=st.tuples(*[st.booleans()] * len(COMPOSABLE)))
+@example(chosen=(True,) * len(COMPOSABLE))
+def test_composed_equivalences_give_the_same_outputs(chosen):
+    """Any mix of the equivalent logs and sites gives the same exit codes and
+    output bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        site = Path(tmp) / "site"
+        site.mkdir()
+        for name, blob in fuzz_site().items():
+            (site / name).write_bytes(blob)
+        for apply, transform in zip(chosen, COMPOSABLE):
+            site = transform(site) if apply else site
+        assert fixture_runs(site) == ([0, 0, 0, 0, 3, 0, 0], FIXTURE_DIGESTS)
+
+
+#: A locale whose preferred encoding is ASCII, with Python's UTF-8 mode and
+#: its coercion of the C locale both off.
+C_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_outputs_are_utf8_whatever_the_locale(site):
+    """A point named in French gives the exit codes and output bytes of a UTF-8
+    locale under the C locale too, as `python -m microclimap.cli`."""
+    for name in ("before_plan.yaml", "after_plan.yaml", "before_mobile.csv",
+                 "after_mobile.csv"):
+        path = site / name
+        path.write_text(path.read_text().replace("P1", "Pr\u00e9au"), encoding="utf-8")
+    utf8 = copied_site(site)
+    commands = (("process", "before"), ("process", "after"), ("compare", "before", "after"))
+    codes = []
+    for args in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "microclimap.cli", "-c", str(site / "run.yaml"), *args],
+            env=dict(src_env(), **C_LOCALE), capture_output=True, timeout=120)
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode(errors="replace")
+        codes.append(proc.returncode)
+    assert codes == [in_process(utf8, *args)[0] for args in commands] == [0, 0, 0]
+    assert "Pr\u00e9au" in (site / "out" / "before" / "points.csv").read_bytes().decode()
+    outputs = {path.relative_to(utf8): path.read_bytes()
+               for path in (utf8 / "out").rglob("*") if path.is_file()}
+    assert {path.relative_to(site): path.read_bytes()
+            for path in (site / "out").rglob("*") if path.is_file()} == outputs
 
 
 #: `run` called as the console script calls it, on the config in argv[1].
@@ -1349,6 +1413,15 @@ class TestExitCodeMap:
         assert_one_line_exit_two(
             run(site, "check-day", "2019-13-40"),
             "cannot evaluate day: invalid date '2019-13-40'; expected YYYY-MM-DD")
+
+    @pytest.mark.parametrize("args, phrase", [
+        (("20190725",), "invalid date '20190725'; expected YYYY-MM-DD"),
+        (("2019-W30-4",), "invalid date '2019-W30-4'; expected YYYY-MM-DD"),
+        (("2019-07-25", "--tz", "+02:-30"), "cannot parse timezone offset '+02:-30'"),
+    ], ids=["compact", "week", "offset"])
+    def test_check_day_reads_one_date_and_offset_form(self, site, args, phrase):
+        """Only YYYY-MM-DD names a day, on every supported Python."""
+        assert_one_line_exit_two(run(site, "check-day", *args), f"cannot evaluate day: {phrase}")
 
 
 def test_day_offsets_keep_the_last_half_second_of_the_local_day(site):

@@ -415,6 +415,27 @@ class TestBlockBoundaries:
                                          if i % 7 == 3 and token != "9007199254740993")
         assert 1 <= len(threads) <= 4
 
+    @needs_parse_kernel
+    def test_exponent_grid_converts_each_block_in_one_pass(self, monkeypatch):
+        """A grid `np.savetxt` writes, an exponent in every cell, reads as
+        `float()` reads it, with one `_floats` call per block."""
+        monkeypatch.setattr(raster, "_BLOCK_BYTES", 4096)
+        blocks, passes = [], []
+        real_block, real_floats = raster._decode_block, raster._floats
+        monkeypatch.setattr(raster, "_decode_block",
+                            lambda text: blocks.append(len(text.split())) or real_block(text))
+        monkeypatch.setattr(raster, "_floats",
+                            lambda tokens: passes.append(len(tokens)) or real_floats(tokens))
+        values = np.random.default_rng(11).normal(0.0, 1e3, (40, 30))
+        buf = io.BytesIO()
+        buf.write(b"ncols 30\nnrows 40\nxllcorner 0\nyllcorner 0\ncellsize 1\n")
+        np.savetxt(buf, values)
+        grid = parse_ascii_grid(io.BytesIO(buf.getvalue()), Semantic.IRRADIANCE_RAW)
+        want = np.array([float(token) for token in buf.getvalue().split()[10:]])
+        assert np.array_equal(grid.values.ravel().view(np.int64), want.view(np.int64))
+        assert np.array_equal(grid.values, values)
+        assert len(blocks) > 1 and sorted(passes) == sorted(blocks)
+
     def test_pool_is_imported_only_to_convert_a_grid(self):
         code = ("import sys, microclimap.cli; "
                 "assert 'concurrent.futures' not in sys.modules, 'imported'")
@@ -849,6 +870,22 @@ class TestLayerValidation:
         grid = layer([[0.2, 0.3]], Semantic.ALBEDO, xll=10.0, yll=20.0,
                      cellsize=2.0)
         assert grid.extent() == (10.0, 20.0, 14.0, 22.0)
+
+    @pytest.mark.parametrize("fields, phrase", [
+        ({"xllcorner": math.nan}, "xllcorner must be finite, got nan"),
+        ({"cellsize": math.inf}, "cellsize must be finite, got inf"),
+        ({"ncols": 0, "nrows": 0}, "ncols must be a positive integer, got 0"),
+    ], ids=["nan-corner", "infinite-cellsize", "no-cells"])
+    def test_layer_obeys_the_grid_file_geometry(self, fields, phrase):
+        """A layer built in code is refused for what refuses its grid file."""
+        geometry = {"ncols": 1, "nrows": 1, "xllcorner": 0.0, "yllcorner": 0.0,
+                    "cellsize": 1.0, **fields}
+        values = np.zeros((geometry["nrows"], geometry["ncols"]))
+        with pytest.raises(GridError, match=re.escape(phrase)):
+            RasterLayer(**geometry, nodata=NODATA, values=values, semantic=Semantic.ALBEDO)
+        header = "".join(f"{key} {value}\n" for key, value in geometry.items())
+        with pytest.raises(GridError, match=re.escape(phrase)):
+            parse_ascii_grid(io.StringIO(header + "0.5\n"), Semantic.ALBEDO)
 
 
 def float_from_bits(bits):

@@ -56,6 +56,23 @@ class TestParseStationCsv:
         with pytest.raises(SchemaError, match="t_air"):
             parse_station_csv(src, station_id="s")
 
+    @pytest.mark.parametrize("stamp", ["2019-07-25T08:00:00Z", "2019-07-25T08:00:00+0200",
+                                       "20190725T080000+02:00", "2019-W30-4T08:00:00+02:00",
+                                       "2019-07-25T08:00:00.12+02:00", "2019-07-25t08:00+02:00",
+                                       "2019-07-25T08:00:00+02:00:00", "2019-07-25"])
+    def test_timestamp_of_a_form_some_pythons_read_is_dropped(self, stamp):
+        """Only the ISO forms every supported Python reads alike are kept."""
+        src = csv_rows(["2019-07-25T08:01:00+02:00,25.0,50,,,\n", f"{stamp},25.1,50,,,\n"])
+        report = parse_station_csv(src, station_id="s").load_report
+        assert report.drop_reasons == [f"line 3: Invalid isoformat string: {stamp!r}"]
+
+    @pytest.mark.parametrize("stamp", ["2019-07-25T06:00:00+00:00", "2019-07-25 08:00+02:00",
+                                       "2019-07-25T08:00:00.000+02:00",
+                                       " 2019-07-25T02:00:00.000000-04:00 "])
+    def test_timestamp_forms_every_python_reads(self, stamp):
+        series = parse_station_csv(csv_rows([f"{stamp},25.0,50,,,\n"]), station_id="s")
+        assert series.t_us.tolist() == [epoch_us(datetime(2019, 7, 25, 6, tzinfo=timezone.utc))]
+
     def test_zero_valid_rows(self):
         src = csv_rows(["bad,25,50,,,\n"])
         with pytest.raises(SchemaError, match="no valid rows"):
