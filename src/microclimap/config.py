@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from datetime import date, timedelta, timezone, tzinfo
+from datetime import date, datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 
 import yaml
@@ -39,7 +39,9 @@ def _parse_tz(value) -> tzinfo:
 
 
 def _parse_date(value) -> date:
-    """A YAML date, or its YYYY-MM-DD text in ASCII digits."""
+    """A YAML date, or its YYYY-MM-DD text in ASCII digits; a timestamp is not a date."""
+    if isinstance(value, datetime):
+        value = str(value)  # rejected below, and named as written rather than by its repr
     if isinstance(value, date):
         return value
     text = str(value)

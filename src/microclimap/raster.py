@@ -19,9 +19,9 @@ cell, with exactly the values `float()` reads and the text `repr()` writes:
   rounding that quotient to float64 gives float()'s value unless it lies
   exactly on a float64 midpoint; those cells are divided again as Python
   integers. Other tokens (an exponent, `nan`, `+`, `_`, 20 or more fraction
-  digits, a mantissa beyond int64, a negative zero) go through `float()`
-  one at a time. A text the kernel would split or read differently from
-  `str.split()` and `float()` (a non-ASCII or control byte, a token
+  digits, a mantissa beyond int64, a negative zero) go through `float()`,
+  in one list per block. A text the kernel would split or read differently
+  from `str.split()` and `float()` (a non-ASCII or control byte, a token
   `float()` rejects) is converted cell by cell instead, so every error
   keeps its wording. The kernel finds a '-' inside a token, or a token
   without a digit, from the text itself rather than from how
@@ -69,6 +69,7 @@ current sidecar, is parsed and validated in full. Since the text holds the
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import math
@@ -235,10 +236,10 @@ def _read_header(data: bytes) -> tuple[dict[str, float], float, int]:
 
     The header is every leading line of the grid bytes `data` whose first
     word is a header key; blank lines are skipped. A key may appear once.
-    Lines end as universal newlines end them, and each is read as UTF-8.
+    Lines end as universal newlines end them and read as UTF-8 after any leading BOM.
     """
     header: dict[str, float] = {}
-    start = 0
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     while start < len(data):
         end = _LINE_END.search(data, start)
         end = len(data) if end is None else end.end()
@@ -310,12 +311,6 @@ def _token_starts(marks: bytes) -> np.ndarray:
     return np.r_[0, starts] if word[:1].any() else starts
 
 
-def _token_texts(text: bytes, marks: bytes, indices: np.ndarray) -> list[bytes]:
-    """The whitespace-separated tokens of `text` at `indices`."""
-    starts = _token_starts(marks)[indices].tolist()
-    return [text[start:_token_end(marks, start)] for start in starts]
-
-
 def _floats(tokens: list[bytes]) -> list[float] | None:
     """`float()` of each token, or None when one does not convert."""
     try:
@@ -330,17 +325,19 @@ def _dashes_lead_tokens(text: bytes) -> bool:
     return leading == text.count(b"-")
 
 
-def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
-    """Cells of tokens made of digits, '.' and '-'.
+def _decode_run(text: bytes, marks: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Cells of tokens made of digits, '.' and '-', and which of them `float()` must read:
+    a mantissa beyond int64, 20 or more fraction digits or a negative zero.
 
-    None when a token is malformed. An older numpy that stops reading where
-    it cannot read on, with or without a DeprecationWarning, is caught by
-    what the text holds: every '-' must start a token, and the digits must
-    read as many numbers as the marks, which hold only '0', '1' and spaces.
-    Under a filter that makes the warning an error the read raises it.
+    Those cells are left for the caller. None when a token is malformed.
+    An older numpy that stops reading where it cannot read on, with or
+    without a DeprecationWarning, is caught by what the text holds: every
+    '-' must start a token, and the digits must read as many numbers as the
+    marks, which hold only '0', '1' and spaces. Under a filter that makes
+    the warning an error the read raises it.
     """
     if marks.isspace() or not marks:
-        return np.empty(0)  # np.fromstring reads whitespace alone as one 0
+        return np.empty(0), np.zeros(0, bool)  # np.fromstring reads whitespace as one 0
     if b"-" in text and not _dashes_lead_tokens(text):
         return None
     digits = text.replace(b".", b"")
@@ -361,19 +358,13 @@ def _decode_run(text: bytes, marks: bytes) -> np.ndarray | None:
     negative = mantissa < 0
     if b"-" in text and text.count(b"-") != np.count_nonzero(negative):
         zeros = np.flatnonzero(mantissa == 0)  # a '-' with no digit, or a negative zero
-        signed = [token.startswith(b"-") for token in _token_texts(text, marks, zeros)]
-        alone[zeros[signed]] = True
+        dash = np.frombuffer(text, np.uint8)[_token_starts(marks)[zeros]] == ord("-")
+        alone[zeros[dash]] = True
     values, midpoint = _exact_double(np.abs(mantissa).view(np.uint64), divisor)
     np.negative(values, out=values, where=negative)
     for i in np.flatnonzero(midpoint & ~alone).tolist():
         values[i] = int(mantissa[i]) / int(divisor[i])  # a correctly rounded quotient
-    indices = np.flatnonzero(alone)
-    if indices.size:
-        floats = _floats(_token_texts(text, marks, indices))
-        if floats is None:
-            return None
-        values[indices] = floats
-    return values
+    return values, alone
 
 
 def _decode_block(text: bytes) -> np.ndarray | None:
@@ -381,26 +372,34 @@ def _decode_block(text: bytes) -> np.ndarray | None:
 
     None where the per-cell path must convert the text: a control byte
     `str.split()` may split on, or a token `float()` rejects. Each token
-    with a byte other than a digit, '.' or '-' is decoded as a 0, then all
-    of them are read by one `_floats` call and put back by index.
+    with a byte other than a digit, '.' or '-' is decoded as a 0; those
+    tokens and the ones `_decode_run` leaves are then read by one `_floats`
+    call and put back by index.
     """
     marks = text.translate(_MARKS)
     if b"!" in marks:
         return None
-    if b"x" not in marks:
-        return _decode_run(text, marks)
-    starts = _token_starts(marks)
-    odd = np.unique(np.searchsorted(
-        starts, np.flatnonzero(np.frombuffer(marks, np.uint8) == ord("x")), "right") - 1)
-    odd_starts = starts[odd].tolist()
-    odd_ends = [_token_end(marks, start) for start in odd_starts]
-    gaps = list(zip([0, *odd_ends], [*odd_starts, len(text)]))
-    values = _decode_run(b"0".join(text[start:end] for start, end in gaps),
-                         b"0".join(marks[start:end] for start, end in gaps))
-    floats = _floats([text[start:end] for start, end in zip(odd_starts, odd_ends)])
-    if values is None or floats is None:
+    starts, odd, gaps = None, False, [(0, len(text))]
+    if b"x" in marks:
+        starts = _token_starts(marks)
+        odd = np.zeros(starts.size, bool)
+        odd[np.searchsorted(starts, np.flatnonzero(np.frombuffer(marks, np.uint8) == ord("x")),
+                            "right") - 1] = True
+        odd_starts = starts[odd].tolist()
+        gaps = list(zip([0, *(_token_end(marks, start) for start in odd_starts)],
+                        [*odd_starts, len(text)]))
+    run = _decode_run(b"0".join(text[start:end] for start, end in gaps),
+                      b"0".join(marks[start:end] for start, end in gaps))
+    if run is None:
         return None
-    values[odd] = floats
+    values, alone = run
+    read = np.flatnonzero(alone | odd)
+    if read.size:
+        starts = _token_starts(marks) if starts is None else starts
+        floats = _floats([text[start:_token_end(marks, start)] for start in starts[read].tolist()])
+        if floats is None:
+            return None
+        values[read] = floats
     return values
 
 
@@ -428,12 +427,10 @@ def _decode_cells(data: bytes, start: int = 0) -> np.ndarray | None:
 def parse_ascii_grid(source, semantic: Semantic) -> RasterLayer:
     """Read an ESRI ASCII grid and validate it against the declared semantic.
 
-    `source` is a path or an open file; a text file's str is read as UTF-8.
+    `source` is a path or a binary file, read as UTF-8 after any leading BOM.
     """
     with opened(source, "rb") as fh:
         data = fh.read()
-    if isinstance(data, str):
-        data = data.encode()
     header, nodata, start = _read_header(data)
     ncols, nrows = _grid_shape(header)
     cells = _decode_cells(data, start)

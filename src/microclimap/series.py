@@ -106,13 +106,14 @@ def local_midnight_us(day: date, tz: tzinfo) -> int:
 def opened(source, mode: str = "r", newline: str | None = None, error=SchemaError):
     """The open file `source` names when it is a path, else `source` itself.
 
-    A path opened as text reads as UTF-8. A byte that is not UTF-8, or a
-    line `csv` cannot read, raises `error` naming the file.
+    A path opened as text reads as UTF-8 after any leading byte-order mark
+    (BOM). A byte that is not UTF-8, or a line `csv` cannot read, raises
+    `error` naming the file.
     """
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
         yield source
         return
-    with open(source, mode, encoding=None if "b" in mode else "utf-8", newline=newline) as fh:
+    with open(source, mode, encoding=None if "b" in mode else "utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:

@@ -862,7 +862,10 @@ for args in (["check-day", day], ["ucp"], ["process", "before"],
 """
 
 
-def test_no_command_imports_scipy(site):
+@pytest.mark.parametrize("albedo_cell", ["0.1", "1e-05"])
+def test_no_command_imports_scipy(site, albedo_cell):
+    albedo = site / "albedo.asc"
+    albedo.write_text(albedo.read_text().replace("\n0.1 ", f"\n{albedo_cell} ", 1))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, str(site / "run.yaml"),
          BEFORE_DAY.isoformat()],
@@ -1423,6 +1426,14 @@ class TestExitCodeMap:
         """Only YYYY-MM-DD names a day, on every supported Python."""
         assert_one_line_exit_two(run(site, "check-day", *args), f"cannot evaluate day: {phrase}")
 
+    def test_plan_date_with_a_time(self, site):
+        """A YAML timestamp is not a plan date, for `check-day` as for `process`."""
+        plan = site / "before_plan.yaml"
+        plan.write_text(plan.read_text().replace("date: 2019-07-25", "date: 2019-07-25 08:00:00"))
+        for args in (("check-day", BEFORE_DAY.isoformat()), ("process", "before")):
+            assert_one_line_exit_two(run(site, *args),
+                                     "invalid date '2019-07-25 08:00:00'; expected YYYY-MM-DD")
+
 
 def test_day_offsets_keep_the_last_half_second_of_the_local_day(site):
     from microclimap.cli import day_offsets, load_station
@@ -1445,6 +1456,26 @@ def test_day_offsets_keep_the_last_half_second_of_the_local_day(site):
 #: The commands the fuzz test runs, in pipeline order.
 FUZZ_COMMANDS = (("check-day", BEFORE_DAY.isoformat()), ("ucp",), ("process", "before"),
                  ("process", "after"), ("compare", "before", "after"))
+
+
+def pipeline_runs(site):
+    """Exit code and stdout of each of `FUZZ_COMMANDS`, and the bytes of every output file."""
+    runs = [in_process(site, *args) for args in FUZZ_COMMANDS]
+    out = site / "out"
+    return runs, {path.relative_to(out): path.read_bytes()
+                  for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("name", ["control.csv", "before_mobile.csv", "albedo.asc"])
+def test_leading_byte_order_mark_is_skipped(site, name):
+    """A log or grid that starts with a UTF-8 BOM, as Excel and Windows
+    editors write it, gives the same exit codes, stdout and output bytes."""
+    plain = pipeline_runs(site)
+    assert [code for code, _ in plain[0]] == [0] * len(FUZZ_COMMANDS)
+    shutil.rmtree(site / "out")
+    (site / name).write_bytes(b"\xef\xbb\xbf" + (site / name).read_bytes())
+    assert pipeline_runs(site) == plain
+
 
 #: Every kind of input; outputs read by later commands are spoiled once written.
 FUZZ_TARGETS = ("control.csv", "case.csv", "onsite.csv", "before_mobile.csv",

@@ -87,17 +87,18 @@ def repr_writes(monkeypatch) -> list[float]:
 
 
 def parse_grid(source, semantic):
-    """`parse_ascii_grid` with the parse kernel on and forced off.
+    """`parse_ascii_grid` of the grid's bytes with the parse kernel on and forced off.
 
     Both must give the same layer or the same GridError text; the layer is
     returned and the error raised.
     """
-    text = source.getvalue() if isinstance(source, io.StringIO) else Path(source).read_text()
+    data = (source.getvalue().encode() if isinstance(source, io.StringIO)
+            else Path(source).read_bytes())
     outcomes = []
     for kernel in PARSE_KERNEL_SETTINGS:
         with mock.patch.object(raster, "_EXACT_PARSE", kernel):
             try:
-                outcomes.append(parse_ascii_grid(io.StringIO(text), semantic))
+                outcomes.append(parse_ascii_grid(io.BytesIO(data), semantic))
             except GridError as exc:
                 outcomes.append(exc)
     on, off = outcomes
@@ -436,6 +437,25 @@ class TestBlockBoundaries:
         assert np.array_equal(grid.values, values)
         assert len(blocks) > 1 and sorted(passes) == sorted(blocks)
 
+    def test_block_reads_odd_and_alone_tokens_in_one_pass(self, monkeypatch):
+        """An exponent, `nan`, 20 fraction digits and a negative zero among
+        plain decimals read as `float()` reads them, by one `_floats` call
+        on the kernel's block and by none on the per-cell path."""
+        reads = [b"1e-05", b"nan", b"0.12345678901234567890", b"-0.0"]
+        tokens = [b"0.25", reads[0], b"-3.5", reads[1], b"7", reads[2], reads[3], b"0.125"]
+        data = b"ncols 8\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n" + b" ".join(tokens)
+        want = np.array([float(token) for token in tokens])
+        real_floats = raster._floats
+        monkeypatch.setattr(raster, "_grid_layer", lambda header, nodata, cells, semantic: cells)
+        for kernel in PARSE_KERNEL_SETTINGS:
+            passes = []
+            monkeypatch.setattr(raster, "_EXACT_PARSE", kernel)
+            monkeypatch.setattr(raster, "_floats",
+                                lambda tokens: passes.append(tokens) or real_floats(tokens))
+            cells = parse_ascii_grid(io.BytesIO(data), Semantic.IRRADIANCE_RAW)
+            assert np.array_equal(cells.view(np.int64), want.view(np.int64)), kernel
+            assert passes == ([reads] if kernel else []), kernel
+
     def test_pool_is_imported_only_to_convert_a_grid(self):
         code = ("import sys, microclimap.cli; "
                 "assert 'concurrent.futures' not in sys.modules, 'imported'")
@@ -609,6 +629,13 @@ class TestCellsSidecar:
         got = raster.read_ascii_grid(path, Semantic.UCP)
         assert parses == []
         assert got.nodata == -1.0
+
+    def test_grid_after_a_bom_is_read_with_the_sidecar(self, tmp_path, parses):
+        path = computed_grid(tmp_path / "ucp.asc", ucp_values(), edit=("ncols", "\ufeffncols"))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfncols 10\n")
+        got = raster.read_ascii_grid(path, Semantic.UCP)
+        assert parses == []
+        assert_same_layer(got, parse_ascii_grid(path, Semantic.UCP))
 
     def test_edited_grid_keeps_the_parse_errors(self, tmp_path, monkeypatch):
         for kernel in PARSE_KERNEL_SETTINGS:
@@ -885,7 +912,7 @@ class TestLayerValidation:
             RasterLayer(**geometry, nodata=NODATA, values=values, semantic=Semantic.ALBEDO)
         header = "".join(f"{key} {value}\n" for key, value in geometry.items())
         with pytest.raises(GridError, match=re.escape(phrase)):
-            parse_ascii_grid(io.StringIO(header + "0.5\n"), Semantic.ALBEDO)
+            parse_ascii_grid(io.BytesIO((header + "0.5\n").encode()), Semantic.ALBEDO)
 
 
 def float_from_bits(bits):
@@ -1099,7 +1126,7 @@ class TestCodec:
         assert len(writes) < 1000
         rows = text.splitlines()[6:56]
         assert rows == [" ".join(map(repr, row)) for row in grid.values[:50].tolist()]
-        again = parse_ascii_grid(io.StringIO(text), Semantic.UCP)
+        again = parse_ascii_grid(io.BytesIO(text.encode()), Semantic.UCP)
         assert np.array_equal(again.values.view(np.int64), grid.values.view(np.int64))
         if raster._EXACT_PARSE:
             assert kept == [True]  # the per-cell path converts a text the kernel leaves
