@@ -123,7 +123,7 @@ class MobileLog:
     t_us: np.ndarray = field(repr=False)
     point_ids: np.ndarray = field(repr=False)
     columns: dict[str, np.ndarray] = field(repr=False)
-    load_report: LoadReport | None = None
+    load_report: LoadReport = field(default_factory=LoadReport)
 
     def __len__(self) -> int:
         return len(self.t_us)
@@ -216,17 +216,20 @@ class CampaignReport:
     campaign_id: str
     day_filter: DayFilterResult  # a rejected day was processed by override
     failures: list[tuple[str, str]]  # (point_id, reason)
-    drift: DriftReport | None
+    drift: DriftReport | str | None  # a text: why the drift check could not run
+    loads: list[LoadReport]  # of the control, on-site and mobile logs read
 
     def summary(self) -> str:
         lines = [f"campaign {self.campaign_id}",
+                 *(r.summary() for r in self.loads if r.dropped_rows),
                  "day filter: " + ("accepted" if self.day_filter.accepted
                                    else "REJECTED (override)")]
         lines.extend(f"  - {r}" for r in self.day_filter.reasons)
         for point_id, reason in self.failures:
             lines.append(f"point {point_id} unusable: {reason}")
         if self.drift is not None:
-            lines.append(self.drift.summary())
+            lines.append(f"drift check skipped: {self.drift}" if isinstance(self.drift, str)
+                         else self.drift.summary())
         return "\n".join(lines)
 
 
@@ -436,8 +439,7 @@ def process_campaign(plan: CampaignPlan, log: MobileLog,
     reported; the campaign only fails outright when no point is usable. A
     stop flagged too short is unusable before its stabilization is tried.
     When an on-site fixed station is supplied, its UTCI offset against the
-    control is drift-checked over the traverse span; when the check cannot
-    run, the reason is reported as a `__drift__` failure.
+    control is drift-checked over the traverse span, or the report says why not.
     """
     filter_result = day_filter(day_summary, day_thresholds)
     if not (filter_result.accepted or override_day_filter):
@@ -485,13 +487,14 @@ def process_campaign(plan: CampaignPlan, log: MobileLog,
                                     "utci", globe=globe, z0=z0)
             drift = drift_diagnostic(offsets, span, drift_thresholds)
         except (DomainError, ValidityError, MatchError) as exc:
-            failures.append(("__drift__", f"drift check skipped: {exc}"))
+            drift = str(exc)
 
     report = CampaignReport(
         campaign_id=plan.campaign_id,
         day_filter=filter_result,
         failures=failures,
         drift=drift,
+        loads=[s.load_report for s in (control, onsite, log) if s is not None],
     )
     ordered = [results[p.point_id] for p in plan.points if p.point_id in results]
     return ordered, report

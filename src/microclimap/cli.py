@@ -1,8 +1,9 @@
 """Command-line orchestration of the full pipeline.
 
 Subcommands: check-day, process, compare, ucp. All data comes from one
-declarative YAML config; logs go to stderr, data to files only, and every
-output file is written atomically (temp + rename) so interrupted runs
+declarative YAML config. A command's report goes to stdout (and to report.txt
+for process and compare), stderr holds only progress and the exit reason, and
+every output file is written atomically (temp + rename) so interrupted runs
 never leave corrupt partial files.
 
 Exit codes: 0 ok, 1 criterion rejection, 2 data missing or invalid,
@@ -26,7 +27,6 @@ import click
 from . import analysis, campaign as campaign_mod, raster as raster_mod, series as series_mod
 from .config import RunConfig, load_config, load_plan, _parse_date, _parse_tz
 from .errors import ConfigError, DayRejectedError, DomainError, MicroclimapError, SchemaError
-from .series import DriftVerdict
 from .thermal import heat_stress_category
 
 EXIT_OK = 0
@@ -216,6 +216,8 @@ def check_day(cfg: RunConfig, day, oktas, tz_offset):
                f"cloud cover={summary.cloud_cover_oktas:g} oktas, "
                f"stability class={'n/a' if stability is None else stability.value}, "
                f"mean daytime wind={'n/a' if wind is None else f'{wind:.2f} m/s'}")
+    if control.load_report.dropped_rows:
+        click.echo(control.load_report.summary())
     for c in result.criteria:
         click.echo(f"  [pass] {c.label}" if c.passed else f"  [FAIL] {c.label}: {c.reason}")
     click.echo("verdict: " + ("accepted" if result.accepted else "rejected"))
@@ -239,11 +241,6 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
     mobile_log = campaign_mod.parse_mobile_csv(entry.mobile_log_path)
     summary = campaign_mod.derive_day_summary(control, plan.day, entry.cloud_cover_oktas,
                                               plan.tz, z0=cfg.z0)
-    mobile_report = mobile_log.load_report
-    if mobile_report.dropped_rows:
-        log(f"mobile log: dropped {mobile_report.dropped_rows} of "
-            f"{mobile_report.rows_read} rows (first: {mobile_report.drop_reasons[0]})")
-
     results, report = campaign_mod.process_campaign(
         plan, mobile_log, control,
         day_summary=summary, onsite=onsite,
@@ -259,13 +256,13 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
     out = cfg.output_dir / campaign_id
     write_atomic(out / "points.csv", point_results_csv(results, plan))
     write_atomic(out / "points.geojson", raster_mod.geojson_dumps(collection))
-    write_atomic(out / "report.txt", report.summary() + "\n")
+    text = report.summary() + "\n"
+    write_atomic(out / "report.txt", text)
+    click.echo(text, nl=False)
     log(f"wrote {len(results)} point results to {out}")
-    for point_id, reason in report.failures:
-        log(f"point {point_id} unusable: {reason}")
 
-    if (report.drift is not None
-            and report.drift.verdict is DriftVerdict.DRIFTING
+    if (isinstance(report.drift, series_mod.DriftReport)
+            and report.drift.verdict is series_mod.DriftVerdict.DRIFTING
             and not allow_drift):
         log("drift detected on the on-site station: " + report.drift.summary())
         sys.exit(EXIT_DRIFT)
@@ -333,6 +330,8 @@ def compare(cfg: RunConfig, before_id, after_id):
                               f"({before_plan.tz} and {after_plan.tz})")
         case = load_station(cfg, "case")
         control = load_station(cfg, "control")
+        report_lines += [s.load_report.summary() for s in (case, control)
+                         if s.load_report.dropped_rows]
         estimate = analysis.baci_effect(
             analysis.BaciDataset(before=day_offsets(cfg, case, control, before_plan),
                                  after=day_offsets(cfg, case, control, after_plan),

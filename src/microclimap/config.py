@@ -143,7 +143,8 @@ def load_plan(path) -> CampaignPlan:
     try:
         points = [
             TraversePoint(
-                str(p["point_id"]), (float(p["lon"]), float(p["lat"])),
+                str(p["point_id"]),
+                tuple(_number(f"point {str(p['point_id'])!r} {k}", p[k]) for k in ("lon", "lat")),
                 environment=Environment(p["environment"]),
                 displaced_from=_optional_str(p.get("displaced_from")),
             )

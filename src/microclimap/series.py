@@ -156,6 +156,11 @@ class LoadReport:
     rows_read: int = 0
     dropped_rows: int = 0
     drop_reasons: list[str] = field(default_factory=list)
+    log_name: str = field(default="", compare=False)  # as `parse_rows` names the log
+
+    def summary(self) -> str:
+        return (f"{self.log_name}: dropped {self.dropped_rows} of {self.rows_read} rows "
+                f"(first: {self.drop_reasons[0]})")
 
 
 @dataclass(eq=False)
@@ -171,7 +176,7 @@ class StationSeries:
     t_us: np.ndarray = field(repr=False)
     columns: dict[str, np.ndarray] = field(repr=False)
     wind_height: float = DEFAULT_WIND_HEIGHT_M  # m, read to convert wind to 10 m
-    load_report: LoadReport | None = None
+    load_report: LoadReport = field(default_factory=LoadReport)
 
     @property
     def samples(self) -> list[WeatherSample]:
@@ -384,7 +389,7 @@ def parse_rows(source, log_name: str, column_map: dict[str, str] | None = None,
         labels = np.array([c.strip() for c in cells[label]], dtype=object)
         clean &= labels != ""
 
-    report = LoadReport(rows_read=n)
+    report = LoadReport(rows_read=n, log_name=log_name)
     kept = clean & clean_stamps
     for i in np.flatnonzero(~kept).tolist():
         try:

@@ -658,9 +658,9 @@ class TestProcessCampaign:
         results, report = process_campaign(plan, log, control,
                                            day_summary=good_day(), onsite=onsite)
         assert len(results) == 2
-        assert report.drift is None
-        (reason,) = [why for pid, why in report.failures if pid == "__drift__"]
-        assert reason.startswith("drift check skipped:") and "t_air=55.0" in reason
+        assert report.failures == []
+        assert report.drift.startswith("t_air=55.0")
+        assert "drift check skipped: t_air=55.0" in report.summary()
 
     def test_out_of_range_row_outside_span_is_not_evaluated(self):
         plan, log, control = synthetic_campaign({"P1": 1.0, "P2": 0.0})
@@ -678,8 +678,7 @@ class TestProcessCampaign:
         results, report = process_campaign(plan, log, control,
                                            day_summary=good_day(), onsite=onsite)
         assert len(results) == 1
-        assert ("__drift__", "drift check skipped: series onsite and ctrl do not "
-                "overlap in time") in report.failures
+        assert report.drift == "series onsite and ctrl do not overlap in time"
 
     def test_onsite_without_samples_in_span_skips_drift_check(self):
         plan, log, control = synthetic_campaign({"P1": 1.0})
@@ -687,7 +686,7 @@ class TestProcessCampaign:
                              station_id="onsite")
         _, report = process_campaign(plan, log, control, day_summary=good_day(),
                                      onsite=onsite)
-        assert ("__drift__", "drift check skipped: empty offset series") in report.failures
+        assert report.drift == "empty offset series"
 
 
 class TestPlanValidation:

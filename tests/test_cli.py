@@ -4,6 +4,7 @@ import gc
 import hashlib
 import importlib.util
 import inspect
+import json
 import os
 import random
 import re
@@ -443,7 +444,7 @@ class TestRobustInputs:
         assert result.exit_code == 0, result.output
         reason = "drift check skipped: t_air=55.0 outside validity range"
         assert reason in (site / "out" / "before" / "report.txt").read_text()
-        assert reason in result.stderr
+        assert reason in result.stdout
 
     def test_non_numeric_and_nan_mobile_values_dropped(self, site):
         path = site / "before_mobile.csv"
@@ -453,7 +454,7 @@ class TestRobustInputs:
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         result = run(site, "process", "before")
         assert result.exit_code == 0, result.output
-        assert "mobile log: dropped 2 of 147 rows (first: line 6:" in result.stderr
+        assert "mobile log: dropped 2 of 147 rows (first: line 6:" in result.stdout
 
     def test_out_of_range_case_row_reported_by_compare(self, site):
         hot = datetime.combine(BEFORE_DAY, time(11, 0), UTC)
@@ -485,7 +486,59 @@ class TestRobustInputs:
         assert result.exit_code == 0, result.output
         result = run(site, "process", "before")
         assert result.exit_code == 0, result.output
-        assert f"(first: line 4: timestamp out of range: {stamp})" in result.stderr
+        assert f"(first: line 4: timestamp out of range: {stamp})" in result.stdout
+
+
+def set_cell(path, line, column, value):
+    """Set the cell of the named column on line `line` (the header is line 1) of a log."""
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[line - 1].split(",")
+    cells[lines[0].rstrip("\n").split(",").index(column)] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("".join(lines))
+
+
+class TestOneReport:
+    """`process` prints the report it writes, every report names the rows each
+    log lost, and stderr holds only progress and the exit reason."""
+
+    @pytest.mark.parametrize("args, code, reason", [
+        (("before",), 0, []), (("driftcase",), 3, ["drift detected on the on-site station: "]),
+        (("cloudy", "--force-day"), 0, [])])
+    def test_process_prints_its_report(self, site, args, code, reason):
+        result = run(site, "process", *args)
+        assert result.exit_code == code, result.output
+        out = site / "out" / args[0]
+        assert result.stdout_bytes == (out / "report.txt").read_bytes()
+        lines = result.stderr.splitlines()
+        assert lines[0] == f"wrote 3 point results to {out}"
+        assert len(lines) == 1 + len(reason)
+        assert all(line.startswith(lead) for line, lead in zip(lines[1:], reason))
+
+    def test_every_report_names_the_rows_its_logs_lost(self, site):
+        clean_runs, clean_files = pipeline_runs(copied_site(site))
+        for name in ("control", "case"):
+            set_cell(site / f"{name}.csv", 48, "t_air", "n/a")
+        control, case = (f"station '{name}': dropped 1 of 722 rows (first: line 48: "
+                         f"could not convert string to float: 'n/a')"
+                         for name in ("control", "case"))
+
+        def with_lines(text, lead, *lines):
+            """`text` with `lines` put before its first line that starts with `lead`."""
+            old = text.splitlines(keepends=True)
+            at = next(i for i, line in enumerate(old) if line.startswith(lead))
+            return "".join(old[:at] + [line + "\n" for line in lines] + old[at:])
+
+        (_, day), ucp, (_, before), (_, after), (_, compare) = clean_runs
+        compare = compare.replace("n_before=361", "n_before=360")  # the case row lost
+        expected = [(0, with_lines(day, "  [", control)), ucp,
+                    (0, with_lines(before, "day filter: ", control)),
+                    (0, with_lines(after, "day filter: ", control)),
+                    (0, with_lines(compare, "BACI effect", case, control))]
+        expected_files = dict(clean_files)
+        for name, (_, text) in zip(("before", "after", "compare_before_after"), expected[2:]):
+            expected_files[Path(name, "report.txt")] = text.encode()
+        assert pipeline_runs(site) == (expected, expected_files)
 
 
 class TestBaciWindow:
@@ -717,6 +770,15 @@ class TestBadUcpRaster:
         TestMalformedConfigExitsTwo.assert_one_line_exit_two(
             run(site, "process", "before"), "cannot use UCP raster: " + phrase)
         assert not (site / "out" / "before").exists()
+
+    def test_dropped_mobile_row_adds_no_line(self, site):
+        assert run(site, "ucp").exit_code == 0
+        set_cell(site / "before_mobile.csv", 6, "t_air", "n/a")
+        _truncate_ucp(site)
+        result = run(site, "process", "before")
+        TestMalformedConfigExitsTwo.assert_one_line_exit_two(
+            result, "cannot use UCP raster: expected 4 cell values, found 2")
+        assert result.stdout == ""
 
     @BAD_UCP
     def test_compare(self, site, spoil, phrase):
@@ -1434,6 +1496,17 @@ class TestExitCodeMap:
             assert_one_line_exit_two(run(site, *args),
                                      "invalid date '2019-07-25 08:00:00'; expected YYYY-MM-DD")
 
+    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("true", "True")])
+    @pytest.mark.parametrize("args, doing", [(("process", "before"), "cannot process campaign"),
+                                             (("check-day", BEFORE_DAY.isoformat()),
+                                              "cannot evaluate day")])
+    def test_plan_coordinate_that_is_not_a_finite_number(self, site, value, shown, args, doing):
+        """Plan coordinates follow the config's number rule, so no NaN reaches an output."""
+        plan = site / "before_plan.yaml"
+        plan.write_text(plan.read_text().replace("lon: 1.5", f"lon: {value}"))
+        assert_one_line_exit_two(run(site, *args), f"{doing}: invalid plan file {plan}: "
+                                                    f"point 'P2' lon must be finite, got {shown}")
+
 
 def test_day_offsets_keep_the_last_half_second_of_the_local_day(site):
     from microclimap.cli import day_offsets, load_station
@@ -1524,6 +1597,11 @@ def mutate(blob: bytes, data) -> bytes:
     return blob[:m.start()] + data.draw(st.sampled_from(tokens)) + blob[m.end():]
 
 
+def not_json(constant):
+    """Refuse `NaN`, `Infinity` and `-Infinity`, which RFC 8259 JSON does not hold."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 @settings(max_examples=200, deadline=None)
 @given(target=st.sampled_from(FUZZ_TARGETS), data=st.data())
 def test_mutated_input_exits_by_the_map(target, data):
@@ -1542,6 +1620,10 @@ def test_mutated_input_exits_by_the_map(target, data):
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 args, "".join(traceback.format_exception(result.exception)))
             assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+            if args[0] == "process" and result.exit_code in (0, 3):
+                out = site / "out" / args[1]
+                assert result.stdout_bytes == (out / "report.txt").read_bytes(), args
+                json.loads((out / "points.geojson").read_bytes(), parse_constant=not_json)
             if result.exit_code == 1:
                 assert ("campaign day rejected:" in result.stderr
                         or "verdict: rejected" in result.stdout), (args, result.output)
