@@ -37,7 +37,7 @@ EXIT_DRIFT = 3
 POINT_CSV_COLUMNS = (
     "point_id", "timestamp", "lon", "lat", "environment", "phase",
     "t_air", "rh", "t_mrt", "wind_10m", "utci_mobile", "utci_ref",
-    "offset_c", "stress_category",
+    "offset_c", "stress_category", "ucp",
 )
 
 
@@ -115,12 +115,17 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def point_results_csv(results, plan) -> str:
-    """Serialize point results with full-precision, deterministic formatting."""
-    rows = [POINT_CSV_COLUMNS]
+def point_results_csv(results, plan, ucp: raster_mod.RasterLayer | None = None) -> str:
+    """Serialize point results with full-precision, deterministic formatting.
+
+    With a UCP raster each row ends with the `ucp` value sampled at its
+    point (`repr`, empty where the cell is nodata); without one the `ucp`
+    column is left out.
+    """
+    rows = [POINT_CSV_COLUMNS if ucp is not None else POINT_CSV_COLUMNS[:-1]]
     for r in results:
         point = plan.point(r.offset.point_id)
-        rows.append([
+        row = [
             r.offset.point_id,
             series_mod.from_epoch_us(r.drivers.timestamp).isoformat(),
             repr(point.location[0]), repr(point.location[1]),
@@ -129,7 +134,11 @@ def point_results_csv(results, plan) -> str:
             repr(r.drivers.t_mrt), repr(r.drivers.wind_10m),
             repr(r.offset.utci_mobile), repr(r.offset.utci_ref), repr(r.offset.value),
             heat_stress_category(r.offset.utci_mobile).value,
-        ])
+        ]
+        if ucp is not None:
+            value = raster_mod.sample_at(ucp, *point.location)
+            row.append("" if value is None else repr(value))
+        rows.append(row)
     return _csv_text(rows)
 
 
@@ -137,11 +146,25 @@ def point_results_csv(results, plan) -> str:
 _POINT_NUMBERS = ("lon", "lat", "offset_c", "utci_mobile", "utci_ref")
 
 
+def _finite_number(path: Path, line: int, key: str, text: str) -> float:
+    """`text` as a float, else a `SchemaError` naming the file, line and column."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(f"{path} line {line}: {key} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path} line {line}: {key} {value!r} is not finite")
+    return value
+
+
 def read_point_results_csv(path: Path) -> list[dict]:
     """Rows of a points.csv with the numbers `compare` reads as floats.
 
-    A missing column, a missing or non-numeric number, a non-finite number
-    or an unreadable file is a `SchemaError`; a missing file is a `ConfigError`.
+    The optional `ucp` column is read too: an empty cell is a nodata point
+    (None), any other cell a finite number. A file without the column gives
+    rows without the key. A missing column, a missing or non-numeric number,
+    a non-finite number or an unreadable file is a `SchemaError`; a missing
+    file is a `ConfigError`.
     """
     if not path.exists():
         raise ConfigError(f"missing processed results {path}; run `process` first")
@@ -154,14 +177,10 @@ def read_point_results_csv(path: Path) -> list[dict]:
             raise SchemaError(f"{path} lacks column(s) {', '.join(missing)}")
         for row in reader:
             for key in _POINT_NUMBERS:
-                try:
-                    row[key] = float(row[key])
-                except ValueError:
-                    raise SchemaError(f"{path} line {reader.line_num}: {key} "
-                                      f"{row[key]!r} is not a number") from None
-                if not math.isfinite(row[key]):
-                    raise SchemaError(f"{path} line {reader.line_num}: {key} "
-                                      f"{row[key]!r} is not finite")
+                row[key] = _finite_number(path, reader.line_num, key, row[key])
+            if "ucp" in row:
+                row["ucp"] = (_finite_number(path, reader.line_num, "ucp", row["ucp"])
+                              if row["ucp"] else None)
             rows.append(row)
     if not rows:
         raise SchemaError(f"no point results in {path}")
@@ -251,10 +270,11 @@ def process(cfg: RunConfig, campaign_id, allow_drift, force_day):
         drift_thresholds=cfg.drift_thresholds,
     )
     doing("cannot use UCP raster")
-    collection = raster_mod.export_heat_map(results, plan, _load_ucp_raster(cfg))
+    ucp = _load_ucp_raster(cfg)
+    collection = raster_mod.export_heat_map(results, plan, ucp)
     doing("cannot write outputs")
     out = cfg.output_dir / campaign_id
-    write_atomic(out / "points.csv", point_results_csv(results, plan))
+    write_atomic(out / "points.csv", point_results_csv(results, plan, ucp))
     write_atomic(out / "points.geojson", raster_mod.geojson_dumps(collection))
     text = report.summary() + "\n"
     write_atomic(out / "report.txt", text)
@@ -305,13 +325,17 @@ def compare(cfg: RunConfig, before_id, after_id):
     before_rows = read_point_results_csv(cfg.output_dir / before_id / "points.csv")
     after_rows = read_point_results_csv(cfg.output_dir / after_id / "points.csv")
     matched, unmatched = _match_points(before_rows, after_rows, after_plan)
-    doing("cannot use UCP raster")
-    ucp = _load_ucp_raster(cfg)
-    samples = [] if ucp is None else [
-        (row["offset_c"], raster_mod.sample_at(ucp, row["lon"], row["lat"]))
-        for row in before_rows + after_rows]
+    rows = before_rows + after_rows
+    if "ucp" in before_rows[0] and "ucp" in after_rows[0]:
+        samples = [(row["offset_c"], row["ucp"]) for row in rows]
+    else:  # processed without a UCP raster, or by a version that did not record it
+        doing("cannot use UCP raster")
+        ucp = _load_ucp_raster(cfg)
+        samples = None if ucp is None else [
+            (row["offset_c"], raster_mod.sample_at(ucp, row["lon"], row["lat"]))
+            for row in rows]
     doing("cannot write outputs")
-    pairs = [(offset, value) for offset, value in samples if value is not None]
+    pairs = [(offset, value) for offset, value in samples or () if value is not None]
 
     out = cfg.output_dir / f"compare_{before_id}_{after_id}"
     report_lines = [f"comparison {before_id} -> {after_id}", f"matched points: {len(matched)}"]
@@ -341,8 +365,8 @@ def compare(cfg: RunConfig, before_id, after_id):
     except MicroclimapError as exc:
         report_lines.append(f"BACI effect unavailable: {exc}")
 
-    # Figure-5 style association against the configured UCP raster
-    if ucp is None:
+    # Figure-5 style association against the UCP value at each point
+    if samples is None:
         report_lines.append("no UCP raster configured; correlation skipped")
     else:
         try:

@@ -325,6 +325,44 @@ class TestCompare:
         assert "BACI effect" in report
         assert "spearman_rho" in report
 
+    @staticmethod
+    def compare_outputs(site):
+        """Exit code and stdout of `compare before after` and the bytes of
+        each file it wrote, which are then removed."""
+        result = run(site, "compare", "before", "after")
+        out = site / "out" / "compare_before_after"
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return result.exit_code, result.stdout, files
+
+    def test_recorded_ucp_gives_the_sampled_bytes(self, site):
+        """`compare` pairs each offset with the `ucp` value `process` wrote,
+        and samples the grid only when a points.csv lacks that column."""
+        def header(campaign):
+            return (site / "out" / campaign / "points.csv").read_text().splitlines()[0]
+
+        for args in (("process", "before"), ("process", "after"), ("ucp",)):
+            assert run(site, *args).exit_code == 0
+        assert header("before").endswith(",stress_category")
+        sampled = self.compare_outputs(site)
+        assert sampled[0] == 0
+        assert sorted(sampled[2]) == ["point_deltas.csv", "report.txt", "scatter.csv",
+                                      "scatter.svg"]
+        for campaign in ("before", "after"):
+            assert run(site, "process", campaign).exit_code == 0
+            assert header(campaign).endswith(",stress_category,ucp")
+        grid = site / "out" / "ucp.asc"
+        grid.unlink()
+        raster_mod.cells_sidecar_path(grid).unlink()
+        assert self.compare_outputs(site) == sampled
+        # a mixed pair samples the grid, which is gone now
+        assert run(site, "process", "after").exit_code == 0
+        assert header("after").endswith(",stress_category")
+        code, stdout, files = self.compare_outputs(site)
+        assert code == 0
+        assert "no UCP raster configured; correlation skipped" in stdout.splitlines()
+        assert sorted(files) == ["point_deltas.csv", "report.txt"]
+
     def test_correlation_needs_three_pairs(self, site):
         # only P1's cell holds a UCP value, so the two campaigns give two pairs
         write_grid(site / "ucp_sparse.asc", [[-9999.0, -9999.0], [0.5, -9999.0]])
@@ -782,7 +820,8 @@ class TestBadUcpRaster:
 
     @BAD_UCP
     def test_compare(self, site, spoil, phrase):
-        for args in (("ucp",), ("process", "before"), ("process", "after")):
+        # processed before the grid exists, so compare samples the grid itself
+        for args in (("process", "before"), ("process", "after"), ("ucp",)):
             assert run(site, *args).exit_code == 0
         spoil(site)
         TestMalformedConfigExitsTwo.assert_one_line_exit_two(
@@ -886,6 +925,8 @@ BAD_POINTS = pytest.mark.parametrize("spoil, phrase", [
     (_set_cell("after", "utci_ref", "-"), "line 2: utci_ref '-' is not a number"),
     (_set_cell("after", "offset_c", "nan"), "line 2: offset_c nan is not finite"),
     (_set_cell("before", "lat", "inf"), "line 2: lat inf is not finite"),
+    (_set_cell("before", "ucp", "x"), "line 2: ucp 'x' is not a number"),
+    (_set_cell("after", "ucp", "-inf"), "line 2: ucp -inf is not finite"),
     (_drop_column, "lacks column(s) offset_c"),
     (_set_cell("after", "point_id", "P9"), "unknown point id 'P9' in plan after"),
     (_no_rows, "no point results in"),
@@ -978,25 +1019,25 @@ FIXTURE_DIGESTS = {
     ".ucp.asc.cells":
         "f5f39f5f66d8974984590423f634f49014c1f9cea47aa7cec89b42fc9c2068f9",
     "before/points.csv":
-        "318fb98a9477213bb115aa19692388f9296f26a276ddb4379cdd46df2bb06f74",
+        "e437727a75b61487eb67213a7d30a5cc7f0e473c55ffd6410af6cc47ed63567d",
     "before/points.geojson":
         "bd4dc836d1739f8b488e844c99d7a99d726b988195ec7307ddc7be6b9a6b486e",
     "before/report.txt":
         "be11e77f069b27dc0709acc4ade96f1e6883f85d3c193533a03c30bed66061fd",
     "after/points.csv":
-        "3f15a54e5c17b0cd81e2593810d5311a07fd62dcfcc7351152fb8b3cfac95f1d",
+        "1b3e480e1299fde1aebf3b25f4396d929f34f3293bcaab352a5d70d5bf6c8882",
     "after/points.geojson":
         "241f8b3add696c1c27b974393f7c33c588bf4f1973182d65f38faeb82a2b123e",
     "after/report.txt":
         "bf2a4b58e48b8fabed46722849dcff1270cc6928272ce2122ec8a0337669aed3",
     "driftcase/points.csv":
-        "318fb98a9477213bb115aa19692388f9296f26a276ddb4379cdd46df2bb06f74",
+        "e437727a75b61487eb67213a7d30a5cc7f0e473c55ffd6410af6cc47ed63567d",
     "driftcase/points.geojson":
         "bd4dc836d1739f8b488e844c99d7a99d726b988195ec7307ddc7be6b9a6b486e",
     "driftcase/report.txt":
         "45dd6f342d889023b07db0f5a69ce1eceb3e55e4c606fa125df2c8469a3fa240",
     "cloudy/points.csv":
-        "318fb98a9477213bb115aa19692388f9296f26a276ddb4379cdd46df2bb06f74",
+        "e437727a75b61487eb67213a7d30a5cc7f0e473c55ffd6410af6cc47ed63567d",
     "cloudy/points.geojson":
         "bd4dc836d1739f8b488e844c99d7a99d726b988195ec7307ddc7be6b9a6b486e",
     "cloudy/report.txt":
